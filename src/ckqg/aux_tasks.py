@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PAD, ValidationError
+from .corpus import ValidationError, pad_rows
 from .kb_extract import RELATIONS
 from .nn import tensor as T
 from .nn.layers import init_bilstm, init_linear, init_uniform, bilstm, linear
 from .nn.params import ParameterSet
 from .nn.tensor import Tensor
 from .qg_model import (PROB_FLOOR, EncoderOutput, KnowledgeMemory,
-                       OutputDistribution, decode_step, init_decoder_block,
+                       OutputDistribution, init_decoder_block,
                        length_mask, make_memory, sequence_nll,
                        teacher_forced_steps)
 
@@ -42,18 +42,22 @@ def init_aux_parameters(params: ParameterSet, rng: np.random.Generator, *,
                        layers=layers, vocab_size=vocab_size, init_dim=2 * hidden)
 
 
-def _packed_embed(params: ParameterSet, ids: np.ndarray) -> Tensor:
-    """Lookup over word rows extended with the special (relation/sep) rows."""
+def _encode_rows(params: ParameterSet, prefix: str, head_ids: np.ndarray,
+                 head_lengths: np.ndarray, suffixes: list[list[int]],
+                 drop_rate: float, training: bool,
+                 rng: np.random.Generator | None
+                 ) -> tuple[Tensor, np.ndarray, Tensor, Tensor]:
+    """Pack [head; suffix] rows, pad, embed and run the biLSTM under ``prefix``.
+
+    Ids at or above the word vocabulary size select the special
+    (relation/sep) rows. Returns (H, row mask, fw_final, bw_final)."""
+    rows = [head_ids[i, :n].tolist() + suffix
+            for i, (n, suffix) in enumerate(zip(head_lengths, suffixes))]
+    ids, lengths = pad_rows(rows)
     table = T.concat([params["emb.word"], params["know.special"]], axis=0)
-    return T.embedding(table, ids)
-
-
-def _pad_rows(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    lengths = np.array([len(r) for r in rows], dtype=np.int64)
-    out = np.full((len(rows), int(lengths.max())), PAD, dtype=np.int64)
-    for i, r in enumerate(rows):
-        out[i, :len(r)] = r
-    return out, lengths
+    out, fw_fin, bw_fin = bilstm(params, prefix, T.embedding(table, ids), lengths,
+                                 drop_rate, training, rng)
+    return out, length_mask(lengths, out.shape[1]), fw_fin, bw_fin
 
 
 def encode_head_tail(params: ParameterSet, head_ids: np.ndarray,
@@ -65,17 +69,11 @@ def encode_head_tail(params: ParameterSet, head_ids: np.ndarray,
     """Encode [head; separator; tail] rows; row count is lh + 1 + lt."""
     if np.any(np.asarray(head_lengths) < 1) or np.any(np.asarray(tail_lengths) < 1):
         raise ValidationError("empty concept in head-tail encoder")
-    vocab_size = params["emb.word"].shape[0]
-    rows = []
-    for i in range(len(head_lengths)):
-        h = head_ids[i, :head_lengths[i]].tolist()
-        t = tail_ids[i, :tail_lengths[i]].tolist()
-        rows.append(h + [vocab_size + SEP_INDEX] + t)
-    packed, lengths = _pad_rows(rows)
-    e = _packed_embed(params, packed)
-    layers = _count_layers(params, "ht_enc")
-    out, _, _ = bilstm(params, "ht_enc", e, lengths, layers, drop_rate, training, rng)
-    return out, length_mask(lengths, out.shape[1])
+    sep = params["emb.word"].shape[0] + SEP_INDEX
+    tails = [[sep] + tail_ids[i, :n].tolist() for i, n in enumerate(tail_lengths)]
+    out, mask, _, _ = _encode_rows(params, "ht_enc", head_ids, head_lengths, tails,
+                                   drop_rate, training, rng)
+    return out, mask
 
 
 def encode_head_relation(params: ParameterSet, head_ids: np.ndarray,
@@ -91,24 +89,10 @@ def encode_head_relation(params: ParameterSet, head_ids: np.ndarray,
     if np.any((relation_ids < 0) | (relation_ids >= N_RELATIONS)):
         raise ValidationError(f"relation id out of range 0..{N_RELATIONS - 1}")
     vocab_size = params["emb.word"].shape[0]
-    rows = []
-    for i in range(len(head_lengths)):
-        h = head_ids[i, :head_lengths[i]].tolist()
-        rows.append(h + [vocab_size + int(relation_ids[i])])
-    packed, lengths = _pad_rows(rows)
-    e = _packed_embed(params, packed)
-    layers = _count_layers(params, "hr_enc")
-    out, fw_fin, bw_fin = bilstm(params, "hr_enc", e, lengths, layers,
-                                 drop_rate, training, rng)
-    final = T.concat([fw_fin, bw_fin], axis=-1)
-    return out, length_mask(lengths, out.shape[1]), final
-
-
-def _count_layers(params: ParameterSet, prefix: str) -> int:
-    n = 0
-    while f"{prefix}.l{n}.fw.W" in params:
-        n += 1
-    return n
+    relations = [[vocab_size + int(r)] for r in relation_ids]
+    out, mask, fw_fin, bw_fin = _encode_rows(params, "hr_enc", head_ids, head_lengths,
+                                             relations, drop_rate, training, rng)
+    return out, mask, T.concat([fw_fin, bw_fin], axis=-1)
 
 
 @dataclass
@@ -204,12 +188,6 @@ def unified_memory(params: ParameterSet, trip: TripleEncoding) -> KnowledgeMemor
 def tg_memory(params: ParameterSet, trip: TripleEncoding) -> KnowledgeMemory:
     """Head-relation memory for the tail decoder."""
     return make_memory(params, "tg.Wk", trip.t, trip.t_mask)
-
-
-def tg_decode_step(params: ParameterSet, y_prev: np.ndarray, state, enc, tmem,
-                   copy_ids: np.ndarray, extended_size: int, **kw):
-    return decode_step(params, "tg.dec", y_prev, state, enc, tmem, copy_ids,
-                       extended_size, **kw)
 
 
 def tg_teacher_steps(params: ParameterSet, enc: EncoderOutput,

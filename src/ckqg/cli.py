@@ -114,10 +114,13 @@ def _save_world(out: Path, cfg: Config, vocab: Vocabulary,
 
 
 def _load_world(model_dir: Path) -> tuple[Config, Vocabulary, dict[str, TagVocab]]:
-    cfg = Config()
-    for key, value in json.loads((model_dir / "config.json").read_text()).items():
-        setattr(cfg, key, value)
-    cfg.validate()
+    path = model_dir / "config.json"
+    raw = json.loads(path.read_text())
+    # JSON numbers only: a quoted "8" would slip through the string parser
+    if not isinstance(raw, dict) or not all(
+            isinstance(v, (int, float)) for v in raw.values()):
+        raise ConfigError(f"{path}: expected an object of numeric settings")
+    cfg = load_config(overrides={k: str(v) for k, v in raw.items()}, env={})
     vocab = Vocabulary(json.loads((model_dir / "vocab.json").read_text())["tokens"])
     tags = {k: TagVocab(v) for k, v in
             json.loads((model_dir / "tags.json").read_text()).items()}

@@ -193,12 +193,13 @@ class Batch:
         return self.head_ids is not None
 
 
-def _pad_rows(rows: list[list[int]], width: int | None = None) -> np.ndarray:
-    width = width if width is not None else max(len(r) for r in rows)
-    out = np.full((len(rows), width), PAD, dtype=np.int64)
+def pad_rows(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad id rows with PAD to the longest; returns (ids, lengths)."""
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    out = np.full((len(rows), int(lengths.max())), PAD, dtype=np.int64)
     for i, r in enumerate(rows):
         out[i, :len(r)] = r
-    return out
+    return out, lengths
 
 
 def encode_batch(samples: list[TrainingSample], vocab: Vocabulary,
@@ -250,15 +251,17 @@ def encode_batch(samples: list[TrainingSample], vocab: Vocabulary,
         q_ids.append(EOS)
         question_rows.append(q_ids)
 
+    passage_ids, passage_lengths = pad_rows(passage_rows)
+    question_ids, question_lengths = pad_rows(question_rows)
     batch = Batch(
-        passage_ids=_pad_rows(passage_rows),
-        bio_ids=_pad_rows(bio_rows),
-        pos_ids=_pad_rows(pos_rows),
-        ner_ids=_pad_rows(ner_rows),
-        passage_lengths=np.array([len(s.passage) for s in samples], dtype=np.int64),
-        copy_ids=_pad_rows(copy_rows),
-        question_ids=_pad_rows(question_rows),
-        question_lengths=np.array([len(r) for r in question_rows], dtype=np.int64),
+        passage_ids=passage_ids,
+        bio_ids=pad_rows(bio_rows)[0],
+        pos_ids=pad_rows(pos_rows)[0],
+        ner_ids=pad_rows(ner_rows)[0],
+        passage_lengths=passage_lengths,
+        copy_ids=pad_rows(copy_rows)[0],
+        question_ids=question_ids,
+        question_lengths=question_lengths,
         oov_tokens=oov_lists,
         extended_size=voc_size + max(len(o) for o in oov_lists),
     )
@@ -280,14 +283,29 @@ def encode_batch(samples: list[TrainingSample], vocab: Vocabulary,
                 gen.append(idx)
             gen.append(EOS)
             tail_gen_rows.append(gen)
-        batch.head_ids = _pad_rows(head_rows)
-        batch.head_lengths = np.array([len(r) for r in head_rows], dtype=np.int64)
+        batch.head_ids, batch.head_lengths = pad_rows(head_rows)
         batch.relation_ids = np.array(rel_ids, dtype=np.int64)
-        batch.tail_ids = _pad_rows(tail_rows)
-        batch.tail_lengths = np.array([len(r) for r in tail_rows], dtype=np.int64)
-        batch.tail_gen_ids = _pad_rows(tail_gen_rows)
-        batch.tail_gen_lengths = np.array([len(r) for r in tail_gen_rows], dtype=np.int64)
+        batch.tail_ids, batch.tail_lengths = pad_rows(tail_rows)
+        batch.tail_gen_ids, batch.tail_gen_lengths = pad_rows(tail_gen_rows)
     return batch
+
+
+def _check_field_types(raw, where: str) -> None:
+    """Reject wrong-typed sample fields; missing ones are reported later."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{where}: sample must be a JSON object")
+    for key in ("passage", "pos", "ner", "question"):
+        value = raw.get(key, [])
+        try:
+            "".join(value)  # rejects a non-string element at C speed
+        except TypeError:
+            value = None
+        if type(value) is not list:
+            raise ValidationError(f"{where}: '{key}' must be a list of strings")
+    span = raw.get("answer_span", [0, 0])
+    if not (isinstance(span, list) and len(span) == 2
+            and all(type(i) is int for i in span)):
+        raise ValidationError(f"{where}: 'answer_span' must be two integers")
 
 
 def _triple_from_json(raw: dict, passage: list[str], question: list[str],
@@ -319,6 +337,7 @@ def load_dataset(path: str | Path) -> list[TrainingSample]:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{where}: invalid JSON: {exc}") from None
+            _check_field_types(raw, where)
             try:
                 sample = TrainingSample(
                     passage=list(raw["passage"]),

@@ -56,23 +56,27 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
+        def read(n: int, what: str) -> bytes:
+            data = fh.read(n)
+            if len(data) != n:
+                raise CheckpointError(f"{path}: truncated {what}")
+            return data
+
         if fh.read(4) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = struct.unpack("<II", read(8, "header"))
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
-            (dtype_code,) = struct.unpack("<B", fh.read(1))
+            (name_len,) = struct.unpack("<H", read(2, "name length"))
+            name = read(name_len, "name").decode("utf-8")
+            (ndim,) = struct.unpack("<B", read(1, f"ndim for '{name}'"))
+            dims = struct.unpack(f"<{ndim}I", read(4 * ndim, f"dims for '{name}'"))
+            (dtype_code,) = struct.unpack("<B", read(1, f"dtype for '{name}'"))
             if dtype_code != DTYPE_F64:
                 raise CheckpointError(f"{path}: unknown dtype code {dtype_code} for '{name}'")
             n = int(np.prod(dims)) if dims else 1
-            payload = fh.read(8 * n)
-            if len(payload) != 8 * n:
-                raise CheckpointError(f"{path}: truncated payload for '{name}'")
+            payload = read(8 * n, f"payload for '{name}'")
             out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
         return out

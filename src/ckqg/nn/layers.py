@@ -31,18 +31,13 @@ def init_lstm(params: ParameterSet, prefix: str, group: str, input_dim: int, hid
 
 
 def init_linear(params: ParameterSet, prefix: str, group: str, in_dim: int, out_dim: int,
-                rng: np.random.Generator, bias: bool = True) -> None:
+                rng: np.random.Generator) -> None:
     params.add(f"{prefix}.W", init_uniform(rng, (in_dim, out_dim)), group)
-    if bias:
-        params.add(f"{prefix}.b", np.zeros(out_dim), group)
+    params.add(f"{prefix}.b", np.zeros(out_dim), group)
 
 
 def linear(params: ParameterSet, prefix: str, x: Tensor) -> Tensor:
-    out = T.matmul(x, params[f"{prefix}.W"])
-    bname = f"{prefix}.b"
-    if bname in params:
-        out = T.add(out, params[bname])
-    return out
+    return T.add(T.matmul(x, params[f"{prefix}.W"]), params[f"{prefix}.b"])
 
 
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
@@ -87,6 +82,15 @@ def run_lstm(xs: Tensor, lengths: np.ndarray, w: Tensor, b: Tensor,
     return T.stack(outs, axis=1), h, c
 
 
+def lstm_depth(params: ParameterSet, prefix: str) -> int:
+    """Depth of the stack init_bilstm or init_stacked_lstm registered under
+    ``prefix``; load_state_dict keeps these names equal to the config's."""
+    n = 0
+    while f"{prefix}.l{n}.W" in params or f"{prefix}.l{n}.fw.W" in params:
+        n += 1
+    return n
+
+
 def init_bilstm(params: ParameterSet, prefix: str, group: str, input_dim: int, hidden: int,
                 layers: int, rng: np.random.Generator) -> None:
     for layer in range(layers):
@@ -95,7 +99,7 @@ def init_bilstm(params: ParameterSet, prefix: str, group: str, input_dim: int, h
         init_lstm(params, f"{prefix}.l{layer}.bw", group, dim, hidden, rng)
 
 
-def bilstm(params: ParameterSet, prefix: str, xs: Tensor, lengths: np.ndarray, layers: int,
+def bilstm(params: ParameterSet, prefix: str, xs: Tensor, lengths: np.ndarray,
            drop_rate: float = 0.0, training: bool = False,
            rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """Stacked bidirectional LSTM.
@@ -107,7 +111,7 @@ def bilstm(params: ParameterSet, prefix: str, xs: Tensor, lengths: np.ndarray, l
         raise T.ShapeError("bilstm: empty sequence")
     cur = xs
     fw_h = bw_h = None
-    for layer in range(layers):
+    for layer in range(lstm_depth(params, prefix)):
         fw_out, fw_h, _ = run_lstm(cur, lengths, params[f"{prefix}.l{layer}.fw.W"],
                                    params[f"{prefix}.l{layer}.fw.b"])
         bw_out, bw_h, _ = run_lstm(cur, lengths, params[f"{prefix}.l{layer}.bw.W"],
@@ -126,11 +130,12 @@ def init_stacked_lstm(params: ParameterSet, prefix: str, group: str, input_dim: 
 
 
 def stacked_lstm_step(params: ParameterSet, prefix: str, x: Tensor,
-                      states: list[tuple[Tensor, Tensor]], layers: int,
+                      states: list[tuple[Tensor, Tensor]],
                       drop_rate: float = 0.0, training: bool = False,
                       rng: np.random.Generator | None = None
                       ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
     """One time step through a stacked unidirectional LSTM (decoder use)."""
+    layers = lstm_depth(params, prefix)
     new_states = []
     cur = x
     for layer in range(layers):

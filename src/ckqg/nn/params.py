@@ -81,21 +81,19 @@ class ParameterSet:
             h.update(self._params[n].data.tobytes())
         return h.hexdigest()
 
-    def grad_norm(self, names: list[str] | None = None) -> float:
+    def grad_norm(self) -> float:
         total = 0.0
-        for n in (names if names is not None else self.names()):
-            g = self._params[n].grad
-            if g is not None:
-                total += float(np.sum(g * g))
+        for t in self._params.values():
+            if t.grad is not None:
+                total += float(np.sum(t.grad * t.grad))
         return float(np.sqrt(total))
 
-    def clip_grads(self, max_norm: float, names: list[str] | None = None) -> float:
-        """Global L2 clipping over the named subset; returns the pre-clip norm."""
-        norm = self.grad_norm(names)
+    def clip_grads(self, max_norm: float) -> float:
+        """Global L2 clipping over all parameters; returns the pre-clip norm."""
+        norm = self.grad_norm()
         if norm > max_norm > 0.0:
             scale = max_norm / norm
-            for n in (names if names is not None else self.names()):
-                g = self._params[n].grad
-                if g is not None:
-                    g *= scale
+            for t in self._params.values():
+                if t.grad is not None:
+                    t.grad *= scale
         return norm

@@ -17,7 +17,8 @@ import numpy as np
 from .corpus import BOS, EOS, UNK
 from .nn import tensor as T
 from .nn.layers import (init_bilstm, init_linear, init_stacked_lstm,
-                        init_uniform, bilstm, linear, stacked_lstm_step)
+                        init_uniform, bilstm, linear, lstm_depth,
+                        stacked_lstm_step)
 from .nn.params import ParameterSet
 from .nn.tensor import Tensor
 
@@ -82,13 +83,6 @@ def init_qg_parameters(params: ParameterSet, rng: np.random.Generator, *,
                        layers=layers, vocab_size=vocab_size, init_dim=hidden)
 
 
-def _layer_count(params: ParameterSet, pattern: str) -> int:
-    n = 0
-    while pattern.format(n) in params:
-        n += 1
-    return n
-
-
 def length_mask(lengths: np.ndarray, width: int) -> np.ndarray:
     """Bool [B, width] marking real (non-pad) positions."""
     return np.arange(width)[None, :] < np.asarray(lengths)[:, None]
@@ -138,8 +132,7 @@ def encode_passage(params: ParameterSet, batch, *, drop_rate: float = 0.0,
                    training: bool = False,
                    rng: np.random.Generator | None = None) -> EncoderOutput:
     e = embed_source(params, batch)
-    layers = _layer_count(params, "enc.l{}.fw.W")
-    h, _, bw_final = bilstm(params, "enc", e, batch.passage_lengths, layers,
+    h, _, bw_final = bilstm(params, "enc", e, batch.passage_lengths,
                             drop_rate, training, rng)
     mask = length_mask(batch.passage_lengths, h.shape[1])
     f, g = self_match(params, h, mask)
@@ -186,7 +179,7 @@ class OutputDistribution:
 
 def init_decoder_state(params: ParameterSet, prefix: str, source: Tensor) -> DecoderState:
     """Seed the decoder from an encoder summary (one projection per layer)."""
-    layers = _layer_count(params, prefix + ".init.l{}.W")
+    layers = lstm_depth(params, f"{prefix}.cell")
     hidden = params[f"{prefix}.cell.l0.W"].shape[1] // 4
     nb = source.shape[0]
     states = []
@@ -229,11 +222,10 @@ def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
     is numerically identical to a zeroed k-slice.
     """
     vocab_size = params["emb.word"].shape[0]
-    layers = _layer_count(params, prefix + ".cell.l{}.W")
     emb = T.embedding(params["emb.word"], clamp_to_vocab(y_prev, vocab_size))
     x = T.concat([emb, state.s_tilde], axis=-1)
     s, new_states = stacked_lstm_step(params, f"{prefix}.cell", x, state.states,
-                                      layers, drop_rate, training, rng)
+                                      drop_rate, training, rng)
     nb, hidden = s.shape
 
     alpha = _attend(enc.proj, s, enc.mask)

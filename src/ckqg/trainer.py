@@ -268,10 +268,10 @@ def decode_sample(params: ParameterSet, sample: TrainingSample,
 
 def evaluate_dev(params: ParameterSet, dev: list[TrainingSample],
                  vocab: Vocabulary, tag_vocabs: dict[str, TagVocab],
-                 config: Config, *, beam: int = 1) -> float:
-    hyps = [decode_sample(params, s, vocab, tag_vocabs, beam=beam,
-                          max_len=config.max_len,
-                          length_penalty=config.length_penalty) for s in dev]
+                 config: Config) -> float:
+    """Dev BLEU-4 of greedy decoding."""
+    hyps = [decode_sample(params, s, vocab, tag_vocabs, max_len=config.max_len)
+            for s in dev]
     refs = [list(s.question) for s in dev]
     return metrics.bleu(hyps, refs, max_n=4)
 

@@ -278,8 +278,8 @@ def test_single_row_memory_context_is_that_row():
     kmem = M.KnowledgeMemory(rows=rows, mask=np.ones((2, 1), dtype=bool),
                              proj=Tensor(rng.normal(size=(2, 1, 3))))
     state = M.init_decoder_state(params, "tg.dec", Tensor(rng.normal(size=(2, 6))))
-    _, state = A.tg_decode_step(params, batch.tail_gen_ids[:, 0], state, enc,
-                                kmem, batch.copy_ids, batch.extended_size)
+    _, state = M.decode_step(params, "tg.dec", batch.tail_gen_ids[:, 0], state,
+                             enc, kmem, batch.copy_ids, batch.extended_size)
     assert np.allclose(state.k.data, rows.data[:, 0, :], atol=1e-15)
 
 

@@ -1,6 +1,7 @@
 """End-to-end subcommand tests driving the CLI through its main() entry."""
 
 import json
+import shutil
 
 import pytest
 
@@ -184,6 +185,22 @@ class TestGenerate:
                      "--corpus", split_corpora["dev"], "--beam", "1"])
         assert code == 0
         assert len(out.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("change", [
+        {"hidden_size": "8"},
+        {"layers": 2.0},
+        {"hiden_size": 3},
+    ])
+    def test_bad_saved_config_is_usage_error(self, trained, split_corpora,
+                                             tmp_path, capsys, change):
+        model = tmp_path / "model"
+        shutil.copytree(trained, model)
+        cfg = json.loads((model / "config.json").read_text())
+        (model / "config.json").write_text(json.dumps({**cfg, **change}))
+        code = main(["generate", "--model", str(model),
+                     "--corpus", split_corpora["dev"]])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_model_dir_is_data_error(self, split_corpora, tmp_path):
         code = main(["generate", "--model", str(tmp_path / "nope"),

@@ -1,6 +1,7 @@
 """Dataset loading, vocabulary, BIO features, and batch encoding."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -337,6 +338,23 @@ def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("{not json\n")
     with pytest.raises(ValidationError, match="JSON"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("answer_span", ["x", "y"]),
+    ("answer_span", [0.5, 1]),
+    ("answer_span", [True, 0]),
+    ("passage", 5),
+    ("pos", ["noun", 3]),
+    ("question", None),
+])
+def test_load_rejects_wrong_typed_field(tmp_path, field, value):
+    row = {"passage": ["a"], "answer_span": [0, 0], "pos": ["noun"],
+           "ner": ["o"], "question": ["q"], field: value}
+    path = tmp_path / "bad.jsonl"
+    _write_jsonl(path, [row])
+    with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}:1: '{field}' must be"):
         load_dataset(path)
 
 

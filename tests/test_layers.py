@@ -134,7 +134,7 @@ def test_bilstm_shapes_and_final_slices():
     L.init_bilstm(params, "enc", "qg_core", 3, 2, 2, rng)
     xs = Tensor(rng.normal(size=(2, 4, 3)))
     lengths = np.array([4, 2])
-    outs, fw_fin, bw_fin = L.bilstm(params, "enc", xs, lengths, layers=2)
+    outs, fw_fin, bw_fin = L.bilstm(params, "enc", xs, lengths)
     assert outs.shape == (2, 4, 4)
     for i, n in enumerate(lengths):
         np.testing.assert_array_equal(fw_fin.data[i], outs.data[i, n - 1, :2])
@@ -148,10 +148,10 @@ def test_bilstm_padding_matches_per_sample_runs():
     L.init_bilstm(params, "enc", "qg_core", 3, 4, 2, rng)
     xs = rng.normal(size=(3, 5, 3))
     lengths = np.array([5, 3, 1])
-    outs, fw_fin, bw_fin = L.bilstm(params, "enc", Tensor(xs), lengths, layers=2)
+    outs, fw_fin, bw_fin = L.bilstm(params, "enc", Tensor(xs), lengths)
     for i, n in enumerate(lengths):
         solo, solo_fw, solo_bw = L.bilstm(
-            params, "enc", Tensor(xs[i:i + 1, :n].copy()), np.array([n]), layers=2)
+            params, "enc", Tensor(xs[i:i + 1, :n].copy()), np.array([n]))
         np.testing.assert_allclose(outs.data[i, :n], solo.data[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(fw_fin.data[i], solo_fw.data[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(bw_fin.data[i], solo_bw.data[0], rtol=0, atol=1e-12)
@@ -165,7 +165,7 @@ def test_bilstm_length_one_tied_directions_agree():
     params["enc.l0.bw.W"].data = params["enc.l0.fw.W"].data.copy()
     params["enc.l0.bw.b"].data = params["enc.l0.fw.b"].data.copy()
     xs = Tensor(rng.normal(size=(2, 1, 3)))
-    outs, _, _ = L.bilstm(params, "enc", xs, np.array([1, 1]), layers=1)
+    outs, _, _ = L.bilstm(params, "enc", xs, np.array([1, 1]))
     np.testing.assert_array_equal(outs.data[:, 0, :2], outs.data[:, 0, 2:])
 
 
@@ -173,7 +173,7 @@ def test_bilstm_rejects_empty_sequence():
     params = ParameterSet()
     L.init_bilstm(params, "enc", "qg_core", 3, 2, 1, np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        L.bilstm(params, "enc", Tensor(np.zeros((1, 0, 3))), np.array([0]), layers=1)
+        L.bilstm(params, "enc", Tensor(np.zeros((1, 0, 3))), np.array([0]))
 
 
 def test_bilstm_gradients_via_checker():
@@ -184,7 +184,7 @@ def test_bilstm_gradients_via_checker():
     lengths = np.array([3, 2])
 
     def loss():
-        outs, fw_fin, bw_fin = L.bilstm(params, "enc", xs, lengths, layers=2)
+        outs, fw_fin, bw_fin = L.bilstm(params, "enc", xs, lengths)
         return T.add(T.sum_(T.mul(outs, outs)), T.sum_(T.add(fw_fin, bw_fin)))
 
     report = grad_check(loss, list(params.items()), eps=1e-5, samples_per_tensor=6)
@@ -202,7 +202,7 @@ def test_stacked_lstm_step_matches_manual_stack():
     x = Tensor(rng.normal(size=(2, 3)))
     states = [(Tensor(rng.normal(size=(2, 2))), Tensor(rng.normal(size=(2, 2))))
               for _ in range(2)]
-    top, new_states = L.stacked_lstm_step(params, "dec", x, states, layers=2)
+    top, new_states = L.stacked_lstm_step(params, "dec", x, states)
     h0, c0 = L.lstm_cell(x, states[0][0], states[0][1], params["dec.l0.W"], params["dec.l0.b"])
     h1, c1 = L.lstm_cell(h0, states[1][0], states[1][1], params["dec.l1.W"], params["dec.l1.b"])
     np.testing.assert_array_equal(top.data, h1.data)
@@ -219,7 +219,7 @@ def test_stacked_lstm_step_gradients():
     states = [(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))) for _ in range(2)]
 
     def loss():
-        top, new_states = L.stacked_lstm_step(params, "dec", x, states, layers=2)
+        top, new_states = L.stacked_lstm_step(params, "dec", x, states)
         pieces = [T.sum_(top)]
         for h, c in new_states:
             pieces.append(T.sum_(c))
@@ -233,18 +233,15 @@ def test_stacked_lstm_step_gradients():
 # linear helper
 
 
-def test_linear_with_and_without_bias():
+def test_linear_adds_bias():
     rng = np.random.default_rng(31)
     params = ParameterSet()
     L.init_linear(params, "proj", "qg_core", 3, 2, rng)
-    L.init_linear(params, "nobias", "qg_core", 3, 2, rng, bias=False)
-    assert "proj.b" in params and "nobias.b" not in params
+    assert "proj.b" in params
     x = np.array([[1.0, -1.0, 2.0]])
     got = L.linear(params, "proj", Tensor(x))
     want = x @ params["proj.W"].data + params["proj.b"].data
     np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-15)
-    got2 = L.linear(params, "nobias", Tensor(x))
-    np.testing.assert_allclose(got2.data, x @ params["nobias.W"].data, rtol=0, atol=1e-15)
 
 
 def test_init_lstm_forget_gate_bias():
@@ -488,6 +485,18 @@ def test_checkpoint_rejects_corrupt_files(tmp_path):
     bad_dtype.write_bytes(bytes(body))
     with pytest.raises(CheckpointError):
         load_checkpoint(bad_dtype)
+
+
+def test_checkpoint_every_proper_prefix_is_rejected(tmp_path):
+    # cuts land in the header, a name, the dims, the dtype byte and a payload
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, {"scalar": np.float64(2.0), "w": np.ones((2, 3))})
+    raw = good.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(cut)
 
 
 # ---------------------------------------------------------------------------
