@@ -44,8 +44,7 @@ def init_aux_parameters(params: ParameterSet, rng: np.random.Generator, *,
 
 def _encode_rows(params: ParameterSet, prefix: str, head_ids: np.ndarray,
                  head_lengths: np.ndarray, suffixes: list[list[int]],
-                 drop_rate: float, training: bool,
-                 rng: np.random.Generator | None
+                 drop_rate: float, rng: np.random.Generator | None
                  ) -> tuple[Tensor, np.ndarray, Tensor, Tensor]:
     """Pack [head; suffix] rows, pad, embed and run the biLSTM under ``prefix``.
 
@@ -56,14 +55,13 @@ def _encode_rows(params: ParameterSet, prefix: str, head_ids: np.ndarray,
     ids, lengths = pad_rows(rows)
     table = T.concat([params["emb.word"], params["know.special"]], axis=0)
     out, fw_fin, bw_fin = bilstm(params, prefix, T.embedding(table, ids), lengths,
-                                 drop_rate, training, rng)
+                                 drop_rate, rng)
     return out, length_mask(lengths, out.shape[1]), fw_fin, bw_fin
 
 
 def encode_head_tail(params: ParameterSet, head_ids: np.ndarray,
                      head_lengths: np.ndarray, tail_ids: np.ndarray,
                      tail_lengths: np.ndarray, *, drop_rate: float = 0.0,
-                     training: bool = False,
                      rng: np.random.Generator | None = None
                      ) -> tuple[Tensor, np.ndarray]:
     """Encode [head; separator; tail] rows; row count is lh + 1 + lt."""
@@ -72,13 +70,13 @@ def encode_head_tail(params: ParameterSet, head_ids: np.ndarray,
     sep = params["emb.word"].shape[0] + SEP_INDEX
     tails = [[sep] + tail_ids[i, :n].tolist() for i, n in enumerate(tail_lengths)]
     out, mask, _, _ = _encode_rows(params, "ht_enc", head_ids, head_lengths, tails,
-                                   drop_rate, training, rng)
+                                   drop_rate, rng)
     return out, mask
 
 
 def encode_head_relation(params: ParameterSet, head_ids: np.ndarray,
                          head_lengths: np.ndarray, relation_ids: np.ndarray, *,
-                         drop_rate: float = 0.0, training: bool = False,
+                         drop_rate: float = 0.0,
                          rng: np.random.Generator | None = None
                          ) -> tuple[Tensor, np.ndarray, Tensor]:
     """Encode [head; relation-token] rows; also returns the concatenated
@@ -91,7 +89,7 @@ def encode_head_relation(params: ParameterSet, head_ids: np.ndarray,
     vocab_size = params["emb.word"].shape[0]
     relations = [[vocab_size + int(r)] for r in relation_ids]
     out, mask, fw_fin, bw_fin = _encode_rows(params, "hr_enc", head_ids, head_lengths,
-                                             relations, drop_rate, training, rng)
+                                             relations, drop_rate, rng)
     return out, mask, T.concat([fw_fin, bw_fin], axis=-1)
 
 
@@ -107,18 +105,16 @@ class TripleEncoding:
 
 
 def encode_triples(params: ParameterSet, batch, *, drop_rate: float = 0.0,
-                   training: bool = False,
                    rng: np.random.Generator | None = None) -> TripleEncoding:
     if not batch.has_triples:
         raise ValidationError("batch carries no triples")
     r, r_mask = encode_head_tail(params, batch.head_ids, batch.head_lengths,
                                  batch.tail_ids, batch.tail_lengths,
-                                 drop_rate=drop_rate, training=training, rng=rng)
+                                 drop_rate=drop_rate, rng=rng)
     t, t_mask, t_final = encode_head_relation(params, batch.head_ids,
                                               batch.head_lengths,
                                               batch.relation_ids,
-                                              drop_rate=drop_rate,
-                                              training=training, rng=rng)
+                                              drop_rate=drop_rate, rng=rng)
     k = T.concat([t, r], axis=1)
     k_mask = np.concatenate([t_mask, r_mask], axis=1)
     return TripleEncoding(r=r, r_mask=r_mask, t=t, t_mask=t_mask,
@@ -192,14 +188,13 @@ def tg_memory(params: ParameterSet, trip: TripleEncoding) -> KnowledgeMemory:
 
 def tg_teacher_steps(params: ParameterSet, enc: EncoderOutput,
                      trip: TripleEncoding, batch, *, drop_rate: float = 0.0,
-                     training: bool = False,
                      rng: np.random.Generator | None = None
                      ) -> list[OutputDistribution]:
     return teacher_forced_steps(params, "tg.dec", enc, tg_memory(params, trip),
                                 batch.tail_gen_ids, batch.tail_gen_lengths,
                                 batch.copy_ids, batch.extended_size,
                                 init_source=trip.t_final, drop_rate=drop_rate,
-                                training=training, rng=rng)
+                                rng=rng)
 
 
 def tg_loss(steps: list[OutputDistribution], tail_gen_ids: np.ndarray,

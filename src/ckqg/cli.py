@@ -22,7 +22,7 @@ from .assets import KB_CONCEPTNET, KB_WORDNET, MINI_CORPUS, STOPWORDS, asset_pat
 from .config import Config, ConfigError, load_config, parse_config_file
 from .corpus import (RESERVED, TagVocab, TrainingSample, ValidationError,
                      Vocabulary, build_tag_vocabs, build_vocab, encode_batch,
-                     load_dataset, save_dataset)
+                     is_str_list, load_dataset, save_dataset)
 from .nn import tensor as T
 from .nn.checkpoint import load_checkpoint
 from .nn.gradcheck import grad_check
@@ -121,10 +121,17 @@ def _load_world(model_dir: Path) -> tuple[Config, Vocabulary, dict[str, TagVocab
             isinstance(v, (int, float)) for v in raw.values()):
         raise ConfigError(f"{path}: expected an object of numeric settings")
     cfg = load_config(overrides={k: str(v) for k, v in raw.items()}, env={})
-    vocab = Vocabulary(json.loads((model_dir / "vocab.json").read_text())["tokens"])
-    tags = {k: TagVocab(v) for k, v in
-            json.loads((model_dir / "tags.json").read_text()).items()}
-    return cfg, vocab, tags
+    path = model_dir / "vocab.json"
+    raw = json.loads(path.read_text())
+    if not (isinstance(raw, dict) and is_str_list(raw.get("tokens"))):
+        raise ValidationError(f'{path}: expected {{"tokens": [string, ...]}}')
+    vocab = Vocabulary(raw["tokens"])
+    path = model_dir / "tags.json"
+    raw = json.loads(path.read_text())
+    if not (isinstance(raw, dict) and sorted(raw) == ["bio", "ner", "pos"]
+            and all(map(is_str_list, raw.values()))):
+        raise ValidationError(f"{path}: expected lists of strings under bio, pos and ner")
+    return cfg, vocab, {k: TagVocab(v) for k, v in raw.items()}
 
 
 def cmd_train(args) -> int:
@@ -342,6 +349,13 @@ def cmd_gradcheck(args) -> int:
 # -- wiring -------------------------------------------------------------------
 
 
+def _beam_width(text: str) -> int:
+    beam = int(text)
+    if beam < 1:
+        raise argparse.ArgumentTypeError(f"beam must be >= 1, got {beam}")
+    return beam
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ckqg",
@@ -376,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     ge = sub.add_parser("generate", help="decode questions with a trained model")
     ge.add_argument("--model", required=True, help="training output directory")
     ge.add_argument("--corpus", required=True, help="JSONL corpus to decode")
-    ge.add_argument("--beam", type=int, help="beam width (default from config)")
+    ge.add_argument("--beam", type=_beam_width, help="beam width (default from config)")
     ge.set_defaults(func=cmd_generate)
 
     ev = sub.add_parser("evaluate", help="score hypotheses against references")

@@ -202,6 +202,19 @@ def pad_rows(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     return out, lengths
 
 
+def _target_ids(tokens: list[str], vocab: Vocabulary, oov: list[str]) -> list[int]:
+    """BOS, then each token's vocabulary id, or its extended id when it is
+    unknown but copyable from the sample's passage (listed in ``oov``), then EOS."""
+    ids = [BOS]
+    for tok in tokens:
+        idx = vocab.encode(tok)
+        if idx == UNK and tok in oov:
+            idx = len(vocab) + oov.index(tok)
+        ids.append(idx)
+    ids.append(EOS)
+    return ids
+
+
 def encode_batch(samples: list[TrainingSample], vocab: Vocabulary,
                  tag_vocabs: dict[str, TagVocab]) -> Batch:
     """Assemble one padded batch.
@@ -241,15 +254,7 @@ def encode_batch(samples: list[TrainingSample], vocab: Vocabulary,
         bio_rows.append([tag_vocabs["bio"].encode(t) for t in bio])
         pos_rows.append([tag_vocabs["pos"].encode(t) for t in s.pos_tags])
         ner_rows.append([tag_vocabs["ner"].encode(t) for t in s.ner_tags])
-
-        q_ids = [BOS]
-        for tok in s.question:
-            idx = vocab.encode(tok)
-            if idx == UNK and tok in oov:
-                idx = voc_size + oov.index(tok)
-            q_ids.append(idx)
-        q_ids.append(EOS)
-        question_rows.append(q_ids)
+        question_rows.append(_target_ids(s.question, vocab, oov))
 
     passage_ids, passage_lengths = pad_rows(passage_rows)
     question_ids, question_lengths = pad_rows(question_rows)
@@ -275,14 +280,7 @@ def encode_batch(samples: list[TrainingSample], vocab: Vocabulary,
             head_rows.append([vocab.encode(t) for t in head_toks])
             tail_rows.append([vocab.encode(t) for t in tail_toks])
             rel_ids.append(kb.RELATION_IDS[chosen.triple.relation])
-            gen = [BOS]
-            for tok in tail_toks:
-                idx = vocab.encode(tok)
-                if idx == UNK and tok in oov:
-                    idx = voc_size + oov.index(tok)
-                gen.append(idx)
-            gen.append(EOS)
-            tail_gen_rows.append(gen)
+            tail_gen_rows.append(_target_ids(tail_toks, vocab, oov))
         batch.head_ids, batch.head_lengths = pad_rows(head_rows)
         batch.relation_ids = np.array(rel_ids, dtype=np.int64)
         batch.tail_ids, batch.tail_lengths = pad_rows(tail_rows)
@@ -290,30 +288,38 @@ def encode_batch(samples: list[TrainingSample], vocab: Vocabulary,
     return batch
 
 
+def is_str_list(value) -> bool:
+    """True for a list of strings; str.join checks the elements at C speed."""
+    try:
+        "".join(value)
+    except TypeError:
+        return False
+    return type(value) is list
+
+
 def _check_field_types(raw, where: str) -> None:
     """Reject wrong-typed sample fields; missing ones are reported later."""
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: sample must be a JSON object")
     for key in ("passage", "pos", "ner", "question"):
-        value = raw.get(key, [])
-        try:
-            "".join(value)  # rejects a non-string element at C speed
-        except TypeError:
-            value = None
-        if type(value) is not list:
+        if not is_str_list(raw.get(key, [])):
             raise ValidationError(f"{where}: '{key}' must be a list of strings")
     span = raw.get("answer_span", [0, 0])
     if not (isinstance(span, list) and len(span) == 2
             and all(type(i) is int for i in span)):
         raise ValidationError(f"{where}: 'answer_span' must be two integers")
+    triples = raw.get("triples", [])
+    if type(triples) is not list or not all(
+            type(t) is dict and all(type(t.get(k)) is str
+                                    for k in ("head", "relation", "tail"))
+            for t in triples):
+        raise ValidationError(f"{where}: 'triples' must be a list of objects "
+                              "with string head, relation and tail")
 
 
 def _triple_from_json(raw: dict, passage: list[str], question: list[str],
                       where: str) -> AlignedTriple:
-    try:
-        head, relation, tail = raw["head"], raw["relation"], raw["tail"]
-    except KeyError as exc:
-        raise ValidationError(f"{where}: triple missing field {exc}") from None
+    head, relation, tail = raw["head"], raw["relation"], raw["tail"]
     if relation not in kb.RELATION_IDS:
         raise ValidationError(f"{where}: unknown relation '{relation}'")
     hp = kb.find_span(tuple(head.split()), passage)

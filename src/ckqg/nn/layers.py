@@ -100,12 +100,12 @@ def init_bilstm(params: ParameterSet, prefix: str, group: str, input_dim: int, h
 
 
 def bilstm(params: ParameterSet, prefix: str, xs: Tensor, lengths: np.ndarray,
-           drop_rate: float = 0.0, training: bool = False,
+           drop_rate: float = 0.0,
            rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """Stacked bidirectional LSTM.
 
     Returns (H [B,L,2h], fw_final [B,h], bw_final [B,h]) where the finals come
-    from the top layer. Dropout applies to each layer's output sequence.
+    from the top layer. With an rng, dropout applies to each layer's output sequence.
     """
     if xs.shape[1] == 0:
         raise T.ShapeError("bilstm: empty sequence")
@@ -116,9 +116,7 @@ def bilstm(params: ParameterSet, prefix: str, xs: Tensor, lengths: np.ndarray,
                                    params[f"{prefix}.l{layer}.fw.b"])
         bw_out, bw_h, _ = run_lstm(cur, lengths, params[f"{prefix}.l{layer}.bw.W"],
                                    params[f"{prefix}.l{layer}.bw.b"], reverse=True)
-        cur = T.concat([fw_out, bw_out], axis=-1)
-        if drop_rate > 0.0 and training:
-            cur = T.dropout(cur, drop_rate, training, rng)
+        cur = T.dropout(T.concat([fw_out, bw_out], axis=-1), drop_rate, rng)
     return cur, fw_h, bw_h
 
 
@@ -131,8 +129,7 @@ def init_stacked_lstm(params: ParameterSet, prefix: str, group: str, input_dim: 
 
 def stacked_lstm_step(params: ParameterSet, prefix: str, x: Tensor,
                       states: list[tuple[Tensor, Tensor]],
-                      drop_rate: float = 0.0, training: bool = False,
-                      rng: np.random.Generator | None = None
+                      drop_rate: float = 0.0, rng: np.random.Generator | None = None
                       ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
     """One time step through a stacked unidirectional LSTM (decoder use)."""
     layers = lstm_depth(params, prefix)
@@ -143,6 +140,6 @@ def stacked_lstm_step(params: ParameterSet, prefix: str, x: Tensor,
                          params[f"{prefix}.l{layer}.W"], params[f"{prefix}.l{layer}.b"])
         new_states.append((h, c))
         cur = h
-        if layer < layers - 1 and drop_rate > 0.0 and training:
-            cur = T.dropout(cur, drop_rate, training, rng)
+        if layer < layers - 1:
+            cur = T.dropout(cur, drop_rate, rng)
     return cur, new_states

@@ -522,16 +522,13 @@ def cross_entropy(log_probs: Tensor, targets: np.ndarray) -> Tensor:
     return mean(mul(picked, -1.0))
 
 
-def dropout(x: Tensor, rate: float, training: bool,
-            rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: scales kept units by 1/(1-rate); identity at inference."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout: scales kept units by 1/(1-rate); identity without an rng."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     x = _coerce(x)
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("dropout: active dropout needs an rng")
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
 
     def backward(g):

@@ -129,11 +129,9 @@ def self_match(params: ParameterSet, h: Tensor, mask: np.ndarray) -> tuple[Tenso
 
 
 def encode_passage(params: ParameterSet, batch, *, drop_rate: float = 0.0,
-                   training: bool = False,
                    rng: np.random.Generator | None = None) -> EncoderOutput:
     e = embed_source(params, batch)
-    h, _, bw_final = bilstm(params, "enc", e, batch.passage_lengths,
-                            drop_rate, training, rng)
+    h, _, bw_final = bilstm(params, "enc", e, batch.passage_lengths, drop_rate, rng)
     mask = length_mask(batch.passage_lengths, h.shape[1])
     f, g = self_match(params, h, mask)
     h_hat = T.add(T.mul(g, f), T.mul(1.0 - g, h))
@@ -213,7 +211,6 @@ def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
                 state: DecoderState, enc: EncoderOutput,
                 kmem: KnowledgeMemory | None, copy_ids: np.ndarray,
                 extended_size: int, *, drop_rate: float = 0.0,
-                training: bool = False,
                 rng: np.random.Generator | None = None
                 ) -> tuple[OutputDistribution, DecoderState]:
     """One decoder step over a batch.
@@ -225,7 +222,7 @@ def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
     emb = T.embedding(params["emb.word"], clamp_to_vocab(y_prev, vocab_size))
     x = T.concat([emb, state.s_tilde], axis=-1)
     s, new_states = stacked_lstm_step(params, f"{prefix}.cell", x, state.states,
-                                      drop_rate, training, rng)
+                                      drop_rate, rng)
     nb, hidden = s.shape
 
     alpha = _attend(enc.proj, s, enc.mask)
@@ -241,7 +238,7 @@ def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
     pre = T.add(pre, T.matmul(s, params[f"{prefix}.blend.s.W"]))
     s_tilde = T.tanh(T.add(pre, params[f"{prefix}.blend.b"]))
 
-    z = T.dropout(T.concat([c, s], axis=-1), drop_rate, training, rng)
+    z = T.dropout(T.concat([c, s], axis=-1), drop_rate, rng)
     u = T.maxout(T.tanh(linear(params, f"{prefix}.readout", z)))
     p_vocab = T.softmax(linear(params, f"{prefix}.out", u), axis=-1)
 
@@ -267,7 +264,7 @@ def teacher_forced_steps(params: ParameterSet, prefix: str, enc: EncoderOutput,
                          kmem: KnowledgeMemory | None, target_ids: np.ndarray,
                          target_lengths: np.ndarray, copy_ids: np.ndarray,
                          extended_size: int, *, init_source: Tensor,
-                         drop_rate: float = 0.0, training: bool = False,
+                         drop_rate: float = 0.0,
                          rng: np.random.Generator | None = None
                          ) -> list[OutputDistribution]:
     """Run the decoder with gold inputs; step t predicts target_ids[:, t+1]."""
@@ -276,7 +273,7 @@ def teacher_forced_steps(params: ParameterSet, prefix: str, enc: EncoderOutput,
     for t in range(int(np.max(target_lengths)) - 1):
         out, state = decode_step(params, prefix, target_ids[:, t], state, enc,
                                  kmem, copy_ids, extended_size,
-                                 drop_rate=drop_rate, training=training, rng=rng)
+                                 drop_rate=drop_rate, rng=rng)
         steps.append(out)
     return steps
 
@@ -319,13 +316,11 @@ class BeamHypothesis:
 
 def greedy_decode(params: ParameterSet, prefix: str, enc: EncoderOutput,
                   kmem: KnowledgeMemory | None, copy_ids: np.ndarray,
-                  extended_size: int, *, max_len: int,
-                  init_source: Tensor | None = None) -> list[int]:
+                  extended_size: int, *, max_len: int) -> list[int]:
     """Argmax decoding for a single sample; stops at EOS or max_len tokens."""
     if enc.mask.shape[0] != 1:
         raise T.ShapeError("greedy_decode runs one sample at a time")
-    src = enc.bw_final if init_source is None else init_source
-    state = init_decoder_state(params, prefix, src)
+    state = init_decoder_state(params, prefix, enc.bw_final)
     y = np.array([BOS])
     ids: list[int] = []
     for _ in range(max_len):
@@ -342,8 +337,7 @@ def greedy_decode(params: ParameterSet, prefix: str, enc: EncoderOutput,
 def beam_search(params: ParameterSet, prefix: str, enc: EncoderOutput,
                 kmem: KnowledgeMemory | None, copy_ids: np.ndarray,
                 extended_size: int, *, beam: int, max_len: int,
-                length_penalty: float = 0.7,
-                init_source: Tensor | None = None) -> BeamHypothesis:
+                length_penalty: float = 0.7) -> BeamHypothesis:
     """Beam search for a single sample.
 
     Scores are summed log probabilities normalized by length**length_penalty
@@ -354,9 +348,8 @@ def beam_search(params: ParameterSet, prefix: str, enc: EncoderOutput,
         raise T.ShapeError("beam_search runs one sample at a time")
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
-    src = enc.bw_final if init_source is None else init_source
     live: list[tuple[tuple[int, ...], float, DecoderState]] = [
-        ((), 0.0, init_decoder_state(params, prefix, src))]
+        ((), 0.0, init_decoder_state(params, prefix, enc.bw_final))]
     done: list[tuple[float, float, tuple[int, ...]]] = []
     for _ in range(max_len):
         if not live:

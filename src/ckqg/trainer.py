@@ -62,12 +62,12 @@ def _bundle(l_q: T.Tensor, l_r: T.Tensor, l_t: T.Tensor) -> LossBundle:
 
 
 def unified_forward(params: ParameterSet, batch: Batch, *,
-                    drop_rate: float = 0.0, training: bool = False,
+                    drop_rate: float = 0.0,
                     rng: np.random.Generator | None = None,
                     no_rc: bool = False, no_tg: bool = False) -> LossBundle:
     """Forward pass for a triple-equipped batch: question loss with attention
     over the triple memory, plus relation and tail losses unless ablated."""
-    kw = dict(drop_rate=drop_rate, training=training, rng=rng)
+    kw = dict(drop_rate=drop_rate, rng=rng)
     enc = qg_model.encode_passage(params, batch, **kw)
     trip = aux_tasks.encode_triples(params, batch, **kw)
     kmem = aux_tasks.unified_memory(params, trip)
@@ -90,11 +90,10 @@ def unified_forward(params: ParameterSet, batch: Batch, *,
 
 
 def pure_forward(params: ParameterSet, batch: Batch, *, drop_rate: float = 0.0,
-                 training: bool = False,
                  rng: np.random.Generator | None = None) -> LossBundle:
     """Question-only forward: no knowledge memory, so no knowledge parameter
     enters the graph and the total equals the question loss exactly."""
-    kw = dict(drop_rate=drop_rate, training=training, rng=rng)
+    kw = dict(drop_rate=drop_rate, rng=rng)
     enc = qg_model.encode_passage(params, batch, **kw)
     steps = qg_model.teacher_forced_steps(
         params, "dec", enc, None, batch.question_ids, batch.question_lengths,
@@ -245,8 +244,7 @@ def _group_hashes(params: ParameterSet) -> dict[str, str]:
 
 def decode_sample(params: ParameterSet, sample: TrainingSample,
                   vocab: Vocabulary, tag_vocabs: dict[str, TagVocab], *,
-                  beam: int = 1, max_len: int = 30,
-                  length_penalty: float = 0.7) -> list[str]:
+                  beam: int = 1, max_len: int = 30) -> list[str]:
     """Greedy (beam=1) or beam-search question tokens for one sample."""
     batch = encode_batch([sample], vocab, tag_vocabs)
     enc = qg_model.encode_passage(params, batch)
@@ -260,8 +258,7 @@ def decode_sample(params: ParameterSet, sample: TrainingSample,
     else:
         hyp = qg_model.beam_search(params, "dec", enc, kmem, batch.copy_ids,
                                    batch.extended_size, beam=beam,
-                                   max_len=max_len,
-                                   length_penalty=length_penalty)
+                                   max_len=max_len)
         ids = list(hyp.ids)
     return vocab.decode_ids(ids, batch.oov_tokens[0])
 
@@ -378,12 +375,11 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
         try:
             if phase == EQUIPPED:
                 bundle = unified_forward(params, batch,
-                                         drop_rate=config.dropout,
-                                         training=True, rng=drop_rng,
+                                         drop_rate=config.dropout, rng=drop_rng,
                                          no_rc=no_rc, no_tg=no_tg)
             else:
                 bundle = pure_forward(params, batch, drop_rate=config.dropout,
-                                      training=True, rng=drop_rng)
+                                      rng=drop_rng)
             l_q, l_r, l_t, total = bundle.values()
             if not math.isfinite(total):
                 raise T.NumericsError(

@@ -202,6 +202,41 @@ class TestGenerate:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, change", [
+        ("tags.json", lambda d: {**d, "pos": 5}),
+        ("tags.json", lambda d: {k: v for k, v in d.items() if k != "pos"}),
+        ("tags.json", lambda d: list(d.values())),
+        ("tags.json", lambda d: {**d, "pos": [[1]]}),
+        ("vocab.json", lambda d: {"words": d["tokens"]}),
+        ("vocab.json", lambda d: d["tokens"]),
+        ("vocab.json", lambda d: {"tokens": d["tokens"] + [7]}),
+    ], ids=["pos-int", "pos-missing", "tags-list", "pos-nested", "no-tokens",
+            "vocab-list", "int-token"])
+    def test_bad_saved_vocab_or_tags_is_data_error(self, trained, split_corpora,
+                                                   tmp_path, capsys, name, change):
+        model = tmp_path / "model"
+        shutil.copytree(trained, model)
+        saved = json.loads((model / name).read_text())
+        (model / name).write_text(json.dumps(change(saved)))
+        code = main(["generate", "--model", str(model),
+                     "--corpus", split_corpora["dev"]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and name in err
+
+    @pytest.mark.parametrize("beam", ["0", "-2"])
+    @pytest.mark.parametrize("empty_corpus", [False, True])
+    def test_beam_below_one_is_usage_error(self, trained, split_corpora, tmp_path,
+                                           capsys, beam, empty_corpus):
+        corpus = split_corpora["dev"]
+        if empty_corpus:
+            corpus = tmp_path / "empty.jsonl"
+            corpus.write_text("")
+        code = main(["generate", "--model", str(trained), "--corpus", str(corpus),
+                     "--beam", beam])
+        assert code == 1
+        assert "--beam" in capsys.readouterr().err
+
     def test_missing_model_dir_is_data_error(self, split_corpora, tmp_path):
         code = main(["generate", "--model", str(tmp_path / "nope"),
                      "--corpus", split_corpora["dev"]])

@@ -348,6 +348,12 @@ def test_load_rejects_invalid_json(tmp_path):
     ("passage", 5),
     ("pos", ["noun", 3]),
     ("question", None),
+    ("triples", [{"head": 5, "relation": "IsA", "tail": "q"}]),
+    ("triples", "x"),
+    ("triples", {"head": "a"}),
+    ("triples", [5]),
+    ("triples", [{"head": "a", "relation": ["IsA"], "tail": "q"}]),
+    ("triples", [{"head": "a", "tail": "q"}]),
 ])
 def test_load_rejects_wrong_typed_field(tmp_path, field, value):
     row = {"passage": ["a"], "answer_span": [0, 0], "pos": ["noun"],

@@ -260,7 +260,7 @@ def test_init_lstm_forget_gate_bias():
 def test_dropout_preserves_mean_and_zero_fraction():
     rng = np.random.default_rng(37)
     x = Tensor(np.ones(200_000))
-    out = T.dropout(x, 0.3, training=True, rng=rng)
+    out = T.dropout(x, 0.3, rng=rng)
     zero_frac = float(np.mean(out.data == 0.0))
     assert abs(zero_frac - 0.3) < 0.02
     assert abs(float(np.mean(out.data)) - 1.0) < 0.02
@@ -270,9 +270,9 @@ def test_dropout_preserves_mean_and_zero_fraction():
 
 def test_dropout_inference_is_identity():
     x = Tensor(np.array([1.0, 2.0, 3.0]))
-    np.testing.assert_array_equal(T.dropout(x, 0.3, training=False).data, x.data)
+    np.testing.assert_array_equal(T.dropout(x, 0.3).data, x.data)
     np.testing.assert_array_equal(
-        T.dropout(x, 0.0, training=True, rng=np.random.default_rng(0)).data, x.data)
+        T.dropout(x, 0.0, rng=np.random.default_rng(0)).data, x.data)
 
 
 # ---------------------------------------------------------------------------

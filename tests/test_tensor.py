@@ -236,7 +236,7 @@ class TestGradients:
 
     def test_dropout_grad_fixed_mask(self):
         x = rand_tensor(4, 4)
-        fd_check(lambda: scalarize(T.dropout(x, 0.4, True, np.random.default_rng(11))), [x])
+        fd_check(lambda: scalarize(T.dropout(x, 0.4, np.random.default_rng(11))), [x])
 
     def test_cross_entropy_grad(self):
         x = rand_tensor(2, 5)
@@ -277,7 +277,7 @@ class TestProperties:
             rng = np.random.default_rng(42)
             x = Tensor(rng.uniform(-1, 1, (4, 6)), requires_grad=True)
             w = Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
-            loss = T.sum_(T.tanh(T.matmul(T.dropout(x, 0.3, True, rng), w)))
+            loss = T.sum_(T.tanh(T.matmul(T.dropout(x, 0.3, rng), w)))
             loss.backward()
             return loss.data.copy(), x.grad.copy(), w.grad.copy()
 

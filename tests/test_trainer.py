@@ -111,6 +111,16 @@ class TestForward:
         assert bundle.l.data == want
         assert bundle.l_q.data >= 0 and bundle.l_r.data >= 0 and bundle.l_t.data >= 0
 
+    def test_dropout_is_active_exactly_when_an_rng_is_passed(self):
+        cfg, params, vocab, tags, eq, _ = build_world()
+        batch = encode_batch(eq, vocab, tags)
+        plain = TR.unified_forward(params, batch).l.data
+        no_rng = TR.unified_forward(params, batch, drop_rate=0.3).l.data
+        assert no_rng.tobytes() == plain.tobytes()
+        dropped = TR.unified_forward(params, batch, drop_rate=0.3,
+                                     rng=np.random.default_rng(5)).l.data
+        assert dropped != plain
+
     def test_matches_composition_through_module_apis(self):
         cfg, params, vocab, tags, eq, _ = build_world()
         batch = encode_batch(eq[:1], vocab, tags)
