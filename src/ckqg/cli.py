@@ -165,21 +165,9 @@ def cmd_generate(args) -> int:
     cfg, vocab, tags, params = _load_model(model_dir)
     beam = args.beam if args.beam is not None else cfg.beam
     samples = load_dataset(args.corpus)
-    lines = []
-    for i, s in enumerate(samples):
-        batch = encode_batch([s], vocab, tags)
-        enc = qg_model.encode_passage(params, batch)
-        kmem = None
-        if batch.has_triples:
-            trip = aux_tasks.encode_triples(params, batch)
-            kmem = aux_tasks.unified_memory(params, trip)
-        hyp = qg_model.beam_search(params, "dec", enc, kmem, batch.copy_ids,
-                                   batch.extended_size, beam=beam,
-                                   max_len=cfg.max_len,
-                                   length_penalty=cfg.length_penalty)
-        tokens = vocab.decode_ids(list(hyp.ids), batch.oov_tokens[0])
-        lines.append(json.dumps({"id": _sample_key(s, i), "question": tokens,
-                                 "score": hyp.score}))
+    decoded = trainer.generate(params, samples, vocab, tags, cfg, beam)
+    lines = [json.dumps({"id": _sample_key(s, i), "question": tokens, "score": score})
+             for i, (s, (tokens, score)) in enumerate(zip(samples, decoded))]
     text = "\n".join(lines) + "\n" if lines else ""
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -312,9 +312,12 @@ def _check_field_types(raw, where: str) -> None:
     if type(triples) is not list or not all(
             type(t) is dict and all(type(t.get(k)) is str
                                     for k in ("head", "relation", "tail"))
+            and type(t.get("source", "")) is str
+            and type(t.get("swapped", False)) is bool
             for t in triples):
         raise ValidationError(f"{where}: 'triples' must be a list of objects "
-                              "with string head, relation and tail")
+                              "with string head, relation and tail, and an "
+                              "optional string source and boolean swapped")
 
 
 def _triple_from_json(raw: dict, passage: list[str], question: list[str],
@@ -328,7 +331,7 @@ def _triple_from_json(raw: dict, passage: list[str], question: list[str],
         raise ValidationError(
             f"{where}: triple ({head!r}, {relation}, {tail!r}) does not align with its sample")
     triple = KnowledgeTriple(head, relation, tail, raw.get("source", "ConceptNet"))
-    return AlignedTriple(triple, hp, tp, bool(raw.get("swapped", False)))
+    return AlignedTriple(triple, hp, tp, raw.get("swapped", False))
 
 
 def load_dataset(path: str | Path) -> list[TrainingSample]:

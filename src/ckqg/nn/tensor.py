@@ -8,10 +8,14 @@ that requires it.
 
 Every forward op validates that its output is finite; NaN/Inf anywhere
 raises ``NumericsError`` immediately so divergence is caught at the op that
-produced it, not three modules later.
+produced it, not three modules later. Inside ``no_grad()`` ops still check
+their outputs but record no graph, which is how inference runs.
 """
 
 from __future__ import annotations
+
+import contextlib
+import threading
 
 import numpy as np
 
@@ -34,6 +38,39 @@ def _check_finite(data: np.ndarray, op: str) -> None:
         raise NumericsError(f"non-finite values produced by op '{op}'")
 
 
+class _Mode(threading.local):
+    grad = True          # ops record parents and backward closures
+    row_by_row = False   # 2-D matmuls run as one vector-matrix product per row
+
+
+_mode = _Mode()
+
+
+@contextlib.contextmanager
+def _set_mode(name: str, value: bool):
+    prev = getattr(_mode, name)
+    setattr(_mode, name, value)
+    try:
+        yield
+    finally:
+        setattr(_mode, name, prev)
+
+
+def no_grad():
+    """Within the block (in this thread) ops record no parents and no
+    backward closure, so nothing is kept for a ``backward()`` that inference
+    never calls. Nests, and restores the previous mode on exit."""
+    return _set_mode("grad", False)
+
+
+def row_by_row():
+    """Within the block (in this thread) a 2-D matmul computes each row of
+    its output as a one-row product would, bit for bit, whatever other rows
+    share the batch. BLAS sums a multi-row product in another order than a
+    one-row product, so the last bits would otherwise depend on the batch."""
+    return _set_mode("row_by_row", True)
+
+
 class Tensor:
     """Autodiff value node: data, optional grad, and the backward rule."""
 
@@ -54,7 +91,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        req = any(p.requires_grad for p in parents)
+        req = _mode.grad and any(p.requires_grad for p in parents)
         out.requires_grad = req
         if req:
             out._parents = parents
@@ -195,7 +232,10 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs >=2D operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    data = np.matmul(a.data, b.data)
+    if _mode.row_by_row and a.ndim == 2 and b.ndim == 2:
+        data = np.matmul(a.data[:, None, :], b.data)[:, 0, :]
+    else:
+        data = np.matmul(a.data, b.data)
 
     def backward(g):
         if a.requires_grad:

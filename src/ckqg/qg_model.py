@@ -10,7 +10,7 @@ with its own weights.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -334,11 +334,55 @@ def greedy_decode(params: ParameterSet, prefix: str, enc: EncoderOutput,
     return ids
 
 
+def _tile_inputs(enc: EncoderOutput, kmem: KnowledgeMemory | None,
+                 copy_ids: np.ndarray, k: int
+                 ) -> tuple[EncoderOutput, KnowledgeMemory | None, np.ndarray]:
+    """One sample's decoder inputs repeated as k rows, one per hypothesis.
+
+    Only the fields decode_step reads (h_hat, proj, mask) are tiled."""
+    def rows(t: Tensor) -> Tensor:
+        return Tensor(np.repeat(t.data, k, axis=0))
+
+    enc_k = replace(enc, h_hat=rows(enc.h_hat), proj=rows(enc.proj),
+                    mask=np.repeat(enc.mask, k, axis=0))
+    kmem_k = None if kmem is None else KnowledgeMemory(
+        rows=rows(kmem.rows), mask=np.repeat(kmem.mask, k, axis=0),
+        proj=rows(kmem.proj))
+    return enc_k, kmem_k, np.repeat(copy_ids, k, axis=0)
+
+
+def _reorder_state(state: DecoderState, rows: list[int]) -> DecoderState:
+    """Decoder state of the surviving hypotheses: row i continues ``rows[i]``."""
+    def take(t: Tensor) -> Tensor:
+        return Tensor(t.data[rows])
+
+    return DecoderState(states=[(take(h), take(c)) for h, c in state.states],
+                        s_tilde=take(state.s_tilde))
+
+
+def _top_tokens(lp: np.ndarray, beam: int) -> np.ndarray:
+    """``np.argsort(-lp, kind="stable")[:beam]`` without sorting the whole row:
+    every value above the beam-th largest is in, and ties at it go to the
+    lowest ids."""
+    n = lp.shape[0]
+    if beam >= n:
+        return np.argsort(-lp, kind="stable")
+    threshold = np.partition(lp, n - beam)[n - beam]
+    idx = np.flatnonzero(lp >= threshold)
+    return idx[np.argsort(-lp[idx], kind="stable")][:beam]
+
+
 def beam_search(params: ParameterSet, prefix: str, enc: EncoderOutput,
                 kmem: KnowledgeMemory | None, copy_ids: np.ndarray,
                 extended_size: int, *, beam: int, max_len: int,
                 length_penalty: float = 0.7) -> BeamHypothesis:
     """Beam search for a single sample.
+
+    The live hypotheses are the rows of one decoder batch, reordered by
+    back-pointer after each step, and nothing is recorded for backward. Each
+    row is computed exactly as a batch of one would compute it (see
+    nn.tensor.row_by_row), so the result equals decoding each hypothesis on
+    its own, bit for bit.
 
     Scores are summed log probabilities normalized by length**length_penalty
     at finishing time; candidate ordering breaks ties toward lower token ids,
@@ -348,29 +392,37 @@ def beam_search(params: ParameterSet, prefix: str, enc: EncoderOutput,
         raise T.ShapeError("beam_search runs one sample at a time")
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
-    live: list[tuple[tuple[int, ...], float, DecoderState]] = [
-        ((), 0.0, init_decoder_state(params, prefix, enc.bw_final))]
+    tiles: dict[int, tuple] = {}
+    live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
     done: list[tuple[float, float, tuple[int, ...]]] = []
-    for _ in range(max_len):
-        if not live:
-            break
-        cands = []
-        for ids, logp, state in live:
-            y = np.array([ids[-1] if ids else BOS])
-            out, nstate = decode_step(params, prefix, y, state, enc, kmem,
-                                      copy_ids, extended_size)
-            lp = np.log(np.maximum(out.p.data[0], PROB_FLOOR))
-            for tok in np.argsort(-lp, kind="stable")[:beam]:
-                cands.append((logp + float(lp[tok]), ids, int(tok), nstate))
-        cands.sort(key=lambda cand: (-cand[0], cand[1] + (cand[2],)))
-        live = []
-        for total, ids, tok, nstate in cands[:beam]:
-            if tok == EOS:
-                norm = total / (len(ids) + 1) ** length_penalty
-                done.append((norm, total, ids))
-            else:
-                live.append((ids + (tok,), total, nstate))
-    for ids, logp, _ in live:
+    with T.no_grad(), T.row_by_row():
+        state = init_decoder_state(params, prefix, enc.bw_final)
+        for _ in range(max_len):
+            if not live:
+                break
+            k = len(live)
+            if k not in tiles:
+                tiles[k] = _tile_inputs(enc, kmem, copy_ids, k)
+            enc_k, kmem_k, copy_k = tiles[k]
+            y = np.array([ids[-1] if ids else BOS for ids, _ in live])
+            out, state = decode_step(params, prefix, y, state, enc_k, kmem_k,
+                                     copy_k, extended_size)
+            lp = np.log(np.maximum(out.p.data, PROB_FLOOR))
+            cands = []
+            for row, (ids, logp) in enumerate(live):
+                for tok in _top_tokens(lp[row], beam):
+                    cands.append((logp + float(lp[row, tok]), ids, int(tok), row))
+            cands.sort(key=lambda cand: (-cand[0], cand[1] + (cand[2],)))
+            live, rows = [], []
+            for total, ids, tok, row in cands[:beam]:
+                if tok == EOS:
+                    norm = total / (len(ids) + 1) ** length_penalty
+                    done.append((norm, total, ids))
+                else:
+                    live.append((ids + (tok,), total))
+                    rows.append(row)
+            state = _reorder_state(state, rows)
+    for ids, logp in live:
         done.append((logp / max(len(ids), 1) ** length_penalty, logp, ids))
     norm, raw, ids = max(done, key=lambda d: (d[0], tuple(-i for i in d[2])))
     return BeamHypothesis(ids=list(ids), score=norm, logprob=raw)

@@ -242,33 +242,46 @@ def _group_hashes(params: ParameterSet) -> dict[str, str]:
     return {g: params.group_hash(g) for g in GROUPS}
 
 
+def generate(params: ParameterSet, samples: list[TrainingSample],
+             vocab: Vocabulary, tag_vocabs: dict[str, TagVocab],
+             config: Config, beam: int) -> list[tuple[list[str], float]]:
+    """Question tokens and length-normalized score per sample, by beam search
+    (beam=1 is greedy decoding) over one sample at a time, recording no tape.
+
+    The one decode path behind ``ckqg generate``, dev BLEU and decode_sample.
+    """
+    decoded = []
+    with T.no_grad():
+        for sample in samples:
+            batch = encode_batch([sample], vocab, tag_vocabs)
+            enc = qg_model.encode_passage(params, batch)
+            kmem = None
+            if batch.has_triples:
+                trip = aux_tasks.encode_triples(params, batch)
+                kmem = aux_tasks.unified_memory(params, trip)
+            hyp = qg_model.beam_search(params, "dec", enc, kmem, batch.copy_ids,
+                                       batch.extended_size, beam=beam,
+                                       max_len=config.max_len,
+                                       length_penalty=config.length_penalty)
+            decoded.append((vocab.decode_ids(hyp.ids, batch.oov_tokens[0]),
+                            hyp.score))
+    return decoded
+
+
 def decode_sample(params: ParameterSet, sample: TrainingSample,
                   vocab: Vocabulary, tag_vocabs: dict[str, TagVocab], *,
                   beam: int = 1, max_len: int = 30) -> list[str]:
-    """Greedy (beam=1) or beam-search question tokens for one sample."""
-    batch = encode_batch([sample], vocab, tag_vocabs)
-    enc = qg_model.encode_passage(params, batch)
-    kmem = None
-    if batch.has_triples:
-        trip = aux_tasks.encode_triples(params, batch)
-        kmem = aux_tasks.unified_memory(params, trip)
-    if beam == 1:
-        ids = qg_model.greedy_decode(params, "dec", enc, kmem, batch.copy_ids,
-                                     batch.extended_size, max_len=max_len)
-    else:
-        hyp = qg_model.beam_search(params, "dec", enc, kmem, batch.copy_ids,
-                                   batch.extended_size, beam=beam,
-                                   max_len=max_len)
-        ids = list(hyp.ids)
-    return vocab.decode_ids(ids, batch.oov_tokens[0])
+    """Question tokens for one sample under the default config's other
+    generation settings; see generate."""
+    return generate(params, [sample], vocab, tag_vocabs, Config(max_len=max_len),
+                    beam)[0][0]
 
 
 def evaluate_dev(params: ParameterSet, dev: list[TrainingSample],
                  vocab: Vocabulary, tag_vocabs: dict[str, TagVocab],
                  config: Config) -> float:
     """Dev BLEU-4 of greedy decoding."""
-    hyps = [decode_sample(params, s, vocab, tag_vocabs, max_len=config.max_len)
-            for s in dev]
+    hyps = [toks for toks, _ in generate(params, dev, vocab, tag_vocabs, config, 1)]
     refs = [list(s.question) for s in dev]
     return metrics.bleu(hyps, refs, max_n=4)
 

@@ -8,7 +8,12 @@ arithmetic instead of floats) so agreement is meaningful.
 import math
 from fractions import Fraction
 
+import numpy as np
+
+from ckqg.corpus import BOS, EOS
 from ckqg.kb_extract import concept_tokens
+from ckqg.qg_model import (PROB_FLOOR, BeamHypothesis, decode_step,
+                           init_decoder_state)
 
 
 def windows(tokens, n):
@@ -119,3 +124,34 @@ def reference_rouge_l(references, hypotheses, beta=1.2):
         f = (1 + b2) * p * r / (r + b2 * p)
         total += float(f)
     return 100.0 * total / len(references)
+
+
+def reference_beam_search(params, prefix, enc, kmem, copy_ids, extended_size,
+                          *, beam, max_len, length_penalty=0.7):
+    """Beam search one hypothesis at a time: a batch-1 decode_step per live
+    hypothesis and a full stable argsort of its extended-vocabulary row."""
+    live = [((), 0.0, init_decoder_state(params, prefix, enc.bw_final))]
+    done = []
+    for _ in range(max_len):
+        if not live:
+            break
+        cands = []
+        for ids, logp, state in live:
+            y = np.array([ids[-1] if ids else BOS])
+            out, nstate = decode_step(params, prefix, y, state, enc, kmem,
+                                      copy_ids, extended_size)
+            lp = np.log(np.maximum(out.p.data[0], PROB_FLOOR))
+            for tok in np.argsort(-lp, kind="stable")[:beam]:
+                cands.append((logp + float(lp[tok]), ids, int(tok), nstate))
+        cands.sort(key=lambda cand: (-cand[0], cand[1] + (cand[2],)))
+        live = []
+        for total, ids, tok, nstate in cands[:beam]:
+            if tok == EOS:
+                norm = total / (len(ids) + 1) ** length_penalty
+                done.append((norm, total, ids))
+            else:
+                live.append((ids + (tok,), total, nstate))
+    for ids, logp, _ in live:
+        done.append((logp / max(len(ids), 1) ** length_penalty, logp, ids))
+    norm, raw, ids = max(done, key=lambda d: (d[0], tuple(-i for i in d[2])))
+    return BeamHypothesis(ids=list(ids), score=norm, logprob=raw)

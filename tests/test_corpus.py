@@ -354,6 +354,8 @@ def test_load_rejects_invalid_json(tmp_path):
     ("triples", [5]),
     ("triples", [{"head": "a", "relation": ["IsA"], "tail": "q"}]),
     ("triples", [{"head": "a", "tail": "q"}]),
+    ("triples", [{"head": "a", "relation": "IsA", "tail": "q", "swapped": "no"}]),
+    ("triples", [{"head": "a", "relation": "IsA", "tail": "q", "source": 5}]),
 ])
 def test_load_rejects_wrong_typed_field(tmp_path, field, value):
     row = {"passage": ["a"], "answer_span": [0, 0], "pos": ["noun"],

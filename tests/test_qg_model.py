@@ -6,9 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import reference_beam_search
+
+from ckqg import aux_tasks as A
 from ckqg import qg_model as M
 from ckqg.corpus import (BOS, EOS, UNK, TrainingSample, build_tag_vocabs,
                          build_vocab, coarse_tags, encode_batch)
+from ckqg.kb_extract import AlignedTriple, KnowledgeTriple
 from ckqg.nn import tensor as T
 from ckqg.nn.gradcheck import grad_check
 from ckqg.nn.params import ParameterSet
@@ -388,3 +392,93 @@ def test_beam_rejects_nonpositive_width():
     with pytest.raises(ValueError):
         M.beam_search(params, "dec", enc, None, batch.copy_ids,
                       batch.extended_size, beam=0, max_len=4)
+
+
+# -- batched beam search against the per-hypothesis reference -------------------
+
+
+def oracle_world(seed: int, hidden: int, scale: float = 1.0):
+    """One-sample batches over a vocabulary that misses most of the second
+    passage, so its copy ids reach into the extended vocabulary; the second
+    sample carries a triple for the knowledge memory. A ``scale`` above 1
+    sharpens the decoder's distributions, so the best hypothesis often
+    descends from a lower-ranked row and a wrong back-pointer shows."""
+    s1 = make_sample("the red fox jumped over the lazy dog",
+                     "what did the red fox jump over ?", (6, 7), "a")
+    s2 = make_sample("a kraken rose from the deep sea near the dog",
+                     "what did the kraken rise from ?", (5, 6), "b")
+    s2.triples.append(AlignedTriple(
+        triple=KnowledgeTriple("sea", "RelatedTo", "kraken", "ConceptNet"),
+        head_positions=(6,), tail_positions=(3,)))
+    vocab = build_vocab([s1])
+    tags = build_tag_vocabs([s1, s2])
+    params = ParameterSet()
+    rng = np.random.default_rng(seed)
+    dims = dict(vocab_size=len(vocab), emb_dim=5, hidden=hidden, layers=2)
+    M.init_qg_parameters(params, rng, feat_dim=2, n_bio=len(tags["bio"]),
+                         n_pos=len(tags["pos"]), n_ner=len(tags["ner"]), **dims)
+    A.init_aux_parameters(params, rng, **dims)
+    for _, p in params.items():
+        p.data *= scale
+    return params, [encode_batch([s], vocab, tags) for s in (s1, s2)]
+
+
+def assert_beam_matches_reference(params, batch, kmem, beam, max_len=8):
+    enc = M.encode_passage(params, batch)
+    args = (params, "dec", enc, kmem, batch.copy_ids, batch.extended_size)
+    got = M.beam_search(*args, beam=beam, max_len=max_len, length_penalty=0.9)
+    want = reference_beam_search(*args, beam=beam, max_len=max_len,
+                                 length_penalty=0.9)
+    assert got.ids == want.ids
+    assert got.score == want.score and got.logprob == want.logprob
+    return got
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_batched_beam_matches_per_hypothesis_reference(seed):
+    params, (plain, equipped) = oracle_world(seed, hidden=3 + seed % 4 * 5,
+                                             scale=(1.0, 10.0, 20.0)[seed % 3])
+    assert equipped.copy_ids.max() >= params["emb.word"].shape[0]
+    kmem = A.unified_memory(params, A.encode_triples(params, equipped))
+    for beam in (1, 3, 10):
+        assert_beam_matches_reference(params, plain, None, beam)
+        assert_beam_matches_reference(params, equipped, None, beam)
+        assert_beam_matches_reference(params, equipped, kmem, beam)
+
+
+def test_batched_beam_forced_ties_go_to_lowest_ids():
+    params, (plain, _) = oracle_world(0, hidden=4)
+    for name in ("dec.out.W", "dec.out.b", "dec.copy.W", "dec.copy.b"):
+        params[name].data[...] = 0.0
+    # the mixture is 0.5/V everywhere but on the passage's own ids, so every
+    # other candidate ties and the lowest ids must fill the beam
+    for beam in (2, 5):
+        assert_beam_matches_reference(params, plain, None, beam)
+    enc = M.encode_passage(params, plain)
+    out, _ = M.decode_step(params, "dec", np.array([BOS]),
+                           M.init_decoder_state(params, "dec", enc.bw_final),
+                           enc, None, plain.copy_ids, plain.extended_size)
+    lp = np.log(out.p.data[0])
+    copied = set(plain.copy_ids[0].tolist())
+    free = [i for i in range(plain.extended_size) if i not in copied]
+    assert np.all(lp[free] == lp[free[0]])
+    top = M._top_tokens(lp, len(copied) + 4).tolist()
+    assert set(top[:len(copied)]) == copied and top[len(copied):] == free[:4]
+
+
+def test_batched_beam_wider_than_extended_vocabulary():
+    params, (_, equipped) = oracle_world(1, hidden=4)
+    kmem = A.unified_memory(params, A.encode_triples(params, equipped))
+    hyp = assert_beam_matches_reference(params, equipped, kmem,
+                                        equipped.extended_size + 3, max_len=4)
+    assert all(0 <= i < equipped.extended_size for i in hyp.ids)
+
+
+def test_top_tokens_equal_full_stable_argsort():
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 7, 40):
+        for _ in range(20):
+            lp = -rng.integers(0, 4, size=n).astype(np.float64)
+            for beam in range(1, n + 3):
+                want = np.argsort(-lp, kind="stable")[:beam]
+                assert M._top_tokens(lp, beam).tolist() == want.tolist()

@@ -286,3 +286,73 @@ class TestProperties:
         assert l1.tobytes() == l2.tobytes()
         assert gx1.tobytes() == gx2.tobytes()
         assert gw1.tobytes() == gw2.tobytes()
+
+
+class TestNoGrad:
+    def test_ops_inside_record_no_graph(self):
+        w = rand_tensor(3, 2)
+        with T.no_grad():
+            out = T.tanh(T.matmul(rand_tensor(4, 3), w))
+        assert not out.requires_grad and out._parents == ()
+        assert out._backward is None
+        assert T.tanh(T.matmul(rand_tensor(4, 3), w)).requires_grad
+
+    def test_mode_restored_after_nesting_and_exceptions(self):
+        w = rand_tensor(2)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert not T.mul(w, 2.0).requires_grad
+        assert T.mul(w, 2.0).requires_grad
+        with pytest.raises(RuntimeError, match="boom"):
+            with T.no_grad():
+                raise RuntimeError("boom")
+        assert T.mul(w, 2.0).requires_grad
+
+    def test_nan_inside_still_names_the_op(self):
+        with T.no_grad(), np.errstate(invalid="ignore"):
+            with pytest.raises(NumericsError, match="'mul'"):
+                T.mul(Tensor([np.inf]), 0.0)
+
+    def test_row_by_row_matmul_equals_one_row_products(self):
+        a, b = RNG.uniform(-1, 1, (7, 130)), RNG.uniform(-1, 1, (130, 300))
+        with T.row_by_row():
+            rows = T.matmul(Tensor(a), Tensor(b)).data
+            singles = [T.matmul(Tensor(a[i:i + 1]), Tensor(b)).data[0] for i in range(7)]
+        assert all(rows[i].tobytes() == singles[i].tobytes() for i in range(7))
+        np.testing.assert_allclose(T.matmul(Tensor(a), Tensor(b)).data, rows,
+                                   rtol=0, atol=1e-12)
+
+    def test_decoding_records_no_tape(self, monkeypatch):
+        from ckqg import qg_model, trainer
+        from ckqg.config import Config
+        from ckqg.corpus import (TrainingSample, build_tag_vocabs, build_vocab,
+                                 coarse_tags, encode_batch)
+
+        toks = "the red fox jumped over the lazy dog".split()
+        pos, ner = coarse_tags(toks)
+        sample = TrainingSample(passage=toks, answer_span=(6, 7), pos_tags=pos,
+                                ner_tags=ner, question="what did it jump ?".split())
+        vocab, tags = build_vocab([sample]), build_tag_vocabs([sample])
+        cfg = Config(hidden_size=3, layers=2, emb_dim=4, feat_dim=2, max_len=5)
+        params = trainer.build_parameters(cfg, vocab, tags, np.random.default_rng(0))
+        outputs = []
+
+        def record(fn):
+            def wrapped(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                outputs.append(result[0].p if isinstance(result, tuple) else result.proj)
+                return result
+            return wrapped
+
+        monkeypatch.setattr(qg_model, "decode_step", record(qg_model.decode_step))
+        monkeypatch.setattr(qg_model, "encode_passage", record(qg_model.encode_passage))
+        batch = encode_batch([sample], vocab, tags)
+        enc = qg_model.encode_passage(params, batch)
+        qg_model.beam_search(params, "dec", enc, None, batch.copy_ids,
+                             batch.extended_size, beam=3, max_len=5)
+        trainer.evaluate_dev(params, [sample], vocab, tags, cfg)
+        assert len(outputs) > 3
+        assert all(t._parents == () for t in outputs[1:])
+        assert outputs[0].requires_grad  # the caller's own encoding keeps its tape
+        assert all(p.grad is None for _, p in params.items())
