@@ -15,12 +15,12 @@ import numpy as np
 from .corpus import ValidationError, pad_rows
 from .kb_extract import RELATIONS
 from .nn import tensor as T
-from .nn.layers import init_bilstm, init_linear, init_uniform, bilstm, linear
+from .nn.layers import (init_bilstm, init_linear, init_uniform, bilstm,
+                        length_mask, linear)
 from .nn.params import ParameterSet
 from .nn.tensor import Tensor
 from .qg_model import (PROB_FLOOR, EncoderOutput, KnowledgeMemory,
-                       OutputDistribution, init_decoder_block,
-                       length_mask, make_memory, sequence_nll,
+                       OutputDistribution, init_decoder_block, make_memory,
                        teacher_forced_steps)
 
 N_RELATIONS = len(RELATIONS)
@@ -163,8 +163,9 @@ def classify_relation(params: ParameterSet, r_hat: Tensor,
 
 
 def rc_loss(pred: RelationPrediction, gold: np.ndarray) -> Tensor:
-    """Cross-entropy against the gold relation label, mean over the batch."""
-    return T.cross_entropy(T.log(T.clamp_min(pred.y_r, PROB_FLOOR)), gold)
+    """Negative log-probability of the gold relation label, mean over the batch."""
+    picked = T.gather_last(pred.y_r, gold)
+    return T.mul(T.mean(T.log(T.clamp_min(picked, PROB_FLOOR))), -1.0)
 
 
 def rc_forward(params: ParameterSet, enc: EncoderOutput, trip: TripleEncoding
@@ -195,9 +196,3 @@ def tg_teacher_steps(params: ParameterSet, enc: EncoderOutput,
                                 batch.copy_ids, batch.extended_size,
                                 init_source=trip.t_final, drop_rate=drop_rate,
                                 rng=rng)
-
-
-def tg_loss(steps: list[OutputDistribution], tail_gen_ids: np.ndarray,
-            tail_gen_lengths: np.ndarray) -> Tensor:
-    """Tail loss: mean NLL of the gold tail tokens under the mixture."""
-    return sequence_nll(steps, tail_gen_ids, tail_gen_lengths)

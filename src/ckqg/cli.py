@@ -179,16 +179,20 @@ def cmd_generate(args) -> int:
 # -- evaluate -----------------------------------------------------------------
 
 
-def _read_jsonl(path: str) -> list[dict]:
+def _read_jsonl(path: str) -> list[tuple[str, dict]]:
+    """Non-blank rows of a JSONL file, each with its ``path:line`` location."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            if not isinstance(row, dict):
+                raise ValidationError(f"{path}:{lineno}: expected a JSON object")
+            rows.append((f"{path}:{lineno}", row))
     return rows
 
 
@@ -196,48 +200,51 @@ def _token_field(row: dict, key: str, where: str) -> list[str]:
     if key not in row:
         raise ValidationError(f"{where}: missing '{key}' field")
     value = row[key]
-    return value.split() if isinstance(value, str) else [str(t) for t in value]
+    if isinstance(value, str):
+        return value.split()
+    if not is_str_list(value):
+        raise ValidationError(f"{where}: '{key}' must be a string or a list of strings")
+    return value
+
+
+def _field_source(row: dict, key: str, where: str) -> dict:
+    """The row itself when it has ``key``, else its first triple."""
+    if key in row:
+        return row
+    triples = row.get("triples") or []
+    if not isinstance(triples, list) or not all(isinstance(t, dict) for t in triples):
+        raise ValidationError(f"{where}: 'triples' must be a list of objects")
+    if triples and key in triples[0]:
+        return triples[0]
+    raise ValidationError(f"{where}: no {key} on row or its first triple")
 
 
 def _relation_field(row: dict, where: str) -> str:
-    if "relation" in row:
-        return row["relation"]
-    triples = row.get("triples") or []
-    if triples and "relation" in triples[0]:
-        return triples[0]["relation"]
-    raise ValidationError(f"{where}: no relation on row or its first triple")
+    value = _field_source(row, "relation", where)["relation"]
+    if not isinstance(value, str):
+        raise ValidationError(f"{where}: 'relation' must be a string")
+    return value
 
 
 def _tail_field(row: dict, where: str) -> list[str]:
-    if "tail" in row:
-        return _token_field(row, "tail", where)
-    triples = row.get("triples") or []
-    if triples and "tail" in triples[0]:
-        return str(triples[0]["tail"]).split()
-    raise ValidationError(f"{where}: no tail on row or its first triple")
+    return _token_field(_field_source(row, "tail", where), "tail", where)
 
 
 def cmd_evaluate(args) -> int:
     hyp_rows = _read_jsonl(args.hyp)
     ref_rows = _read_jsonl(args.ref)
     if args.task == "qg":
-        hyps = [_token_field(r, "question", f"{args.hyp}:{i + 1}")
-                for i, r in enumerate(hyp_rows)]
-        refs = [_token_field(r, "question", f"{args.ref}:{i + 1}")
-                for i, r in enumerate(ref_rows)]
+        hyps = [_token_field(r, "question", where) for where, r in hyp_rows]
+        refs = [_token_field(r, "question", where) for where, r in ref_rows]
         payload = metrics.qg_report(hyps, refs).to_dict()
     elif args.task == "rc":
-        preds = [_relation_field(r, f"{args.hyp}:{i + 1}")
-                 for i, r in enumerate(hyp_rows)]
-        golds = [_relation_field(r, f"{args.ref}:{i + 1}")
-                 for i, r in enumerate(ref_rows)]
+        preds = [_relation_field(r, where) for where, r in hyp_rows]
+        golds = [_relation_field(r, where) for where, r in ref_rows]
         payload = {"rc_accuracy": metrics.rc_accuracy(preds, golds),
                    "n_samples": len(golds)}
     else:
-        hyps = [_tail_field(r, f"{args.hyp}:{i + 1}")
-                for i, r in enumerate(hyp_rows)]
-        refs = [_tail_field(r, f"{args.ref}:{i + 1}")
-                for i, r in enumerate(ref_rows)]
+        hyps = [_tail_field(r, where) for where, r in hyp_rows]
+        refs = [_tail_field(r, where) for where, r in ref_rows]
         payload = {"tg_bleu1": metrics.tg_bleu1(hyps, refs),
                    "n_samples": len(refs)}
     _emit(payload, args.out)
@@ -294,8 +301,8 @@ def loss_closures(params, batch) -> dict:
         enc = qg_model.encode_passage(params, batch)
         trip = aux_tasks.encode_triples(params, batch)
         steps = aux_tasks.tg_teacher_steps(params, enc, trip, batch)
-        return aux_tasks.tg_loss(steps, batch.tail_gen_ids,
-                                 batch.tail_gen_lengths)
+        return qg_model.sequence_nll(steps, batch.tail_gen_ids,
+                                     batch.tail_gen_lengths)
 
     return {
         "L_q": lambda: trainer.unified_forward(params, batch,

@@ -10,6 +10,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
+from .corpus import RESERVED
+
 ENV_PREFIX = "CKQG_"
 
 
@@ -44,12 +46,17 @@ class Config:
     length_penalty: float = 0.7
 
     def validate(self) -> None:
-        positive = ("hidden_size", "layers", "emb_dim", "feat_dim", "vocab_size",
-                    "min_freq", "batch_size", "itf_n", "itf_cycles", "eval_every",
+        positive = ("hidden_size", "layers", "emb_dim", "feat_dim", "min_freq",
+                    "batch_size", "itf_n", "itf_cycles", "eval_every",
                     "ckpt_keep", "avg_k", "beam", "max_len")
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.vocab_size <= len(RESERVED):
+            raise ConfigError(f"vocab_size must exceed the {len(RESERVED)} reserved ids, "
+                              f"got {self.vocab_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.lr <= 0 or self.grad_clip <= 0:

@@ -53,8 +53,13 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: Tensor, b: Tensor) -
     return h, c
 
 
+def length_mask(lengths: np.ndarray, width: int) -> np.ndarray:
+    """Bool [B, width] marking real (non-pad) positions."""
+    return np.arange(width)[None, :] < np.asarray(lengths)[:, None]
+
+
 def _masked_carry(new: Tensor, prev: Tensor, m: np.ndarray) -> Tensor:
-    # m is [B, 1] floats: 1 inside the sample, 0 on pads
+    # m is [B, 1]: True inside the sample, False on pads
     return T.add(T.mul(new, m), T.mul(prev, 1.0 - m))
 
 
@@ -65,15 +70,16 @@ def run_lstm(xs: Tensor, lengths: np.ndarray, w: Tensor, b: Tensor,
     Masked steps keep the previous state, so h_final/c_final hold the state at
     each sample's last real token (forward) or first token (reverse).
     """
-    nb, nl, _ = xs.shape
+    nb, nl, dim = xs.shape
     hidden = w.shape[1] // 4
     h = Tensor(np.zeros((nb, hidden)))
     c = Tensor(np.zeros((nb, hidden)))
-    valid = (np.arange(nl)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)
+    valid = length_mask(lengths, nl)
+    xs_t = T.split(xs, nl, axis=1)
     steps = range(nl - 1, -1, -1) if reverse else range(nl)
     outs: list[Tensor | None] = [None] * nl
     for t in steps:
-        x_t = T.gather_time(xs, np.full(nb, t, dtype=np.intp))
+        x_t = T.reshape(xs_t[t], (nb, dim))
         m = valid[:, t:t + 1]
         h_new, c_new = lstm_cell(x_t, h, c, w, b)
         h = _masked_carry(h_new, h, m)

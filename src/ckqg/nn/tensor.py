@@ -276,17 +276,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor._from_op(out, (x,), backward, "sigmoid")
 
 
-def exp(x: Tensor) -> Tensor:
-    x = _coerce(x)
-    with np.errstate(over="ignore"):
-        data = np.exp(x.data)
-
-    def backward(g):
-        x._accumulate(g * data)
-
-    return Tensor._from_op(data, (x,), backward, "exp")
-
-
 def log(x: Tensor) -> Tensor:
     x = _coerce(x)
     if np.any(x.data <= 0.0):
@@ -493,21 +482,6 @@ def gather_last(x: Tensor, idx: np.ndarray) -> Tensor:
     return Tensor._from_op(data, (x,), backward, "gather_last")
 
 
-def gather_time(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Select one time step per batch row: x[B,L,D], idx[B] -> [B,D]."""
-    x = _coerce(x)
-    idx = np.asarray(idx, dtype=np.intp)
-    b = np.arange(x.shape[0])
-    data = x.data[b, idx]
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[b, idx] = g
-        x._accumulate(gx)
-
-    return Tensor._from_op(data.copy(), (x,), backward, "gather_time")
-
-
 def scatter_sum(weights: Tensor, ids: np.ndarray, size: int) -> Tensor:
     """Sum ``weights[b, l]`` into output bucket ``ids[b, l]`` per batch row.
 
@@ -550,16 +524,6 @@ def maxout(x: Tensor) -> Tensor:
         x._accumulate(gp.reshape(x.shape))
 
     return Tensor._from_op(data, (x,), backward, "maxout")
-
-
-def cross_entropy(log_probs: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of targets under a log-domain distribution.
-
-    ``log_probs`` is [..., V]; ``targets`` indexes the last axis per leading
-    position; the result averages over all leading positions.
-    """
-    picked = gather_last(log_probs, targets)
-    return mean(mul(picked, -1.0))
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:

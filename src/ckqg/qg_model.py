@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import BOS, EOS, UNK
 from .nn import tensor as T
 from .nn.layers import (init_bilstm, init_linear, init_stacked_lstm,
-                        init_uniform, bilstm, linear, lstm_depth,
+                        init_uniform, bilstm, length_mask, linear, lstm_depth,
                         stacked_lstm_step)
 from .nn.params import ParameterSet
 from .nn.tensor import Tensor
@@ -25,19 +25,6 @@ from .nn.tensor import Tensor
 log = logging.getLogger(__name__)
 
 PROB_FLOOR = 1e-12
-
-# Running count of probability-floor events in sequence_nll; a nonzero value
-# means some target token received (numerically) zero mass.
-_clamp_events = 0
-
-
-def nll_clamp_events() -> int:
-    return _clamp_events
-
-
-def reset_nll_clamp_events() -> None:
-    global _clamp_events
-    _clamp_events = 0
 
 
 # -- parameter construction -------------------------------------------------
@@ -81,11 +68,6 @@ def init_qg_parameters(params: ParameterSet, rng: np.random.Generator, *,
     params.add("attn.Wh", init_uniform(rng, (2 * hidden, hidden)), g)
     init_decoder_block(params, "dec", g, rng, emb_dim=emb_dim, hidden=hidden,
                        layers=layers, vocab_size=vocab_size, init_dim=hidden)
-
-
-def length_mask(lengths: np.ndarray, width: int) -> np.ndarray:
-    """Bool [B, width] marking real (non-pad) positions."""
-    return np.arange(width)[None, :] < np.asarray(lengths)[:, None]
 
 
 def clamp_to_vocab(ids: np.ndarray, vocab_size: int) -> np.ndarray:
@@ -282,26 +264,18 @@ def sequence_nll(steps: list[OutputDistribution], target_ids: np.ndarray,
                  target_lengths: np.ndarray) -> Tensor:
     """Mean negative log-likelihood: per-sample mean over its own real steps,
     then mean over the batch. Zero-probability targets are floored at
-    PROB_FLOOR and counted (see nll_clamp_events)."""
-    global _clamp_events
+    PROB_FLOOR, and a warning is logged with their count."""
     n_steps = len(steps)
     picked = T.stack([T.gather_last(steps[t].p, target_ids[:, t + 1])
                       for t in range(n_steps)], axis=1)
     valid = length_mask(np.asarray(target_lengths) - 1, n_steps)
     floored = int(np.sum((picked.data < PROB_FLOOR) & valid))
     if floored:
-        _clamp_events += floored
         log.warning("floored %d zero-probability target tokens", floored)
     logp = T.log(T.clamp_min(picked, PROB_FLOOR))
     weights = valid / (np.asarray(target_lengths, dtype=np.float64) - 1.0)[:, None]
     per_sample = T.sum_(T.mul(logp, weights), axis=1)
     return T.mul(T.mean(per_sample), -1.0)
-
-
-def qg_loss(steps: list[OutputDistribution], question_ids: np.ndarray,
-            question_lengths: np.ndarray) -> Tensor:
-    """Question loss: mean NLL of the gold question under the mixture."""
-    return sequence_nll(steps, question_ids, question_lengths)
 
 
 # -- generation ---------------------------------------------------------------

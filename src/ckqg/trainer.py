@@ -74,7 +74,7 @@ def unified_forward(params: ParameterSet, batch: Batch, *,
     steps = qg_model.teacher_forced_steps(
         params, "dec", enc, kmem, batch.question_ids, batch.question_lengths,
         batch.copy_ids, batch.extended_size, init_source=enc.bw_final, **kw)
-    l_q = qg_model.qg_loss(steps, batch.question_ids, batch.question_lengths)
+    l_q = qg_model.sequence_nll(steps, batch.question_ids, batch.question_lengths)
     if no_rc:
         l_r = _zero()
     else:
@@ -84,8 +84,8 @@ def unified_forward(params: ParameterSet, batch: Batch, *,
         l_t = _zero()
     else:
         tg_steps = aux_tasks.tg_teacher_steps(params, enc, trip, batch, **kw)
-        l_t = aux_tasks.tg_loss(tg_steps, batch.tail_gen_ids,
-                                batch.tail_gen_lengths)
+        l_t = qg_model.sequence_nll(tg_steps, batch.tail_gen_ids,
+                                    batch.tail_gen_lengths)
     return _bundle(l_q, l_r, l_t)
 
 
@@ -98,7 +98,7 @@ def pure_forward(params: ParameterSet, batch: Batch, *, drop_rate: float = 0.0,
     steps = qg_model.teacher_forced_steps(
         params, "dec", enc, None, batch.question_ids, batch.question_lengths,
         batch.copy_ids, batch.extended_size, init_source=enc.bw_final, **kw)
-    l_q = qg_model.qg_loss(steps, batch.question_ids, batch.question_lengths)
+    l_q = qg_model.sequence_nll(steps, batch.question_ids, batch.question_lengths)
     return _bundle(l_q, _zero(), _zero())
 
 

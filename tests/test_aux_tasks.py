@@ -241,6 +241,25 @@ def test_rc_loss_batch_mean():
     assert A.rc_loss(pred, np.array([0, 1])).item() == pytest.approx(want, abs=1e-12)
 
 
+def test_rc_loss_gold_out_of_range():
+    with pytest.raises(T.ShapeError):
+        A.rc_loss(one_hot_pred([[1 / 6] * 6]), np.array([6]))
+
+
+def test_rc_loss_grad_through_softmax():
+    logits = Tensor(np.random.default_rng(5).uniform(-1.0, 1.0, size=(2, 6)),
+                    requires_grad=True)
+
+    def loss_fn():
+        y_r = T.softmax(logits, axis=-1)
+        return A.rc_loss(A.RelationPrediction(y_r=y_r, labels=np.argmax(y_r.data, axis=-1)),
+                         np.array([1, 3]))
+
+    report = grad_check(loss_fn, [("logits", logits)], eps=1e-6, samples_per_tensor=12)
+    assert report.checked == 12
+    assert report.max_rel_err < 1e-7, report.worst_param
+
+
 def test_rc_gradients_against_finite_differences():
     params, _, _, batch = build_setup(seed=9)
 
@@ -266,7 +285,7 @@ def test_tg_steps_and_loss_finite():
     assert len(steps) == int(batch.tail_gen_lengths.max()) - 1
     for out in steps:
         assert np.allclose(out.p.data.sum(axis=-1), 1.0, atol=1e-9)
-    loss = A.tg_loss(steps, batch.tail_gen_ids, batch.tail_gen_lengths)
+    loss = M.sequence_nll(steps, batch.tail_gen_ids, batch.tail_gen_lengths)
     assert math.isfinite(loss.item()) and loss.item() > 0.0
 
 
@@ -303,7 +322,7 @@ def test_tg_one_token_tail_hand_oracle():
     step1 = np.array([[0.3, 0.3, 0.2, 0.2]])
     steps = [M.OutputDistribution(p_vocab=Tensor(s), p_copy=Tensor(s), p=Tensor(s))
              for s in (step0, step1)]
-    loss = A.tg_loss(steps, targets, np.array([3]))
+    loss = M.sequence_nll(steps, targets, np.array([3]))
     assert loss.item() == pytest.approx(0.9830564281864164, abs=1e-12)
 
 
@@ -314,7 +333,7 @@ def test_tg_gradients_against_finite_differences():
         enc = M.encode_passage(params, batch)
         trip = A.encode_triples(params, batch)
         steps = A.tg_teacher_steps(params, enc, trip, batch)
-        return A.tg_loss(steps, batch.tail_gen_ids, batch.tail_gen_lengths)
+        return M.sequence_nll(steps, batch.tail_gen_ids, batch.tail_gen_lengths)
 
     report = grad_check(loss_fn, params.items("knowledge"), eps=1e-6, samples_per_tensor=2,
                         rng=np.random.default_rng(19))

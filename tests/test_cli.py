@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +150,19 @@ class TestTrain:
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg_text, seed, message", [
+        ("", "-1", "seed must be >= 0"),
+        ("vocab_size = 4\n", "0", "vocab_size must exceed"),
+    ])
+    def test_out_of_range_setting_is_usage_error(self, split_corpora, tmp_path,
+                                                 capsys, cfg_text, seed, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_text)
+        code = main(["--config", str(cfg), "--seed", seed, "--out", str(tmp_path / "o"),
+                     "train", "--equipped", split_corpora["equipped"]])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_ablation_flags_zero_logged_components(self, split_corpora,
                                                    toy_config, tmp_path):
         out = tmp_path / "ablate"
@@ -270,7 +284,7 @@ class TestEvaluate:
         # hypothesis rows carry bare relations, references fall back to the
         # first triple on each dataset row
         ref_rows = [json.loads(line) for line in
-                    open(split_corpora["equipped"], encoding="utf-8")]
+                    Path(split_corpora["equipped"]).read_text(encoding="utf-8").splitlines()]
         hyp = tmp_path / "rc_hyp.jsonl"
         preds = [r["triples"][0]["relation"] for r in ref_rows]
         preds[0] = "Others"  # force one miss
@@ -305,3 +319,26 @@ class TestEvaluate:
         a.write_text('{"question": ["x"]}\nnot json\n')
         assert main(["evaluate", "--hyp", str(a), "--ref", str(a)]) == 2
         assert "a.jsonl:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, row, message", [
+        ("qg", {"question": 5}, "'question' must be a string or a list of strings"),
+        ("qg", {"question": ["x", 5]}, "'question' must be a string or a list of strings"),
+        ("rc", {"triples": [5]}, "'triples' must be a list of objects"),
+        ("tg", {"triples": [5]}, "'triples' must be a list of objects"),
+        ("rc", {"relation": 5}, "'relation' must be a string"),
+        ("rc", {"triples": [{"relation": 5}]}, "'relation' must be a string"),
+        ("tg", {"tail": 5}, "'tail' must be a string or a list of strings"),
+        ("qg", 5, "expected a JSON object"),
+        ("rc", ["x"], "expected a JSON object"),
+    ])
+    def test_wrong_typed_row_is_data_error(self, tmp_path, capsys, task, row, message):
+        good = {"question": "x", "relation": "RelatedTo", "tail": "x"}
+        hyp = tmp_path / "hyp.jsonl"
+        ref = tmp_path / "ref.jsonl"
+        # the blank line counts: the bad row sits on line 3
+        hyp.write_text(json.dumps(good) + "\n\n" + json.dumps(row) + "\n")
+        ref.write_text((json.dumps(good) + "\n") * 2)
+        assert main(["evaluate", "--task", task, "--hyp", str(hyp),
+                     "--ref", str(ref)]) == 2
+        err = capsys.readouterr().err
+        assert "hyp.jsonl:3" in err and message in err

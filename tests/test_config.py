@@ -68,6 +68,11 @@ def test_bad_values_rejected():
         load_config(env={}, overrides={"layers": "0"})
     with pytest.raises(ConfigError, match="positive"):
         load_config(env={}, overrides={"lr": "0"})
+    with pytest.raises(ConfigError, match="vocab_size must exceed the 4 reserved ids"):
+        load_config(env={}, overrides={"vocab_size": "4"})
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        load_config(env={}, overrides={"seed": "-1"})
+    assert load_config(env={}, overrides={"vocab_size": "5", "seed": "0"}).seed == 0
 
 
 def test_to_dict_round_trip():

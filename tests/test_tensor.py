@@ -5,8 +5,6 @@ computed here, independently of nn.gradcheck. Value oracles: mpmath for
 softmax, closed forms elsewhere.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,32 +107,14 @@ class TestValues:
         with pytest.raises(ShapeError):
             T.maxout(Tensor([1.0, 2.0, 3.0]))
 
-    def test_cross_entropy_point_mass(self):
-        logp = Tensor(np.log(np.array([1e-12, 1.0 - 2e-12, 1e-12])))
-        assert T.cross_entropy(logp, np.array(1)).item() < 1e-11
-
-    def test_cross_entropy_uniform(self):
-        v = 10
-        logp = Tensor(np.full(v, -math.log(v)))
-        assert abs(T.cross_entropy(logp, np.array(3)).item() - math.log(v)) < 1e-12
-
-    def test_cross_entropy_quarter(self):
-        # -ln 0.25 = 1.3862943611198906 by direct computation
-        logp = Tensor(np.log(np.array([0.25, 0.75])))
-        assert abs(T.cross_entropy(logp, np.array(0)).item() - 1.3862943611198906) < 1e-12
-
-    def test_cross_entropy_target_out_of_range(self):
-        with pytest.raises(ShapeError):
-            T.cross_entropy(Tensor(np.log([0.5, 0.5])), np.array(2))
-
     def test_matmul_shape_error_names_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             T.matmul(rand_tensor(2, 3), rand_tensor(2, 3))
 
     def test_nonfinite_forward_rejected(self):
-        big = Tensor(np.array([700.0, 800.0]), requires_grad=True)
-        with pytest.raises(NumericsError):
-            T.exp(big)
+        big = Tensor(np.array([1e308, 1.0]), requires_grad=True)
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="'mul'"):
+            T.mul(big, 10.0)
 
 
 class TestGradients:
@@ -166,9 +146,9 @@ class TestGradients:
         x = rand_tensor(5)
         fd_check(lambda: scalarize(T.sigmoid(x)), [x])
 
-    def test_exp_log(self):
+    def test_log(self):
         x = Tensor(RNG.uniform(0.5, 2.0, size=6), requires_grad=True)
-        fd_check(lambda: scalarize(T.log(T.exp(x))), [x])
+        fd_check(lambda: scalarize(T.log(x)), [x])
 
     def test_clamp_min(self):
         x = Tensor(np.array([0.5, 2.0, -1.0]), requires_grad=True)
@@ -214,11 +194,6 @@ class TestGradients:
         idx = np.array([1, 0, 3])
         fd_check(lambda: scalarize(T.gather_last(x, idx)), [x])
 
-    def test_gather_time_grad(self):
-        x = rand_tensor(3, 4, 2)
-        idx = np.array([0, 2, 3])
-        fd_check(lambda: scalarize(T.gather_time(x, idx)), [x])
-
     def test_scatter_sum_grad(self):
         w = rand_tensor(2, 4)
         ids = np.array([[0, 2, 2, 1], [3, 3, 0, 0]])
@@ -237,16 +212,6 @@ class TestGradients:
     def test_dropout_grad_fixed_mask(self):
         x = rand_tensor(4, 4)
         fd_check(lambda: scalarize(T.dropout(x, 0.4, np.random.default_rng(11))), [x])
-
-    def test_cross_entropy_grad(self):
-        x = rand_tensor(2, 5)
-
-        def build():
-            p = T.softmax(x, axis=-1)
-            return T.cross_entropy(T.log(p), np.array([1, 3]))
-
-        fd_check(build, [x])
-
 
 class TestProperties:
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=8))

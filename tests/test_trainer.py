@@ -133,11 +133,11 @@ class TestForward:
             params, "dec", enc, kmem, batch.question_ids,
             batch.question_lengths, batch.copy_ids, batch.extended_size,
             init_source=enc.bw_final)
-        l_q = M.qg_loss(steps, batch.question_ids, batch.question_lengths)
+        l_q = M.sequence_nll(steps, batch.question_ids, batch.question_lengths)
         _, pred = A.rc_forward(params, enc, trip)
         l_r = A.rc_loss(pred, batch.relation_ids)
         tg_steps = A.tg_teacher_steps(params, enc, trip, batch)
-        l_t = A.tg_loss(tg_steps, batch.tail_gen_ids, batch.tail_gen_lengths)
+        l_t = M.sequence_nll(tg_steps, batch.tail_gen_ids, batch.tail_gen_lengths)
 
         assert float(bundle.l_q.data) == float(l_q.data)
         assert float(bundle.l_r.data) == float(l_r.data)
@@ -173,7 +173,7 @@ class TestForward:
             params, "dec", enc, kmem, batch.question_ids,
             batch.question_lengths, batch.copy_ids, batch.extended_size,
             init_source=enc.bw_final)
-        got = M.qg_loss(steps, batch.question_ids, batch.question_lengths)
+        got = M.sequence_nll(steps, batch.question_ids, batch.question_lengths)
         assert abs(float(got.data) - float(want.l_q.data)) < 1e-12
 
     def test_ablation_flags_zero_components_exactly(self):
