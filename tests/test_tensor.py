@@ -5,6 +5,8 @@ computed here, independently of nn.gradcheck. Value oracles: mpmath for
 softmax, closed forms elsewhere.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,11 @@ import ckqg.nn.tensor as T
 from ckqg.nn.tensor import NumericsError, ShapeError, Tensor
 
 RNG = np.random.default_rng(7)
+
+
+def nll(logp, target):
+    """Cross-entropy as the loss path builds it: the negated gold log-probability."""
+    return T.mul(T.gather_last(logp, target), -1.0)
 
 
 def fd_check(build, tensors, eps=1e-6, tol=1e-7):
@@ -106,6 +113,20 @@ class TestValues:
     def test_maxout_odd_length_rejected(self):
         with pytest.raises(ShapeError):
             T.maxout(Tensor([1.0, 2.0, 3.0]))
+
+    def test_cross_entropy_point_mass(self):
+        logp = Tensor(np.log(np.array([1e-12, 1.0 - 2e-12, 1e-12])))
+        assert nll(logp, np.array(1)).item() < 1e-11
+
+    def test_cross_entropy_uniform(self):
+        v = 10
+        logp = Tensor(np.full(v, -math.log(v)))
+        assert abs(nll(logp, np.array(3)).item() - math.log(v)) < 1e-12
+
+    def test_cross_entropy_quarter(self):
+        # -ln 0.25 = 1.3862943611198906 by direct computation
+        logp = Tensor(np.log(np.array([0.25, 0.75])))
+        assert abs(nll(logp, np.array(0)).item() - 1.3862943611198906) < 1e-12
 
     def test_matmul_shape_error_names_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
