@@ -15,10 +15,9 @@ import numpy as np
 from .corpus import ValidationError, pad_rows
 from .kb_extract import RELATIONS
 from .nn import tensor as T
-from .nn.layers import (init_bilstm, init_linear, init_uniform, bilstm,
-                        length_mask, linear)
+from .nn.layers import init_bilstm, init_linear, init_uniform, bilstm, linear
 from .nn.params import ParameterSet
-from .nn.tensor import Tensor
+from .nn.tensor import Tensor, length_mask
 from .qg_model import (PROB_FLOOR, EncoderOutput, KnowledgeMemory,
                        OutputDistribution, init_decoder_block, make_memory,
                        teacher_forced_steps)

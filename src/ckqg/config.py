@@ -7,6 +7,7 @@ every layer so typos fail loudly.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -57,6 +58,9 @@ class Config:
                               f"got {self.vocab_size}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("dropout", "lr", "grad_clip", "length_penalty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.lr <= 0 or self.grad_clip <= 0:

@@ -53,39 +53,18 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: Tensor, b: Tensor) -
     return h, c
 
 
-def length_mask(lengths: np.ndarray, width: int) -> np.ndarray:
-    """Bool [B, width] marking real (non-pad) positions."""
-    return np.arange(width)[None, :] < np.asarray(lengths)[:, None]
-
-
-def _masked_carry(new: Tensor, prev: Tensor, m: np.ndarray) -> Tensor:
-    # m is [B, 1]: True inside the sample, False on pads
-    return T.add(T.mul(new, m), T.mul(prev, 1.0 - m))
-
-
 def run_lstm(xs: Tensor, lengths: np.ndarray, w: Tensor, b: Tensor,
-             reverse: bool = False) -> tuple[Tensor, Tensor, Tensor]:
-    """Run one LSTM direction over [B, L, D]; returns (H [B,L,h], h_final, c_final).
+             reverse: bool = False) -> tuple[Tensor, Tensor]:
+    """Run one LSTM direction over [B, L, D]; returns (H [B,L,h], h_final).
 
-    Masked steps keep the previous state, so h_final/c_final hold the state at
-    each sample's last real token (forward) or first token (reverse).
+    The recurrence is one tape node (``T.lstm_sequence``). Pad steps keep the
+    previous state, so h_final, read from the last step (forward) or the
+    first (reverse), is each sample's state after all of its real tokens.
     """
-    nb, nl, dim = xs.shape
-    hidden = w.shape[1] // 4
-    h = Tensor(np.zeros((nb, hidden)))
-    c = Tensor(np.zeros((nb, hidden)))
-    valid = length_mask(lengths, nl)
-    xs_t = T.split(xs, nl, axis=1)
-    steps = range(nl - 1, -1, -1) if reverse else range(nl)
-    outs: list[Tensor | None] = [None] * nl
-    for t in steps:
-        x_t = T.reshape(xs_t[t], (nb, dim))
-        m = valid[:, t:t + 1]
-        h_new, c_new = lstm_cell(x_t, h, c, w, b)
-        h = _masked_carry(h_new, h, m)
-        c = _masked_carry(c_new, c, m)
-        outs[t] = h
-    return T.stack(outs, axis=1), h, c
+    out = T.lstm_sequence(xs, lengths, w, b, reverse)
+    nb, nl, hidden = out.shape
+    final = np.full((nb, hidden), 0 if reverse else nl - 1)
+    return out, T.gather_last(T.swapaxes(out, 1, 2), final)
 
 
 def lstm_depth(params: ParameterSet, prefix: str) -> int:
@@ -118,10 +97,10 @@ def bilstm(params: ParameterSet, prefix: str, xs: Tensor, lengths: np.ndarray,
     cur = xs
     fw_h = bw_h = None
     for layer in range(lstm_depth(params, prefix)):
-        fw_out, fw_h, _ = run_lstm(cur, lengths, params[f"{prefix}.l{layer}.fw.W"],
-                                   params[f"{prefix}.l{layer}.fw.b"])
-        bw_out, bw_h, _ = run_lstm(cur, lengths, params[f"{prefix}.l{layer}.bw.W"],
-                                   params[f"{prefix}.l{layer}.bw.b"], reverse=True)
+        fw_out, fw_h = run_lstm(cur, lengths, params[f"{prefix}.l{layer}.fw.W"],
+                                params[f"{prefix}.l{layer}.fw.b"])
+        bw_out, bw_h = run_lstm(cur, lengths, params[f"{prefix}.l{layer}.bw.W"],
+                                params[f"{prefix}.l{layer}.bw.b"], reverse=True)
         cur = T.dropout(T.concat([fw_out, bw_out], axis=-1), drop_rate, rng)
     return cur, fw_h, bw_h
 

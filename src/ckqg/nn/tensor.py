@@ -261,14 +261,16 @@ def tanh(x: Tensor) -> Tensor:
     return Tensor._from_op(data, (x,), backward, "tanh")
 
 
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: exp only ever sees -|v|, and each
+    element is 1 / (1 + e^-v) for v >= 0 and e^v / (1 + e^v) below."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x: Tensor) -> Tensor:
     x = _coerce(x)
-    v = x.data
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
+    out = _sigmoid(x.data)
 
     def backward(g):
         x._accumulate(g * out * (1.0 - out))
@@ -524,6 +526,100 @@ def maxout(x: Tensor) -> Tensor:
         x._accumulate(gp.reshape(x.shape))
 
     return Tensor._from_op(data, (x,), backward, "maxout")
+
+
+def length_mask(lengths: np.ndarray, width: int) -> np.ndarray:
+    """Bool [B, width] marking real (non-pad) positions."""
+    return np.arange(width)[None, :] < np.asarray(lengths)[:, None]
+
+
+def lstm_sequence(xs: Tensor, lengths: np.ndarray, w: Tensor, b: Tensor,
+                  reverse: bool = False) -> Tensor:
+    """One LSTM direction over [B, L, D] as one node; returns H [B, L, h].
+
+    ``w`` is [D + h, 4h] (input rows, then recurrent rows) with gate order
+    i, f, g, o, and ``b`` is [4h]. The input projection of every step is one
+    product; only ``h @ W_h`` and the gates run per step. A pad step
+    (position >= length) carries the previous state, so H at the last step
+    (forward) or the first (reverse) is each sample's final state. The
+    backward pass is masked backpropagation through time: it collects the
+    gate gradients of all steps, then forms the weight, bias and input
+    gradients with one product or sum each.
+    """
+    xs, w, b = _coerce(xs), _coerce(w), _coerce(b)
+    nb, nl, dim = xs.shape
+    hidden = w.shape[-1] // 4
+    if w.shape != (dim + hidden, 4 * hidden):
+        raise ShapeError(f"lstm_sequence: weight {w.shape} does not fit input {xs.shape}; "
+                         f"needs [D + h, 4h]")
+    if b.shape != (4 * hidden,):
+        raise ShapeError(f"lstm_sequence: bias {b.shape} does not fit weight {w.shape}")
+    w_x, w_h = w.data[:dim], w.data[dim:]
+    valid = length_mask(lengths, nl)[:, :, None]
+    steps = range(nl - 1, -1, -1) if reverse else range(nl)
+    x2d = xs.data.reshape(nb * nl, dim)
+    zx = (x2d @ w_x).reshape(nb, nl, 4 * hidden) + b.data
+    gates = np.empty((nb, nl, 4 * hidden))   # activated i, f, g, o
+    cells = np.empty((nb, nl, hidden))
+    out = np.empty((nb, nl, hidden))
+    h = np.zeros((nb, hidden))
+    c = np.zeros((nb, hidden))
+    for t in steps:
+        z = zx[:, t] + h @ w_h
+        # finite pre-activations keep every gate, cell and state finite
+        _check_finite(z, "lstm_sequence")
+        a = _sigmoid(z)
+        a[:, 2 * hidden:3 * hidden] = np.tanh(z[:, 2 * hidden:3 * hidden])
+        i, f, g, o = np.split(a, 4, axis=1)
+        c_new = f * c + i * g
+        m = valid[:, t]
+        c = np.where(m, c_new, c)
+        h = np.where(m, o * np.tanh(c_new), h)
+        gates[:, t], cells[:, t], out[:, t] = a, c, h
+
+    def before(seq: np.ndarray) -> np.ndarray:
+        # the state each step starts from: its predecessor's, zero at the start
+        prev = np.zeros_like(seq)
+        if reverse:
+            prev[:, :-1] = seq[:, 1:]
+        else:
+            prev[:, 1:] = seq[:, :-1]
+        return prev
+
+    def backward(g_out):
+        i, f, g, o = np.split(gates, 4, axis=2)
+        tc = np.tanh(cells)   # equals tanh of the new cell on real steps
+        # partial derivatives of c by the i, f, g pre-activations, of h by the
+        # o pre-activation and of h by c; zero on pad steps, which add nothing
+        # to the gate gradients
+        dc_dz = np.stack([g * i * (1.0 - i), before(cells) * f * (1.0 - f),
+                          i * (1.0 - g * g)], axis=2) * valid[:, :, None]
+        dh_dzo = tc * o * (1.0 - o) * valid
+        dh_dc = o * (1.0 - tc * tc) * valid
+        w_h_t = w_h.T
+        dz_all = np.empty_like(gates)
+        dh = np.zeros((nb, hidden))
+        dc = np.zeros((nb, hidden))
+        for t in reversed(steps):
+            dh = dh + g_out[:, t]
+            dc = dc + dh * dh_dc[:, t]
+            dz = dz_all[:, t]
+            dz[:, :3 * hidden] = (dc_dz[:, t] * dc[:, None, :]).reshape(nb, 3 * hidden)
+            dz[:, 3 * hidden:] = dh * dh_dzo[:, t]
+            dh = np.where(valid[:, t], dz @ w_h_t, dh)
+            # pads end the forward pass and start the reverse one, so a pad
+            # step's cell gradient is zero or flows only to the zero start
+            dc = dc * f[:, t]
+        dz2d = dz_all.reshape(nb * nl, 4 * hidden)
+        if xs.requires_grad:
+            xs._accumulate((dz2d @ w_x.T).reshape(xs.shape))
+        if w.requires_grad:
+            h_prev = before(out).reshape(nb * nl, hidden)
+            w._accumulate(np.concatenate([x2d.T @ dz2d, h_prev.T @ dz2d]))
+        if b.requires_grad:
+            b._accumulate(dz2d.sum(axis=0))
+
+    return Tensor._from_op(out, (xs, w, b), backward, "lstm_sequence")
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:

@@ -17,10 +17,10 @@ import numpy as np
 from .corpus import BOS, EOS, UNK
 from .nn import tensor as T
 from .nn.layers import (init_bilstm, init_linear, init_stacked_lstm,
-                        init_uniform, bilstm, length_mask, linear, lstm_depth,
+                        init_uniform, bilstm, linear, lstm_depth,
                         stacked_lstm_step)
 from .nn.params import ParameterSet
-from .nn.tensor import Tensor
+from .nn.tensor import Tensor, length_mask
 
 log = logging.getLogger(__name__)
 

@@ -12,6 +12,9 @@ import numpy as np
 
 from ckqg.corpus import BOS, EOS
 from ckqg.kb_extract import concept_tokens
+from ckqg.nn import tensor as T
+from ckqg.nn.layers import lstm_cell
+from ckqg.nn.tensor import Tensor, length_mask
 from ckqg.qg_model import (PROB_FLOOR, BeamHypothesis, decode_step,
                            init_decoder_state)
 
@@ -155,3 +158,33 @@ def reference_beam_search(params, prefix, enc, kmem, copy_ids, extended_size,
         done.append((logp / max(len(ids), 1) ** length_penalty, logp, ids))
     norm, raw, ids = max(done, key=lambda d: (d[0], tuple(-i for i in d[2])))
     return BeamHypothesis(ids=list(ids), score=norm, logprob=raw)
+
+
+def _masked_carry(new, prev, m):
+    # m is [B, 1]: True inside the sample, False on pads
+    return T.add(T.mul(new, m), T.mul(prev, 1.0 - m))
+
+
+def reference_run_lstm(xs, lengths, w, b, reverse=False):
+    """One LSTM direction as a chain of per-step tape nodes: ``lstm_cell``
+    on each step, then a masked carry of ``(h, c)`` over pad steps.
+
+    Returns (H [B,L,h], h_final, c_final); every op is differentiated by the
+    tape, so gradients come from the generic rules, not a hand-written BPTT.
+    """
+    nb, nl, dim = xs.shape
+    hidden = w.shape[1] // 4
+    h = Tensor(np.zeros((nb, hidden)))
+    c = Tensor(np.zeros((nb, hidden)))
+    valid = length_mask(lengths, nl)
+    xs_t = T.split(xs, nl, axis=1)
+    steps = range(nl - 1, -1, -1) if reverse else range(nl)
+    outs = [None] * nl
+    for t in steps:
+        x_t = T.reshape(xs_t[t], (nb, dim))
+        m = valid[:, t:t + 1]
+        h_new, c_new = lstm_cell(x_t, h, c, w, b)
+        h = _masked_carry(h_new, h, m)
+        c = _masked_carry(c_new, c, m)
+        outs[t] = h
+    return T.stack(outs, axis=1), h, c

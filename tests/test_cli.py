@@ -153,6 +153,7 @@ class TestTrain:
     @pytest.mark.parametrize("cfg_text, seed, message", [
         ("", "-1", "seed must be >= 0"),
         ("vocab_size = 4\n", "0", "vocab_size must exceed"),
+        ("lr = nan\n", "0", "lr must be finite"),
     ])
     def test_out_of_range_setting_is_usage_error(self, split_corpora, tmp_path,
                                                  capsys, cfg_text, seed, message):

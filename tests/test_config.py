@@ -73,6 +73,10 @@ def test_bad_values_rejected():
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         load_config(env={}, overrides={"seed": "-1"})
     assert load_config(env={}, overrides={"vocab_size": "5", "seed": "0"}).seed == 0
+    for name in ("lr", "grad_clip", "length_penalty"):
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                load_config(env={}, overrides={name: value})
 
 
 def test_to_dict_round_trip():

@@ -12,6 +12,7 @@ from ckqg.nn.gradcheck import grad_check
 from ckqg.nn.optim import Adam
 from ckqg.nn.params import ParameterSet
 from ckqg.nn.tensor import ShapeError, Tensor
+from oracles import reference_run_lstm
 
 
 def _fd(loss_fn, t, eps=1e-6):
@@ -108,13 +109,12 @@ def test_run_lstm_final_state_sits_at_true_length():
     xs = Tensor(rng.normal(size=(2, 4, 3)))
     w, b = _rand_lstm_weights(rng, 3, 2)
     lengths = np.array([3, 1])
-    outs, h_fin, c_fin = L.run_lstm(xs, lengths, w, b)
+    outs, h_fin = L.run_lstm(xs, lengths, w, b)
     assert outs.shape == (2, 4, 2)
     np.testing.assert_array_equal(h_fin.data[0], outs.data[0, 2])
     np.testing.assert_array_equal(h_fin.data[1], outs.data[1, 0])
     # padded rows must not advance the state
     np.testing.assert_array_equal(outs.data[1, 0], outs.data[1, 3])
-    assert np.all(np.isfinite(c_fin.data))
 
 
 def test_run_lstm_reverse_equals_flipped_forward():
@@ -122,8 +122,8 @@ def test_run_lstm_reverse_equals_flipped_forward():
     xs = rng.normal(size=(2, 5, 3))
     w, b = _rand_lstm_weights(rng, 3, 4)
     lengths = np.array([5, 5])
-    rev, h_rev, _ = L.run_lstm(Tensor(xs), lengths, w, b, reverse=True)
-    fwd, h_fwd, _ = L.run_lstm(Tensor(xs[:, ::-1].copy()), lengths, w, b)
+    rev, h_rev = L.run_lstm(Tensor(xs), lengths, w, b, reverse=True)
+    fwd, h_fwd = L.run_lstm(Tensor(xs[:, ::-1].copy()), lengths, w, b)
     np.testing.assert_array_equal(rev.data, fwd.data[:, ::-1])
     np.testing.assert_array_equal(h_rev.data, h_fwd.data)
 
@@ -189,6 +189,103 @@ def test_bilstm_gradients_via_checker():
 
     report = grad_check(loss, list(params.items()), eps=1e-5, samples_per_tensor=6)
     assert report.max_rel_err < 1e-6, str(report)
+
+
+# ---------------------------------------------------------------------------
+# lstm_sequence: the fused recurrence against the per-step chain
+
+
+def _grads_of(run, xs, w, b, weights):
+    """Gradients of sum(H * R) + sum(h_final * r) for fixed random R, r."""
+    for t in (xs, w, b):
+        t.grad = None
+    outs, h_fin = run()[:2]
+    loss = T.add(T.sum_(T.mul(outs, weights[0])), T.sum_(T.mul(h_fin, weights[1])))
+    loss.backward()
+    return outs, h_fin, [t.grad.copy() for t in (xs, w, b)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_sequence_matches_per_step_reference(seed, reverse):
+    rng = np.random.default_rng(100 + seed)
+    nb = 1 if seed % 4 == 0 else int(rng.integers(2, 6))
+    nl = 1 if seed % 3 == 0 else int(rng.integers(2, 9))
+    dim, hidden = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    lengths = rng.integers(1, nl + 1, size=nb)
+    lengths[0] = nl
+    xs = Tensor(rng.normal(size=(nb, nl, dim)), requires_grad=True)
+    w = Tensor(rng.normal(scale=0.5, size=(dim + hidden, 4 * hidden)), requires_grad=True)
+    b = Tensor(rng.normal(scale=0.3, size=4 * hidden), requires_grad=True)
+    weights = (rng.normal(size=(nb, nl, hidden)), rng.normal(size=(nb, hidden)))
+
+    fused = _grads_of(lambda: L.run_lstm(xs, lengths, w, b, reverse=reverse), xs, w, b, weights)
+    ref = _grads_of(lambda: reference_run_lstm(xs, lengths, w, b, reverse=reverse),
+                    xs, w, b, weights)
+    np.testing.assert_allclose(fused[0].data, ref[0].data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fused[1].data, ref[1].data, rtol=0, atol=1e-12)
+    for got, want in zip(fused[2], ref[2]):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+
+def test_lstm_sequence_gradcheck_padded_reverse():
+    rng = np.random.default_rng(37)
+    xs = Tensor(rng.normal(size=(3, 5, 2)), requires_grad=True)
+    w, b = _rand_lstm_weights(rng, 2, 3)
+    w.requires_grad = b.requires_grad = True
+    lengths = np.array([5, 3, 1])
+    weights = rng.normal(size=(3, 5, 3))
+
+    def loss():
+        return T.sum_(T.mul(T.lstm_sequence(xs, lengths, w, b, reverse=True), weights))
+
+    report = grad_check(loss, [("w", w), ("b", b), ("xs", xs)], eps=1e-5,
+                        samples_per_tensor=12)
+    assert report.max_rel_err < 1e-4, str(report)
+
+
+def test_lstm_sequence_overflow_names_op():
+    xs = Tensor(np.full((2, 3, 2), 1e10))
+    w = Tensor(np.full((4, 8), 1e300), requires_grad=True)
+    b = Tensor(np.zeros(8), requires_grad=True)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(T.NumericsError, match="'lstm_sequence'"):
+        T.lstm_sequence(xs, np.array([3, 2]), w, b)
+
+
+@pytest.mark.parametrize("w_shape, b_shape, named", [
+    ((6, 8), (8,), ["(6, 8)", "(2, 3, 3)"]),   # rows must be D + h = 5
+    ((5, 8), (9,), ["(9,)", "(5, 8)"]),
+])
+def test_lstm_sequence_shape_error_names_shapes(w_shape, b_shape, named):
+    xs = Tensor(np.zeros((2, 3, 3)))
+    with pytest.raises(ShapeError, match="lstm_sequence") as err:
+        T.lstm_sequence(xs, np.array([3, 1]), Tensor(np.zeros(w_shape)),
+                        Tensor(np.zeros(b_shape)))
+    for shape in named:
+        assert shape in str(err.value)
+
+
+def _tape_nodes(root):
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+def test_bilstm_tape_size_does_not_grow_with_length():
+    rng = np.random.default_rng(41)
+    params = ParameterSet()
+    L.init_bilstm(params, "enc", "qg_core", 3, 2, 2, rng)
+    counts = []
+    for nl in (3, 30):
+        xs = Tensor(rng.normal(size=(2, nl, 3)), requires_grad=True)
+        outs, fw_fin, bw_fin = L.bilstm(params, "enc", xs, np.array([nl, 2]))
+        counts.append(_tape_nodes(T.add(T.sum_(outs), T.sum_(T.add(fw_fin, bw_fin)))))
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,18 @@ class TestValues:
     def test_sigmoid_zero(self):
         assert T.sigmoid(Tensor(0.0)).item() == 0.5
 
+    def test_sigmoid_equals_two_branch_formula_bitwise(self):
+        # the masked two-branch form: 1 / (1 + e^-v) on v >= 0, e^v / (1 + e^v) below
+        rng = np.random.default_rng(53)
+        v = np.concatenate([rng.normal(scale=s, size=300) for s in (0.1, 3.0, 50.0, 800.0)]
+                           + [np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0])])
+        pos = v >= 0
+        want = np.empty_like(v)
+        want[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+        ev = np.exp(v[~pos])
+        want[~pos] = ev / (1.0 + ev)
+        np.testing.assert_array_equal(T.sigmoid(Tensor(v)).data, want)
+
     def test_concat(self):
         out = T.concat([Tensor([1.0, 2.0]), Tensor([3.0])], axis=0)
         assert out.data.tolist() == [1.0, 2.0, 3.0]
