@@ -15,30 +15,14 @@ import numpy as np
 from .corpus import ValidationError, pad_rows
 from .kb_extract import RELATIONS
 from .nn import tensor as T
-from .nn.layers import init_bilstm, init_linear, init_uniform, bilstm, linear
+from .nn.layers import bilstm, linear
 from .nn.params import ParameterSet
 from .nn.tensor import Tensor, length_mask
 from .qg_model import (PROB_FLOOR, EncoderOutput, KnowledgeMemory,
-                       OutputDistribution, init_decoder_block, make_memory,
-                       teacher_forced_steps)
+                       OutputDistribution, make_memory, teacher_forced_steps)
 
 N_RELATIONS = len(RELATIONS)
 SEP_INDEX = N_RELATIONS  # row of the separator in the special embedding table
-
-
-def init_aux_parameters(params: ParameterSet, rng: np.random.Generator, *,
-                        vocab_size: int, emb_dim: int, hidden: int,
-                        layers: int) -> None:
-    g = "knowledge"
-    # rows 0..5: relation tokens, row 6: head/tail separator
-    params.add("know.special", init_uniform(rng, (N_RELATIONS + 1, emb_dim)), g)
-    init_bilstm(params, "ht_enc", g, emb_dim, hidden, layers, rng)
-    init_bilstm(params, "hr_enc", g, emb_dim, hidden, layers, rng)
-    init_linear(params, "rc.out", g, 4 * hidden, N_RELATIONS, rng)
-    params.add("know.Wq", init_uniform(rng, (2 * hidden, hidden)), g)
-    params.add("tg.Wk", init_uniform(rng, (2 * hidden, hidden)), g)
-    init_decoder_block(params, "tg.dec", g, rng, emb_dim=emb_dim, hidden=hidden,
-                       layers=layers, vocab_size=vocab_size, init_dim=2 * hidden)
 
 
 def _encode_rows(params: ParameterSet, prefix: str, head_ids: np.ndarray,

@@ -24,8 +24,9 @@ from .corpus import (RESERVED, TagVocab, TrainingSample, ValidationError,
                      Vocabulary, build_tag_vocabs, build_vocab, encode_batch,
                      is_str_list, load_dataset, save_dataset)
 from .nn import tensor as T
-from .nn.checkpoint import load_checkpoint
+from .nn.checkpoint import CheckpointError, load_checkpoint
 from .nn.gradcheck import grad_check
+from .nn.params import ParameterSet
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -153,10 +154,24 @@ def cmd_train(args) -> int:
 
 
 def _load_model(model_dir: Path) -> tuple:
+    """The saved model, checked against trainer.model_spec. Nothing is drawn
+    and nothing copied: the parameters adopt the checkpoint's arrays."""
     cfg, vocab, tags = _load_world(model_dir)
-    params = trainer.build_parameters(cfg, vocab, tags,
-                                      np.random.default_rng(cfg.seed))
-    params.load_state_dict(load_checkpoint(model_dir / "model.bin"))
+    path = model_dir / "model.bin"
+    state = load_checkpoint(path)
+    spec = trainer.model_spec(cfg, len(vocab), {k: len(v) for k, v in tags.items()})
+    extra = sorted(set(state) - {name for name, *_ in spec})
+    if extra:
+        raise CheckpointError(f"{path}: parameters {extra} are not in the model "
+                              f"config.json describes")
+    params = ParameterSet(cfg.layers)
+    for name, shape, group, _ in spec:
+        if name not in state:
+            raise CheckpointError(f"{path}: missing parameter '{name}'")
+        if state[name].shape != shape:
+            raise CheckpointError(f"{path}: parameter '{name}' has shape "
+                                  f"{state[name].shape}, config.json needs {shape}")
+        params.add(name, state[name], group)
     return cfg, vocab, tags, params
 
 

@@ -16,26 +16,6 @@ from .tensor import Tensor
 from .params import ParameterSet
 
 
-def init_uniform(rng: np.random.Generator, shape: tuple[int, ...], scale: float = 0.1) -> np.ndarray:
-    return rng.uniform(-scale, scale, size=shape)
-
-
-def init_lstm(params: ParameterSet, prefix: str, group: str, input_dim: int, hidden: int,
-              rng: np.random.Generator) -> None:
-    """One LSTM direction: fused gate weights [in+hid, 4h], forget bias +1."""
-    w = init_uniform(rng, (input_dim + hidden, 4 * hidden))
-    b = np.zeros(4 * hidden)
-    b[hidden:2 * hidden] = 1.0
-    params.add(f"{prefix}.W", w, group)
-    params.add(f"{prefix}.b", b, group)
-
-
-def init_linear(params: ParameterSet, prefix: str, group: str, in_dim: int, out_dim: int,
-                rng: np.random.Generator) -> None:
-    params.add(f"{prefix}.W", init_uniform(rng, (in_dim, out_dim)), group)
-    params.add(f"{prefix}.b", np.zeros(out_dim), group)
-
-
 def linear(params: ParameterSet, prefix: str, x: Tensor) -> Tensor:
     return T.add(T.matmul(x, params[f"{prefix}.W"]), params[f"{prefix}.b"])
 
@@ -67,36 +47,20 @@ def run_lstm(xs: Tensor, lengths: np.ndarray, w: Tensor, b: Tensor,
     return out, T.gather_last(T.swapaxes(out, 1, 2), final)
 
 
-def lstm_depth(params: ParameterSet, prefix: str) -> int:
-    """Depth of the stack init_bilstm or init_stacked_lstm registered under
-    ``prefix``; load_state_dict keeps these names equal to the config's."""
-    n = 0
-    while f"{prefix}.l{n}.W" in params or f"{prefix}.l{n}.fw.W" in params:
-        n += 1
-    return n
-
-
-def init_bilstm(params: ParameterSet, prefix: str, group: str, input_dim: int, hidden: int,
-                layers: int, rng: np.random.Generator) -> None:
-    for layer in range(layers):
-        dim = input_dim if layer == 0 else 2 * hidden
-        init_lstm(params, f"{prefix}.l{layer}.fw", group, dim, hidden, rng)
-        init_lstm(params, f"{prefix}.l{layer}.bw", group, dim, hidden, rng)
-
-
 def bilstm(params: ParameterSet, prefix: str, xs: Tensor, lengths: np.ndarray,
            drop_rate: float = 0.0,
            rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """Stacked bidirectional LSTM.
 
     Returns (H [B,L,2h], fw_final [B,h], bw_final [B,h]) where the finals come
-    from the top layer. With an rng, dropout applies to each layer's output sequence.
+    from the top layer of the ``params.layers`` deep stack. With an rng,
+    dropout applies to each layer's output sequence.
     """
     if xs.shape[1] == 0:
         raise T.ShapeError("bilstm: empty sequence")
     cur = xs
     fw_h = bw_h = None
-    for layer in range(lstm_depth(params, prefix)):
+    for layer in range(params.layers):
         fw_out, fw_h = run_lstm(cur, lengths, params[f"{prefix}.l{layer}.fw.W"],
                                 params[f"{prefix}.l{layer}.fw.b"])
         bw_out, bw_h = run_lstm(cur, lengths, params[f"{prefix}.l{layer}.bw.W"],
@@ -105,19 +69,13 @@ def bilstm(params: ParameterSet, prefix: str, xs: Tensor, lengths: np.ndarray,
     return cur, fw_h, bw_h
 
 
-def init_stacked_lstm(params: ParameterSet, prefix: str, group: str, input_dim: int, hidden: int,
-                      layers: int, rng: np.random.Generator) -> None:
-    for layer in range(layers):
-        dim = input_dim if layer == 0 else hidden
-        init_lstm(params, f"{prefix}.l{layer}", group, dim, hidden, rng)
-
-
 def stacked_lstm_step(params: ParameterSet, prefix: str, x: Tensor,
                       states: list[tuple[Tensor, Tensor]],
                       drop_rate: float = 0.0, rng: np.random.Generator | None = None
                       ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
-    """One time step through a stacked unidirectional LSTM (decoder use)."""
-    layers = lstm_depth(params, prefix)
+    """One time step through a stacked unidirectional LSTM (decoder use), one
+    layer per entry of ``states``."""
+    layers = len(states)
     new_states = []
     cur = x
     for layer in range(layers):

@@ -4,7 +4,8 @@ Two groups exist: ``qg_core`` (embeddings, QG encoder/decoder, self-attention,
 readout, copy gate) and ``knowledge`` (triple encoders, co-attention
 classifier, tail-concept decoder, knowledge-attention projections). Group
 membership is fixed when a parameter is registered and drives the iterative
-training framework's freezing.
+training framework's freezing. The set also records the depth of every LSTM
+stack it holds, so layers read it instead of probing parameter names.
 """
 
 from __future__ import annotations
@@ -18,8 +19,24 @@ from .tensor import Tensor
 GROUPS = ("qg_core", "knowledge")
 
 
+def initial_value(init: str, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """First value of one parameter: ``uniform`` draws U(-0.1, 0.1) from rng;
+    ``zeros`` and ``lstm_bias`` (fused i, f, g, o gate biases with the forget
+    quarter at 1) draw nothing."""
+    if init == "uniform":
+        return rng.uniform(-0.1, 0.1, size=shape)
+    data = np.zeros(shape)
+    if init == "lstm_bias":
+        quarter = shape[0] // 4
+        data[quarter:2 * quarter] = 1.0
+    elif init != "zeros":
+        raise ValueError(f"unknown initializer '{init}'")
+    return data
+
+
 class ParameterSet:
-    def __init__(self):
+    def __init__(self, layers: int):
+        self.layers = layers
         self._params: dict[str, Tensor] = {}
         self._groups: dict[str, str] = {}
 

@@ -122,9 +122,12 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # g has this node's shape and dtype; copied, because callers may keep
+        # or reuse it and later gradients are added in place
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g.copy()
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph."""

@@ -16,58 +16,13 @@ import numpy as np
 
 from .corpus import BOS, EOS, UNK
 from .nn import tensor as T
-from .nn.layers import (init_bilstm, init_linear, init_stacked_lstm,
-                        init_uniform, bilstm, linear, lstm_depth,
-                        stacked_lstm_step)
+from .nn.layers import bilstm, linear, stacked_lstm_step
 from .nn.params import ParameterSet
 from .nn.tensor import Tensor, length_mask
 
 log = logging.getLogger(__name__)
 
 PROB_FLOOR = 1e-12
-
-
-# -- parameter construction -------------------------------------------------
-
-
-def init_decoder_block(params: ParameterSet, prefix: str, group: str,
-                       rng: np.random.Generator, *, emb_dim: int, hidden: int,
-                       layers: int, vocab_size: int, init_dim: int) -> None:
-    """Weights for one attentional decoder under ``prefix``.
-
-    ``init_dim`` is the width of the encoder summary that seeds the initial
-    hidden states. The blend block mixes passage context (c), optional
-    knowledge context (k) and the LSTM state (s) into the readout input.
-    """
-    for k in range(layers):
-        init_linear(params, f"{prefix}.init.l{k}", group, init_dim, hidden, rng)
-    init_stacked_lstm(params, f"{prefix}.cell", group, emb_dim + hidden, hidden, layers, rng)
-    params.add(f"{prefix}.blend.c.W", init_uniform(rng, (2 * hidden, hidden)), group)
-    params.add(f"{prefix}.blend.k.W", init_uniform(rng, (2 * hidden, hidden)), group)
-    params.add(f"{prefix}.blend.s.W", init_uniform(rng, (hidden, hidden)), group)
-    params.add(f"{prefix}.blend.b", np.zeros(hidden), group)
-    init_linear(params, f"{prefix}.readout", group, 3 * hidden, 2 * hidden, rng)
-    init_linear(params, f"{prefix}.out", group, hidden, vocab_size, rng)
-    init_linear(params, f"{prefix}.copy", group, 3 * hidden + emb_dim, 1, rng)
-
-
-def init_qg_parameters(params: ParameterSet, rng: np.random.Generator, *,
-                       vocab_size: int, emb_dim: int, feat_dim: int,
-                       hidden: int, layers: int,
-                       n_bio: int, n_pos: int, n_ner: int) -> None:
-    g = "qg_core"
-    params.add("emb.word", init_uniform(rng, (vocab_size, emb_dim)), g)
-    params.add("emb.bio", init_uniform(rng, (n_bio, feat_dim)), g)
-    params.add("emb.ner", init_uniform(rng, (n_ner, feat_dim)), g)
-    params.add("emb.pos", init_uniform(rng, (n_pos, feat_dim)), g)
-    init_bilstm(params, "enc", g, emb_dim + 3 * feat_dim, hidden, layers, rng)
-    params.add("selfmatch.W", init_uniform(rng, (2 * hidden, 2 * hidden)), g)
-    init_linear(params, "gate", g, 4 * hidden, 1, rng)
-    # shared projection for attention over the self-matched passage states;
-    # both decoders score against it
-    params.add("attn.Wh", init_uniform(rng, (2 * hidden, hidden)), g)
-    init_decoder_block(params, "dec", g, rng, emb_dim=emb_dim, hidden=hidden,
-                       layers=layers, vocab_size=vocab_size, init_dim=hidden)
 
 
 def clamp_to_vocab(ids: np.ndarray, vocab_size: int) -> np.ndarray:
@@ -158,15 +113,13 @@ class OutputDistribution:
 
 
 def init_decoder_state(params: ParameterSet, prefix: str, source: Tensor) -> DecoderState:
-    """Seed the decoder from an encoder summary (one projection per layer)."""
-    layers = lstm_depth(params, f"{prefix}.cell")
-    hidden = params[f"{prefix}.cell.l0.W"].shape[1] // 4
-    nb = source.shape[0]
+    """Seed the decoder from an encoder summary (one projection per layer);
+    cells and the first readout feed start at zero."""
     states = []
-    for k in range(layers):
+    for k in range(params.layers):
         h0 = T.tanh(linear(params, f"{prefix}.init.l{k}", source))
-        states.append((h0, Tensor(np.zeros((nb, hidden)))))
-    return DecoderState(states=states, s_tilde=Tensor(np.zeros((nb, hidden))))
+        states.append((h0, Tensor(np.zeros(h0.shape))))
+    return DecoderState(states=states, s_tilde=Tensor(np.zeros(h0.shape)))
 
 
 def _attend(proj: Tensor, query: Tensor, mask: np.ndarray) -> Tensor:

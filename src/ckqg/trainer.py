@@ -24,7 +24,7 @@ from .corpus import (Batch, TagVocab, TrainingSample, ValidationError,
 from .nn import tensor as T
 from .nn.checkpoint import save_checkpoint
 from .nn.optim import Adam
-from .nn.params import GROUPS, ParameterSet
+from .nn.params import GROUPS, ParameterSet, initial_value
 
 log = logging.getLogger(__name__)
 
@@ -139,18 +139,78 @@ def _trainable_names(params: ParameterSet, phase: str) -> set[str] | None:
 # -- assembly -----------------------------------------------------------------
 
 
+def model_spec(config: Config, vocab_size: int, tag_sizes: dict[str, int]
+               ) -> list[tuple[str, tuple[int, ...], str, str]]:
+    """Every parameter of the model as (name, shape, group, init), in the
+    order build_parameters draws them; ``init`` names an
+    nn.params.initial_value rule. Every LSTM stack is ``config.layers`` deep
+    and every hidden state ``config.hidden_size`` wide."""
+    e, f, h = config.emb_dim, config.feat_dim, config.hidden_size
+    spec: list[tuple[str, tuple[int, ...], str, str]] = []
+    group = "qg_core"   # reassigned below, before the knowledge entries
+
+    def add(name: str, shape: tuple[int, ...], init: str = "uniform") -> None:
+        spec.append((name, shape, group, init))
+
+    def linear(prefix: str, n_in: int, n_out: int) -> None:
+        add(f"{prefix}.W", (n_in, n_out))
+        add(f"{prefix}.b", (n_out,), "zeros")
+
+    def lstm(prefix: str, n_in: int) -> None:
+        add(f"{prefix}.W", (n_in + h, 4 * h))   # fused gates over [x; h_prev]
+        add(f"{prefix}.b", (4 * h,), "lstm_bias")
+
+    def bilstm(prefix: str, n_in: int) -> None:
+        for k in range(config.layers):
+            lstm(f"{prefix}.l{k}.fw", n_in if k == 0 else 2 * h)
+            lstm(f"{prefix}.l{k}.bw", n_in if k == 0 else 2 * h)
+
+    def decoder(prefix: str, init_dim: int) -> None:
+        # init_dim is the width of the encoder summary that seeds each
+        # layer's h0; the blend block mixes passage context (c), knowledge
+        # context (k) and the LSTM state (s) into the readout feed
+        for k in range(config.layers):
+            linear(f"{prefix}.init.l{k}", init_dim, h)
+        for k in range(config.layers):
+            lstm(f"{prefix}.cell.l{k}", e + h if k == 0 else h)
+        add(f"{prefix}.blend.c.W", (2 * h, h))
+        add(f"{prefix}.blend.k.W", (2 * h, h))
+        add(f"{prefix}.blend.s.W", (h, h))
+        add(f"{prefix}.blend.b", (h,), "zeros")
+        linear(f"{prefix}.readout", 3 * h, 2 * h)
+        linear(f"{prefix}.out", h, vocab_size)
+        linear(f"{prefix}.copy", 3 * h + e, 1)
+
+    add("emb.word", (vocab_size, e))
+    for tag in ("bio", "ner", "pos"):
+        add(f"emb.{tag}", (tag_sizes[tag], f))
+    bilstm("enc", e + 3 * f)
+    add("selfmatch.W", (2 * h, 2 * h))
+    linear("gate", 4 * h, 1)
+    # passage attention projection; both decoders score against it
+    add("attn.Wh", (2 * h, h))
+    decoder("dec", h)
+
+    group = "knowledge"
+    # one row per relation token, then the head/tail separator
+    add("know.special", (aux_tasks.N_RELATIONS + 1, e))
+    bilstm("ht_enc", e)
+    bilstm("hr_enc", e)
+    linear("rc.out", 4 * h, aux_tasks.N_RELATIONS)
+    add("know.Wq", (2 * h, h))
+    add("tg.Wk", (2 * h, h))
+    decoder("tg.dec", 2 * h)
+    return spec
+
+
 def build_parameters(config: Config, vocab: Vocabulary,
                      tag_vocabs: dict[str, TagVocab],
                      rng: np.random.Generator) -> ParameterSet:
-    params = ParameterSet()
-    qg_model.init_qg_parameters(
-        params, rng, vocab_size=len(vocab), emb_dim=config.emb_dim,
-        feat_dim=config.feat_dim, hidden=config.hidden_size,
-        layers=config.layers, n_bio=len(tag_vocabs["bio"]),
-        n_pos=len(tag_vocabs["pos"]), n_ner=len(tag_vocabs["ner"]))
-    aux_tasks.init_aux_parameters(
-        params, rng, vocab_size=len(vocab), emb_dim=config.emb_dim,
-        hidden=config.hidden_size, layers=config.layers)
+    """A fresh model: model_spec's entries drawn from rng in table order."""
+    sizes = {k: len(v) for k, v in tag_vocabs.items()}
+    params = ParameterSet(config.layers)
+    for name, shape, group, init in model_spec(config, len(vocab), sizes):
+        params.add(name, initial_value(init, shape, rng), group)
     return params
 
 
@@ -248,7 +308,7 @@ def generate(params: ParameterSet, samples: list[TrainingSample],
     """Question tokens and length-normalized score per sample, by beam search
     (beam=1 is greedy decoding) over one sample at a time, recording no tape.
 
-    The one decode path behind ``ckqg generate``, dev BLEU and decode_sample.
+    The one decode path behind ``ckqg generate`` and dev BLEU.
     """
     decoded = []
     with T.no_grad():
@@ -266,15 +326,6 @@ def generate(params: ParameterSet, samples: list[TrainingSample],
             decoded.append((vocab.decode_ids(hyp.ids, batch.oov_tokens[0]),
                             hyp.score))
     return decoded
-
-
-def decode_sample(params: ParameterSet, sample: TrainingSample,
-                  vocab: Vocabulary, tag_vocabs: dict[str, TagVocab], *,
-                  beam: int = 1, max_len: int = 30) -> list[str]:
-    """Question tokens for one sample under the default config's other
-    generation settings; see generate."""
-    return generate(params, [sample], vocab, tag_vocabs, Config(max_len=max_len),
-                    beam)[0][0]
 
 
 def evaluate_dev(params: ParameterSet, dev: list[TrainingSample],

@@ -267,10 +267,9 @@ def test_05_overfit_capability(overfit_run):
         assert min(r["l_q"] for r in rows) < 0.1
         assert run["elapsed"] < 600.0, run["elapsed"]
         hits = 0
-        for s in run["samples"]:
-            toks = TR.decode_sample(run["result"].params, s, run["vocab"],
-                                    run["tags"], beam=1,
-                                    max_len=run["cfg"].max_len)
+        decoded = TR.generate(run["result"].params, run["samples"], run["vocab"],
+                              run["tags"], run["cfg"], 1)
+        for s, (toks, _) in zip(run["samples"], decoded):
             hits += int(toks == s.question)
         assert hits >= 9, hits
 

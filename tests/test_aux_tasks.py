@@ -8,13 +8,14 @@ import pytest
 
 from ckqg import aux_tasks as A
 from ckqg import qg_model as M
+from ckqg import trainer as TR
+from ckqg.config import Config
 from ckqg.corpus import (BOS, EOS, TrainingSample, ValidationError,
                          build_tag_vocabs, build_vocab, coarse_tags,
                          encode_batch)
 from ckqg.kb_extract import AlignedTriple, KnowledgeTriple
 from ckqg.nn import tensor as T
 from ckqg.nn.gradcheck import grad_check
-from ckqg.nn.params import ParameterSet
 from ckqg.nn.tensor import Tensor
 
 
@@ -42,14 +43,8 @@ def build_setup(seed: int = 0, hidden: int = 3, layers: int = 2):
     vocab = build_vocab(samples)
     tags = build_tag_vocabs(samples)
     batch = encode_batch(samples, vocab, tags)
-    params = ParameterSet()
-    rng = np.random.default_rng(seed)
-    M.init_qg_parameters(params, rng, vocab_size=len(vocab), emb_dim=4,
-                         feat_dim=2, hidden=hidden, layers=layers,
-                         n_bio=len(tags["bio"]), n_pos=len(tags["pos"]),
-                         n_ner=len(tags["ner"]))
-    A.init_aux_parameters(params, rng, vocab_size=len(vocab), emb_dim=4,
-                          hidden=hidden, layers=layers)
+    cfg = Config(emb_dim=4, feat_dim=2, hidden_size=hidden, layers=layers)
+    params = TR.build_parameters(cfg, vocab, tags, np.random.default_rng(seed))
     return params, vocab, tags, batch
 
 

@@ -4,10 +4,15 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ckqg import cli, trainer
 from ckqg.assets import KB_CONCEPTNET, KB_WORDNET, MINI_CORPUS, asset_path
 from ckqg.cli import main
+from ckqg.config import Config
+from ckqg.corpus import TagVocab, Vocabulary
+from ckqg.nn.checkpoint import load_checkpoint, save_checkpoint
 
 MINI = str(asset_path(MINI_CORPUS))
 CN = str(asset_path(KB_CONCEPTNET))
@@ -251,6 +256,69 @@ class TestGenerate:
                      "--beam", beam])
         assert code == 1
         assert "--beam" in capsys.readouterr().err
+
+    @staticmethod
+    def _fresh_checkpoint(model, **change):
+        """Overwrite model.bin with a new model whose config differs from
+        config.json by ``change``."""
+        saved = json.loads((model / "config.json").read_text())
+        vocab = Vocabulary(json.loads((model / "vocab.json").read_text())["tokens"])
+        tags = {k: TagVocab(v) for k, v in
+                json.loads((model / "tags.json").read_text()).items()}
+        params = trainer.build_parameters(Config(**{**saved, **change}), vocab, tags,
+                                          np.random.default_rng(0))
+        save_checkpoint(model / "model.bin", params.state_dict())
+
+    def _generate_err(self, model, split_corpora, capsys):
+        code = main(["generate", "--model", str(model),
+                     "--corpus", split_corpora["dev"]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "model.bin" in err
+        return err
+
+    def test_checkpoint_deeper_than_config_is_data_error(self, trained, split_corpora,
+                                                          tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(trained, model)
+        assert json.loads((model / "config.json").read_text())["layers"] == 1
+        self._fresh_checkpoint(model, layers=2)
+        err = self._generate_err(model, split_corpora, capsys)
+        assert "enc.l1.fw.W" in err
+
+    def test_checkpoint_missing_a_parameter_is_data_error(self, trained, split_corpora,
+                                                          tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(trained, model)
+        state = load_checkpoint(model / "model.bin")
+        del state["rc.out.b"]
+        save_checkpoint(model / "model.bin", state)
+        err = self._generate_err(model, split_corpora, capsys)
+        assert "'rc.out.b'" in err
+
+    def test_checkpoint_shape_against_config_is_data_error(self, trained, split_corpora,
+                                                           tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(trained, model)
+        cfg = json.loads((model / "config.json").read_text())
+        (model / "config.json").write_text(json.dumps({**cfg, "emb_dim": cfg["emb_dim"] + 1}))
+        rows = load_checkpoint(model / "model.bin")["emb.word"].shape[0]
+        err = self._generate_err(model, split_corpora, capsys)
+        assert "'emb.word'" in err
+        assert str((rows, cfg["emb_dim"])) in err and str((rows, cfg["emb_dim"] + 1)) in err
+
+    def test_model_adopts_checkpoint_arrays_without_drawing(self, trained, monkeypatch):
+        state = load_checkpoint(trained / "model.bin")
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("loading a model drew initial weights")
+
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: state)
+        monkeypatch.setattr(trainer, "initial_value", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        params = cli._load_model(trained)[3]
+        assert params.names() == list(state)
+        assert all(params[name].data is arr for name, arr in state.items())
 
     def test_missing_model_dir_is_data_error(self, split_corpora, tmp_path):
         code = main(["generate", "--model", str(tmp_path / "nope"),

@@ -10,7 +10,7 @@ from ckqg.nn import layers as L
 from ckqg.nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from ckqg.nn.gradcheck import grad_check
 from ckqg.nn.optim import Adam
-from ckqg.nn.params import ParameterSet
+from ckqg.nn.params import ParameterSet, initial_value
 from ckqg.nn.tensor import ShapeError, Tensor
 from oracles import reference_run_lstm
 
@@ -30,6 +30,20 @@ def _fd(loss_fn, t, eps=1e-6):
         g[ix] = (up - dn) / (2 * eps)
         it.iternext()
     return g
+
+
+def lstm_stack(prefix, input_dim, hidden, layers, rng, bidirectional=True):
+    """A set holding one LSTM stack, drawn as trainer.model_spec lists a stack:
+    per layer and direction, the fused weight and then the gate biases."""
+    params = ParameterSet(layers)
+    for k in range(layers):
+        n_in = input_dim if k == 0 else (2 if bidirectional else 1) * hidden
+        cells = [f"{prefix}.l{k}.fw", f"{prefix}.l{k}.bw"] if bidirectional else [f"{prefix}.l{k}"]
+        for cell in cells:
+            params.add(f"{cell}.W", initial_value("uniform", (n_in + hidden, 4 * hidden), rng),
+                       "qg_core")
+            params.add(f"{cell}.b", initial_value("lstm_bias", (4 * hidden,), rng), "qg_core")
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +144,7 @@ def test_run_lstm_reverse_equals_flipped_forward():
 
 def test_bilstm_shapes_and_final_slices():
     rng = np.random.default_rng(9)
-    params = ParameterSet()
-    L.init_bilstm(params, "enc", "qg_core", 3, 2, 2, rng)
+    params = lstm_stack("enc", 3, 2, 2, rng)
     xs = Tensor(rng.normal(size=(2, 4, 3)))
     lengths = np.array([4, 2])
     outs, fw_fin, bw_fin = L.bilstm(params, "enc", xs, lengths)
@@ -144,8 +157,7 @@ def test_bilstm_shapes_and_final_slices():
 def test_bilstm_padding_matches_per_sample_runs():
     """Batching with pad rows must reproduce each sample run at its own length."""
     rng = np.random.default_rng(13)
-    params = ParameterSet()
-    L.init_bilstm(params, "enc", "qg_core", 3, 4, 2, rng)
+    params = lstm_stack("enc", 3, 4, 2, rng)
     xs = rng.normal(size=(3, 5, 3))
     lengths = np.array([5, 3, 1])
     outs, fw_fin, bw_fin = L.bilstm(params, "enc", Tensor(xs), lengths)
@@ -160,8 +172,7 @@ def test_bilstm_padding_matches_per_sample_runs():
 def test_bilstm_length_one_tied_directions_agree():
     # on a single token both directions see the same input and start state
     rng = np.random.default_rng(17)
-    params = ParameterSet()
-    L.init_bilstm(params, "enc", "qg_core", 3, 2, 1, rng)
+    params = lstm_stack("enc", 3, 2, 1, rng)
     params["enc.l0.bw.W"].data = params["enc.l0.fw.W"].data.copy()
     params["enc.l0.bw.b"].data = params["enc.l0.fw.b"].data.copy()
     xs = Tensor(rng.normal(size=(2, 1, 3)))
@@ -170,16 +181,14 @@ def test_bilstm_length_one_tied_directions_agree():
 
 
 def test_bilstm_rejects_empty_sequence():
-    params = ParameterSet()
-    L.init_bilstm(params, "enc", "qg_core", 3, 2, 1, np.random.default_rng(0))
+    params = lstm_stack("enc", 3, 2, 1, np.random.default_rng(0))
     with pytest.raises(ShapeError):
         L.bilstm(params, "enc", Tensor(np.zeros((1, 0, 3))), np.array([0]))
 
 
 def test_bilstm_gradients_via_checker():
     rng = np.random.default_rng(19)
-    params = ParameterSet()
-    L.init_bilstm(params, "enc", "qg_core", 2, 2, 2, rng)
+    params = lstm_stack("enc", 2, 2, 2, rng)
     xs = Tensor(rng.normal(size=(2, 3, 2)))
     lengths = np.array([3, 2])
 
@@ -278,8 +287,7 @@ def _tape_nodes(root):
 
 def test_bilstm_tape_size_does_not_grow_with_length():
     rng = np.random.default_rng(41)
-    params = ParameterSet()
-    L.init_bilstm(params, "enc", "qg_core", 3, 2, 2, rng)
+    params = lstm_stack("enc", 3, 2, 2, rng)
     counts = []
     for nl in (3, 30):
         xs = Tensor(rng.normal(size=(2, nl, 3)), requires_grad=True)
@@ -294,8 +302,7 @@ def test_bilstm_tape_size_does_not_grow_with_length():
 
 def test_stacked_lstm_step_matches_manual_stack():
     rng = np.random.default_rng(23)
-    params = ParameterSet()
-    L.init_stacked_lstm(params, "dec", "qg_core", 3, 2, 2, rng)
+    params = lstm_stack("dec", 3, 2, 2, rng, bidirectional=False)
     x = Tensor(rng.normal(size=(2, 3)))
     states = [(Tensor(rng.normal(size=(2, 2))), Tensor(rng.normal(size=(2, 2))))
               for _ in range(2)]
@@ -310,8 +317,7 @@ def test_stacked_lstm_step_matches_manual_stack():
 
 def test_stacked_lstm_step_gradients():
     rng = np.random.default_rng(29)
-    params = ParameterSet()
-    L.init_stacked_lstm(params, "dec", "qg_core", 2, 2, 2, rng)
+    params = lstm_stack("dec", 2, 2, 2, rng, bidirectional=False)
     x = Tensor(rng.normal(size=(1, 2)))
     states = [(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))) for _ in range(2)]
 
@@ -332,8 +338,9 @@ def test_stacked_lstm_step_gradients():
 
 def test_linear_adds_bias():
     rng = np.random.default_rng(31)
-    params = ParameterSet()
-    L.init_linear(params, "proj", "qg_core", 3, 2, rng)
+    params = ParameterSet(layers=1)
+    params.add("proj.W", initial_value("uniform", (3, 2), rng), "qg_core")
+    params.add("proj.b", initial_value("zeros", (2,), rng), "qg_core")
     assert "proj.b" in params
     x = np.array([[1.0, -1.0, 2.0]])
     got = L.linear(params, "proj", Tensor(x))
@@ -342,9 +349,8 @@ def test_linear_adds_bias():
 
 
 def test_init_lstm_forget_gate_bias():
-    params = ParameterSet()
-    L.init_lstm(params, "cell", "qg_core", 3, 4, np.random.default_rng(0))
-    b = params["cell.b"].data
+    params = lstm_stack("cell", 3, 4, 1, np.random.default_rng(0), bidirectional=False)
+    b = params["cell.l0.b"].data
     np.testing.assert_array_equal(b[4:8], np.ones(4))
     np.testing.assert_array_equal(b[:4], np.zeros(4))
     np.testing.assert_array_equal(b[8:], np.zeros(8))
@@ -377,7 +383,7 @@ def test_dropout_inference_is_identity():
 
 
 def test_parameter_registration_and_groups():
-    params = ParameterSet()
+    params = ParameterSet(layers=1)
     w = params.add("enc.W", np.ones((2, 2)), "qg_core")
     params.add("rc.W", np.zeros(3), "knowledge")
     assert w.requires_grad
@@ -392,7 +398,7 @@ def test_parameter_registration_and_groups():
 
 
 def test_state_dict_roundtrip_and_validation():
-    params = ParameterSet()
+    params = ParameterSet(layers=1)
     params.add("a", np.array([1.0, 2.0]), "qg_core")
     params.add("b", np.eye(2), "knowledge")
     snap = params.state_dict()
@@ -408,7 +414,7 @@ def test_state_dict_roundtrip_and_validation():
 
 
 def test_group_hash_tracks_only_its_group():
-    params = ParameterSet()
+    params = ParameterSet(layers=1)
     params.add("a", np.array([1.0]), "qg_core")
     params.add("k", np.array([2.0]), "knowledge")
     h_core = params.group_hash("qg_core")
@@ -419,7 +425,7 @@ def test_group_hash_tracks_only_its_group():
 
 
 def test_grad_clipping_global_norm():
-    params = ParameterSet()
+    params = ParameterSet(layers=1)
     params.add("a", np.zeros(1), "qg_core")
     params.add("b", np.zeros(1), "qg_core")
     params["a"].grad = np.array([3.0])
@@ -443,7 +449,7 @@ def test_grad_clipping_global_norm():
 
 
 def test_adam_first_step_closed_form():
-    params = ParameterSet()
+    params = ParameterSet(layers=1)
     p = params.add("w", np.array([1.0, -2.0, 3.0]), "qg_core")
     g = np.array([0.5, -1.5, 2.0])
     p.grad = g.copy()
@@ -455,7 +461,7 @@ def test_adam_first_step_closed_form():
 
 
 def test_adam_ignores_missing_gradients():
-    params = ParameterSet()
+    params = ParameterSet(layers=1)
     p = params.add("w", np.array([1.0]), "qg_core")
     opt = Adam(params)
     opt.step()
@@ -464,7 +470,7 @@ def test_adam_ignores_missing_gradients():
 
 
 def test_adam_frozen_names_keep_data_and_moments():
-    params = ParameterSet()
+    params = ParameterSet(layers=1)
     a = params.add("a", np.array([1.0]), "qg_core")
     k = params.add("k", np.array([1.0]), "knowledge")
     opt = Adam(params, lr=0.1)
@@ -483,7 +489,7 @@ def test_adam_frozen_names_keep_data_and_moments():
 
 def test_adam_runs_are_bitwise_deterministic():
     def run():
-        params = ParameterSet()
+        params = ParameterSet(layers=1)
         p = params.add("w", np.linspace(-1, 1, 8), "qg_core")
         opt = Adam(params, lr=0.05)
         rng = np.random.default_rng(42)

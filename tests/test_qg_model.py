@@ -10,12 +10,14 @@ from oracles import reference_beam_search
 
 from ckqg import aux_tasks as A
 from ckqg import qg_model as M
+from ckqg import trainer as TR
+from ckqg.config import Config
 from ckqg.corpus import (BOS, EOS, UNK, TrainingSample, build_tag_vocabs,
                          build_vocab, coarse_tags, encode_batch)
 from ckqg.kb_extract import AlignedTriple, KnowledgeTriple
 from ckqg.nn import tensor as T
 from ckqg.nn.gradcheck import grad_check
-from ckqg.nn.params import ParameterSet
+from ckqg.nn.params import ParameterSet, initial_value
 from ckqg.nn.tensor import ShapeError, Tensor
 
 
@@ -36,12 +38,14 @@ def build_setup(seed: int = 0, hidden: int = 3, layers: int = 2):
     vocab = build_vocab([s1])
     tags = build_tag_vocabs([s1, s2])
     batch = encode_batch([s1, s2], vocab, tags)
-    params = ParameterSet()
+    # the question model's part of the table, which is drawn first
+    cfg = Config(emb_dim=4, feat_dim=2, hidden_size=hidden, layers=layers)
+    sizes = {k: len(v) for k, v in tags.items()}
+    params = ParameterSet(layers)
     rng = np.random.default_rng(seed)
-    M.init_qg_parameters(params, rng, vocab_size=len(vocab), emb_dim=4,
-                         feat_dim=2, hidden=hidden, layers=layers,
-                         n_bio=len(tags["bio"]), n_pos=len(tags["pos"]),
-                         n_ner=len(tags["ner"]))
+    for name, shape, group, init in TR.model_spec(cfg, len(vocab), sizes):
+        if group == "qg_core":
+            params.add(name, initial_value(init, shape, rng), group)
     return params, vocab, tags, batch
 
 
@@ -69,7 +73,7 @@ ORACLE_H_HAT = [[0.4972415750118883, -0.4611415773256444],
 
 
 def oracle_params() -> ParameterSet:
-    params = ParameterSet()
+    params = ParameterSet(layers=1)
     params.add("selfmatch.W", [[0.3, -0.2], [0.1, 0.4]], "qg_core")
     params.add("gate.W", [[0.25], [-0.5], [0.7], [-0.1]], "qg_core")
     params.add("gate.b", [0.05], "qg_core")
@@ -414,12 +418,8 @@ def oracle_world(seed: int, hidden: int, scale: float = 1.0):
         head_positions=(6,), tail_positions=(3,)))
     vocab = build_vocab([s1])
     tags = build_tag_vocabs([s1, s2])
-    params = ParameterSet()
-    rng = np.random.default_rng(seed)
-    dims = dict(vocab_size=len(vocab), emb_dim=5, hidden=hidden, layers=2)
-    M.init_qg_parameters(params, rng, feat_dim=2, n_bio=len(tags["bio"]),
-                         n_pos=len(tags["pos"]), n_ner=len(tags["ner"]), **dims)
-    A.init_aux_parameters(params, rng, **dims)
+    cfg = Config(emb_dim=5, feat_dim=2, hidden_size=hidden, layers=2)
+    params = TR.build_parameters(cfg, vocab, tags, np.random.default_rng(seed))
     for _, p in params.items():
         p.data *= scale
     return params, [encode_batch([s], vocab, tags) for s in (s1, s2)]

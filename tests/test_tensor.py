@@ -246,6 +246,20 @@ class TestGradients:
         x = rand_tensor(4, 4)
         fd_check(lambda: scalarize(T.dropout(x, 0.4, np.random.default_rng(11))), [x])
 
+    def test_first_gradient_does_not_alias_the_incoming_array(self):
+        x = Tensor(np.zeros(3), requires_grad=True)
+        g = np.array([1.0, -2.0, 3.0])
+        x._accumulate(g)
+        assert not np.shares_memory(x.grad, g)
+        x._accumulate(g)
+        np.testing.assert_array_equal(g, [1.0, -2.0, 3.0])
+        np.testing.assert_array_equal(x.grad, [2.0, -4.0, 6.0])
+        # reshape hands its input a view of its own gradient
+        y = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        z = T.reshape(y, (6,))
+        T.sum_(T.mul(z, z)).backward()
+        assert not np.shares_memory(y.grad, z.grad)
+
 class TestProperties:
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=8))
     @settings(max_examples=80, deadline=None)

@@ -1,6 +1,8 @@
 """Phase schedule, loss assembly, freezing, checkpoint averaging, and the
 training loop itself at desk scale."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,44 @@ class TestForward:
         both = TR.unified_forward(params, batch, no_rc=True, no_tg=True)
         plain = TR.pure_forward(params, batch)
         assert float(both.l_q.data) != float(plain.l_q.data)
+
+
+# -- the parameter table --------------------------------------------------------
+
+
+def parameter_digest(params):
+    h = hashlib.sha256()
+    for name in params.names():
+        data = params[name].data
+        h.update(f"{name}|{params.group_of(name)}|{data.shape}|{data.dtype}\n".encode())
+        h.update(data.tobytes())
+    return h.hexdigest()
+
+
+class TestModelSpec:
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_forward_reaches_every_parameter(self, layers):
+        eq, pu = equipped_samples(), pure_samples()
+        vocab = build_vocab(eq + pu)
+        tags = build_tag_vocabs(eq + pu)
+        params = TR.build_parameters(tiny_config(layers=layers), vocab, tags,
+                                     np.random.default_rng(0))
+        TR.unified_forward(params, encode_batch(eq, vocab, tags)).l.backward()
+        assert [n for n, p in params.items() if p.grad is None] == []
+
+    # names, groups, shapes and bytes of a fresh model; a change to the
+    # table's order, an initializer or a draw shows here
+    @pytest.mark.parametrize("layers, hidden, seed, digest", [
+        (1, 3, 5, "863895a3ce6de67f66e5e02b64740a3cab5505d26a431d335cd1e0844306c754"),
+        (3, 5, 2, "8fe10636a9b9a94664b4470507a6aaa07f393595648e595ee27c992c0ab54d7c"),
+    ])
+    def test_build_parameters_digest_is_frozen(self, layers, hidden, seed, digest):
+        eq, pu = equipped_samples(), pure_samples()
+        vocab = build_vocab(eq + pu)
+        tags = build_tag_vocabs(eq + pu)
+        cfg = tiny_config(layers=layers, hidden_size=hidden, seed=seed)
+        params = TR.build_parameters(cfg, vocab, tags, np.random.default_rng(seed))
+        assert parameter_digest(params) == digest
 
 
 # -- batching -----------------------------------------------------------------
@@ -396,9 +436,9 @@ class TestTrainLoop:
 
     def test_decode_sample_returns_tokens(self):
         cfg, params, vocab, tags, eq, pu = build_world()
-        toks = TR.decode_sample(params, pu[0], vocab, tags, beam=1, max_len=6)
+        short = Config(max_len=6)
+        toks = TR.generate(params, [pu[0]], vocab, tags, short, 1)[0][0]
         assert isinstance(toks, list)
         assert all(isinstance(t, str) for t in toks)
-        beam_toks = TR.decode_sample(params, eq[0], vocab, tags, beam=3,
-                                     max_len=6)
+        beam_toks = TR.generate(params, [eq[0]], vocab, tags, short, 3)[0][0]
         assert all(isinstance(t, str) for t in beam_toks)
