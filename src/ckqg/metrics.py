@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 ROUGE_BETA = 1.2
 METEOR_ALPHA = 0.9     # recall weight in the harmonic mean
@@ -281,18 +281,9 @@ class EvalReport:
     rouge_l: float
     meteor: float
     n_samples: int
-    rc_accuracy: float | None = None
-    tg_bleu1: float | None = None
 
     def to_dict(self) -> dict:
-        out = {"bleu1": self.bleu1, "bleu2": self.bleu2, "bleu3": self.bleu3,
-               "bleu4": self.bleu4, "rouge_l": self.rouge_l, "meteor": self.meteor,
-               "n_samples": self.n_samples}
-        if self.rc_accuracy is not None:
-            out["rc_accuracy"] = self.rc_accuracy
-        if self.tg_bleu1 is not None:
-            out["tg_bleu1"] = self.tg_bleu1
-        return out
+        return asdict(self)
 
 
 def qg_report(hypotheses: list[list[str]], references: list[list[str]]) -> EvalReport:

@@ -9,7 +9,7 @@ finite-difference noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ class GradCheckReport:
     worst_param: str = ""
     worst_index: tuple = ()
     checked: int = 0
-    per_param: dict = field(default_factory=dict)
 
     def __str__(self) -> str:
         return (f"max rel err {self.max_rel_err:.3e} at {self.worst_param}{self.worst_index} "
@@ -53,7 +52,6 @@ def grad_check(f, named_params: list[tuple[str, Tensor]], eps: float = 1e-4,
         n = p.data.size
         k = min(samples_per_tensor, n)
         flat_ids = rng.choice(n, size=k, replace=False)
-        worst = 0.0
         for fid in flat_ids:
             idx = np.unravel_index(fid, p.data.shape)
             orig = p.data[idx]
@@ -66,11 +64,8 @@ def grad_check(f, named_params: list[tuple[str, Tensor]], eps: float = 1e-4,
             a = float(analytic[name][idx])
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
             report.checked += 1
-            if err > worst:
-                worst = err
             if err > report.max_rel_err:
                 report.max_rel_err = err
                 report.worst_param = name
                 report.worst_index = idx
-        report.per_param[name] = worst
     return report

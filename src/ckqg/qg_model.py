@@ -10,7 +10,7 @@ with its own weights.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,7 +123,7 @@ def init_decoder_state(params: ParameterSet, prefix: str, source: Tensor) -> Dec
 
 
 def _attend(proj: Tensor, query: Tensor, mask: np.ndarray) -> Tensor:
-    nb, width, d = proj.shape
+    nb, width, d = query.shape[0], *proj.shape[1:]
     scores = T.matmul(proj, T.reshape(query, (nb, d, 1)))
     return T.softmax(T.reshape(scores, (nb, width)), axis=-1, mask=mask)
 
@@ -138,8 +138,9 @@ def copy_distribution(alpha: Tensor, copy_ids: np.ndarray, extended_size: int) -
     """Aggregate attention mass per extended-vocabulary id.
 
     Pad positions carry exactly zero attention, so the pad bucket stays empty.
+    One sample's ``copy_ids`` broadcast against every row of ``alpha``.
     """
-    return T.scatter_sum(alpha, copy_ids, extended_size)
+    return T.scatter_sum(alpha, np.broadcast_to(copy_ids, alpha.shape), extended_size)
 
 
 def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
@@ -261,23 +262,6 @@ def greedy_decode(params: ParameterSet, prefix: str, enc: EncoderOutput,
     return ids
 
 
-def _tile_inputs(enc: EncoderOutput, kmem: KnowledgeMemory | None,
-                 copy_ids: np.ndarray, k: int
-                 ) -> tuple[EncoderOutput, KnowledgeMemory | None, np.ndarray]:
-    """One sample's decoder inputs repeated as k rows, one per hypothesis.
-
-    Only the fields decode_step reads (h_hat, proj, mask) are tiled."""
-    def rows(t: Tensor) -> Tensor:
-        return Tensor(np.repeat(t.data, k, axis=0))
-
-    enc_k = replace(enc, h_hat=rows(enc.h_hat), proj=rows(enc.proj),
-                    mask=np.repeat(enc.mask, k, axis=0))
-    kmem_k = None if kmem is None else KnowledgeMemory(
-        rows=rows(kmem.rows), mask=np.repeat(kmem.mask, k, axis=0),
-        proj=rows(kmem.proj))
-    return enc_k, kmem_k, np.repeat(copy_ids, k, axis=0)
-
-
 def _reorder_state(state: DecoderState, rows: list[int]) -> DecoderState:
     """Decoder state of the surviving hypotheses: row i continues ``rows[i]``."""
     def take(t: Tensor) -> Tensor:
@@ -306,7 +290,9 @@ def beam_search(params: ParameterSet, prefix: str, enc: EncoderOutput,
     """Beam search for a single sample.
 
     The live hypotheses are the rows of one decoder batch, reordered by
-    back-pointer after each step, and nothing is recorded for backward. Each
+    back-pointer after each step, and nothing is recorded for backward. The
+    sample's encoder output, knowledge memory and copy ids are read by
+    broadcasting, so only the decoder state has a row per hypothesis. Each
     row is computed exactly as a batch of one would compute it (see
     nn.tensor.row_by_row), so the result equals decoding each hypothesis on
     its own, bit for bit.
@@ -319,7 +305,6 @@ def beam_search(params: ParameterSet, prefix: str, enc: EncoderOutput,
         raise T.ShapeError("beam_search runs one sample at a time")
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
-    tiles: dict[int, tuple] = {}
     live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
     done: list[tuple[float, float, tuple[int, ...]]] = []
     with T.no_grad(), T.row_by_row():
@@ -327,13 +312,9 @@ def beam_search(params: ParameterSet, prefix: str, enc: EncoderOutput,
         for _ in range(max_len):
             if not live:
                 break
-            k = len(live)
-            if k not in tiles:
-                tiles[k] = _tile_inputs(enc, kmem, copy_ids, k)
-            enc_k, kmem_k, copy_k = tiles[k]
             y = np.array([ids[-1] if ids else BOS for ids, _ in live])
-            out, state = decode_step(params, prefix, y, state, enc_k, kmem_k,
-                                     copy_k, extended_size)
+            out, state = decode_step(params, prefix, y, state, enc, kmem,
+                                     copy_ids, extended_size)
             lp = np.log(np.maximum(out.p.data, PROB_FLOOR))
             cands = []
             for row, (ids, logp) in enumerate(live):

@@ -264,7 +264,6 @@ class PhaseSpan:
 
 @dataclass
 class TrainState:
-    step: int = 0
     phase: str = EQUIPPED
     best_score: float = -math.inf
     best_step: int = -1
@@ -433,7 +432,6 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
             span_start = step
             span_hashes = spans[-1].hash_after
         state.phase = phase
-        state.step = step
 
         batch = next(eq_iter if phase == EQUIPPED else pure_iter)
         try:

@@ -231,11 +231,3 @@ class TestEvalReport:
         d = report.to_dict()
         assert set(d) == {"bleu1", "bleu2", "bleu3", "bleu4", "rouge_l", "meteor",
                           "n_samples"}
-
-    def test_optional_task_fields_surface_when_set(self):
-        report = M.qg_report([["a"]], [["a"]])
-        report.rc_accuracy = 50.0
-        report.tg_bleu1 = 25.0
-        d = report.to_dict()
-        assert d["rc_accuracy"] == 50.0
-        assert d["tg_bleu1"] == 25.0

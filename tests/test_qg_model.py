@@ -1,7 +1,9 @@
 """Encoder blend identity, attention hygiene, copy mixture, sequence loss,
 and decoding behavior of the question generator."""
 
+import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -474,6 +476,81 @@ def test_batched_beam_wider_than_extended_vocabulary():
     hyp = assert_beam_matches_reference(params, equipped, kmem,
                                         equipped.extended_size + 3, max_len=4)
     assert all(0 <= i < equipped.extended_size for i in hyp.ids)
+
+
+def k_row_state(params, k: int, rng) -> M.DecoderState:
+    """A decoder state of k distinct hypothesis rows."""
+    hidden = params["dec.blend.b"].shape[0]
+
+    def rows() -> Tensor:
+        return Tensor(rng.normal(size=(k, hidden)))
+
+    return M.DecoderState(states=[(rows(), rows()) for _ in range(params.layers)],
+                          s_tilde=rows())
+
+
+def repeat_rows(enc, kmem, copy_ids, k: int):
+    """The one-sample decoder inputs copied as k rows."""
+    def rows(t: Tensor) -> Tensor:
+        return Tensor(np.repeat(t.data, k, axis=0))
+
+    enc_k = replace(enc, h_hat=rows(enc.h_hat), proj=rows(enc.proj),
+                    mask=np.repeat(enc.mask, k, axis=0))
+    kmem_k = None if kmem is None else M.KnowledgeMemory(
+        rows=rows(kmem.rows), mask=np.repeat(kmem.mask, k, axis=0),
+        proj=rows(kmem.proj))
+    return enc_k, kmem_k, np.repeat(copy_ids, k, axis=0)
+
+
+def state_tensors(state: M.DecoderState) -> list[Tensor]:
+    return ([t for pair in state.states for t in pair]
+            + [state.s_tilde, state.s, state.c, state.alpha, state.k, state.p_g])
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_decode_step_broadcasts_one_sample_inputs_over_state_rows(k):
+    params, (_, equipped) = oracle_world(k, hidden=4)
+    enc = M.encode_passage(params, equipped)
+    full_kmem = A.unified_memory(params, A.encode_triples(params, equipped))
+    rng = np.random.default_rng(k)
+    y = rng.integers(0, equipped.extended_size, size=k)
+    for kmem in (None, full_kmem):
+        state = k_row_state(params, k, rng)
+        got, got_state = M.decode_step(params, "dec", y, state, enc, kmem,
+                                       equipped.copy_ids, equipped.extended_size)
+        enc_k, kmem_k, copy_k = repeat_rows(enc, kmem, equipped.copy_ids, k)
+        want, want_state = M.decode_step(params, "dec", y, state, enc_k, kmem_k,
+                                         copy_k, equipped.extended_size)
+        for name in ("p", "p_vocab", "p_copy"):
+            assert getattr(got, name).shape[0] == k
+            assert np.array_equal(getattr(got, name).data,
+                                  getattr(want, name).data), name
+        for g, w in zip(state_tensors(got_state), state_tensors(want_state),
+                        strict=True):
+            assert g.shape[0] == k and np.array_equal(g.data, w.data)
+
+
+def test_beam_passes_the_callers_own_inputs_to_every_step(monkeypatch):
+    params, (_, equipped) = oracle_world(0, hidden=4)
+    enc = M.encode_passage(params, equipped)
+    full_kmem = A.unified_memory(params, A.encode_triples(params, equipped))
+    real = M.decode_step
+    signature = inspect.signature(real)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(M, "decode_step", spy)
+    for kmem in (None, full_kmem):
+        calls.clear()
+        M.beam_search(params, "dec", enc, kmem, equipped.copy_ids,
+                      equipped.extended_size, beam=10, max_len=6)
+        assert max(len(c["y_prev"]) for c in calls) > 1
+        for c in calls:
+            assert c["enc"] is enc and c["kmem"] is kmem
+            assert c["copy_ids"] is equipped.copy_ids
 
 
 def test_top_tokens_equal_full_stable_argsort():
