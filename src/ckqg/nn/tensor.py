@@ -3,8 +3,11 @@
 A Tensor wraps a dense array plus the bookkeeping needed to replay the
 computation backwards: parent nodes and a closure that routes the incoming
 gradient to those parents. Calling ``backward()`` on a scalar loss walks the
-graph in reverse topological order and accumulates ``.grad`` on every node
-that requires it.
+graph in reverse topological order, accumulates ``.grad`` on the leaves that
+require it, and consumes the graph as it goes: each interior node drops its
+gradient, its closure (and the activations that holds) and its parents once
+its rule has run. Backpropagating through a consumed node again raises
+``GraphReleasedError``.
 
 Every forward op validates that its output is finite; NaN/Inf anywhere
 raises ``NumericsError`` immediately so divergence is caught at the op that
@@ -26,6 +29,15 @@ class NumericsError(RuntimeError):
 
 class ShapeError(ValueError):
     """Raised on incompatible operand shapes; message names both shapes."""
+
+
+class GraphReleasedError(RuntimeError):
+    """Raised on backpropagating through a graph backward() already consumed."""
+
+
+def _released(g) -> None:
+    raise GraphReleasedError(
+        "graph already consumed by backward(); run the forward pass again")
 
 
 def _as_array(x) -> np.ndarray:
@@ -130,10 +142,14 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Backpropagate from this scalar through the recorded graph."""
+        """Backpropagate from this scalar through the recorded graph, once.
+
+        Leaves (tensors no op built) keep ``.grad``. Each interior node is
+        released at its turn, after its rule has run: ``grad`` None, parents
+        dropped, and a rule that raises ``GraphReleasedError`` from then on."""
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.data.shape}")
-        topo: list[Tensor] = []
+        topo: list[Tensor | None] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
@@ -149,9 +165,13 @@ class Tensor:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        for i in range(len(topo) - 1, -1, -1):
+            node, topo[i] = topo[i], None
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _released, ()
 
     # -- operator sugar ---------------------------------------------------
 

@@ -378,8 +378,10 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
     mode "itf" alternates equipped and plain spans and needs both corpora;
     "equipped-only" trains every step on equipped batches (ablation runs).
     stop_below ends training early once the question loss drops under the
-    threshold, for quick-convergence checks. init_state resumes from a saved
-    checkpoint instead of fresh random weights.
+    threshold, for quick-convergence checks. init_state starts from a saved
+    checkpoint's weights instead of fresh random ones; the Adam moments and
+    step count, the schedule position, the batch order and the dropout rng
+    still start fresh.
     """
     config.validate()
     if mode == "itf":
@@ -446,13 +448,13 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
             if not math.isfinite(total):
                 raise T.NumericsError(
                     f"L_q={l_q} L_r={l_r} L_t={l_t} L={total}")
-            params.zero_grads()
             bundle.l.backward()
         except T.NumericsError as e:
             raise TrainingError(
                 f"divergence at step {step} ({phase} phase): {e}") from e
         params.clip_grads(config.grad_clip)
         optimizer.step(_trainable_names(params, phase))
+        params.zero_grads()
 
         dev_score: float | None = None
         at_eval = step % config.eval_every == 0 or step == len(schedule)

@@ -6,6 +6,7 @@ softmax, closed forms elsewhere.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ckqg.nn.tensor as T
-from ckqg.nn.tensor import NumericsError, ShapeError, Tensor
+from ckqg.nn.tensor import GraphReleasedError, NumericsError, ShapeError, Tensor
 
 RNG = np.random.default_rng(7)
 
@@ -258,7 +259,64 @@ class TestGradients:
         y = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         z = T.reshape(y, (6,))
         T.sum_(T.mul(z, z)).backward()
-        assert not np.shares_memory(y.grad, z.grad)
+        assert y.grad.base is None
+
+
+class TestRelease:
+    @staticmethod
+    def small_graph(a, b):
+        h = T.tanh(T.matmul(a, T.reshape(b, (2, 1))))
+        return h, T.sum_(T.mul(h, h))
+
+    def test_backward_releases_interior_nodes_and_keeps_leaf_grads(self):
+        a, b = rand_tensor(3, 2), rand_tensor(2)
+        _, loss = self.small_graph(a, b)
+        interior, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if node._parents:
+                interior[id(node)] = node
+                stack.extend(node._parents)
+        assert len(interior) == 5
+        loss.backward()
+        for node in interior.values():
+            assert node.grad is None and node._parents == ()
+        assert a.grad.shape == (3, 2) and b.grad.shape == (2,)
+
+    def test_a_consumed_graph_raises_on_reuse(self):
+        a, b = rand_tensor(3, 2), rand_tensor(2)
+        h, loss = self.small_graph(a, b)
+        loss.backward()
+        want = a.grad.copy(), b.grad.copy()
+        with pytest.raises(GraphReleasedError, match="already consumed"):
+            loss.backward()
+        with pytest.raises(GraphReleasedError):
+            T.sum_(T.mul(h, 2.0)).backward()
+        a.grad = b.grad = None
+        self.small_graph(a, b)[1].backward()
+        assert a.grad.tobytes() == want[0].tobytes()
+        assert b.grad.tobytes() == want[1].tobytes()
+
+    @staticmethod
+    def backward_peak_bytes(depth):
+        h = Tensor(np.linspace(-1.0, 1.0, 100_000), requires_grad=True)
+        for _ in range(depth):
+            h = T.tanh(h)
+        loss = T.sum_(h)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_backward_peak_does_not_grow_with_the_chain(self):
+        # each released node frees its activation and gradient, so the walk
+        # holds a few arrays at a time however long the chain is
+        assert self.backward_peak_bytes(40) < 1.5 * self.backward_peak_bytes(10)
+
 
 class TestProperties:
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=8))

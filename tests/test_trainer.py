@@ -211,6 +211,16 @@ def parameter_digest(params):
     return h.hexdigest()
 
 
+def gradient_digest(params):
+    h = hashlib.sha256()
+    for name in params.names():
+        g = params[name].grad
+        h.update(f"{name}|{None if g is None else g.shape}\n".encode())
+        if g is not None:
+            h.update(g.tobytes())
+    return h.hexdigest()
+
+
 class TestModelSpec:
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_forward_reaches_every_parameter(self, layers):
@@ -235,6 +245,29 @@ class TestModelSpec:
         cfg = tiny_config(layers=layers, hidden_size=hidden, seed=seed)
         params = TR.build_parameters(cfg, vocab, tags, np.random.default_rng(seed))
         assert parameter_digest(params) == digest
+
+    # every parameter's gradient after one Equipped and one Pure step with
+    # dropout on; releasing the tape during backward() must not move a bit
+    @pytest.mark.parametrize("layers, equipped_digest, pure_digest", [
+        (1, "b1ad39bfe0d85628a22da0c29e74354e10e510a41518dd0bb5f5242f060ae092",
+         "d1fb0b0f65ace5fc96a95f526f974557b4698c6509675c856fde9b7fd9bff1c0"),
+        (3, "e6f0b1ce604b30ccac3e31169ab4a347adde3f22ee7038e7804ca3d5a28c8067",
+         "257265dd66061286645b58fb7cf7657b8b7e3148e4aaf424465a95d3ae4b3e57"),
+    ])
+    def test_gradient_digests_are_frozen(self, layers, equipped_digest, pure_digest):
+        eq, pu = equipped_samples(), pure_samples()
+        vocab = build_vocab(eq + pu)
+        tags = build_tag_vocabs(eq + pu)
+        params = TR.build_parameters(tiny_config(layers=layers), vocab, tags,
+                                     np.random.default_rng(0))
+        rng = np.random.default_rng(3)
+        digests = []
+        for forward, samples in ((TR.unified_forward, eq), (TR.pure_forward, pu)):
+            params.zero_grads()
+            forward(params, encode_batch(samples, vocab, tags), drop_rate=0.3,
+                    rng=rng).l.backward()
+            digests.append(gradient_digest(params))
+        assert digests == [equipped_digest, pure_digest]
 
 
 # -- batching -----------------------------------------------------------------
@@ -329,6 +362,11 @@ class TestTrainLoop:
             else:
                 assert span.hash_before["knowledge"] != span.hash_after["knowledge"]
             assert span.hash_before["qg_core"] != span.hash_after["qg_core"]
+
+    def test_no_parameter_keeps_a_gradient_after_training(self):
+        cfg = tiny_config(itf_n=2, itf_cycles=1)
+        result = TR.train(equipped_samples(), pure_samples(), [], cfg)
+        assert [n for n, p in result.params.items() if p.grad is not None] == []
 
     def test_logged_phases_match_schedule(self):
         eq, pu = equipped_samples(), pure_samples()
