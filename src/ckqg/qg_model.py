@@ -242,26 +242,6 @@ class BeamHypothesis:
     logprob: float        # raw summed log probability
 
 
-def greedy_decode(params: ParameterSet, prefix: str, enc: EncoderOutput,
-                  kmem: KnowledgeMemory | None, copy_ids: np.ndarray,
-                  extended_size: int, *, max_len: int) -> list[int]:
-    """Argmax decoding for a single sample; stops at EOS or max_len tokens."""
-    if enc.mask.shape[0] != 1:
-        raise T.ShapeError("greedy_decode runs one sample at a time")
-    state = init_decoder_state(params, prefix, enc.bw_final)
-    y = np.array([BOS])
-    ids: list[int] = []
-    for _ in range(max_len):
-        out, state = decode_step(params, prefix, y, state, enc, kmem,
-                                 copy_ids, extended_size)
-        tok = int(np.argmax(out.p.data[0]))
-        if tok == EOS:
-            break
-        ids.append(tok)
-        y = np.array([tok])
-    return ids
-
-
 def _reorder_state(state: DecoderState, rows: list[int]) -> DecoderState:
     """Decoder state of the surviving hypotheses: row i continues ``rows[i]``."""
     def take(t: Tensor) -> Tensor:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -105,35 +105,9 @@ def pure_forward(params: ParameterSet, batch: Batch, *, drop_rate: float = 0.0,
 # -- schedule -----------------------------------------------------------------
 
 
-@dataclass
-class ITFConfig:
-    n: int
-    cycles: int
-
-    def validate(self) -> None:
-        if self.n < 1 or self.cycles < 1:
-            raise ValueError(f"phase length and cycle count must be >= 1, "
-                             f"got n={self.n} cycles={self.cycles}")
-
-
-def itf_schedule(cfg: ITFConfig) -> list[str]:
+def itf_schedule(n: int, cycles: int) -> list[str]:
     """Phase per step: n equipped steps then n plain steps, repeated."""
-    cfg.validate()
-    return ([EQUIPPED] * cfg.n + [PURE] * cfg.n) * cfg.cycles
-
-
-def freeze_mask(phase: str) -> dict[str, bool]:
-    """Group name -> trainable. Plain-data spans freeze the knowledge group."""
-    if phase not in (EQUIPPED, PURE):
-        raise ValueError(f"unknown phase {phase!r}")
-    return {"qg_core": True, "knowledge": phase == EQUIPPED}
-
-
-def _trainable_names(params: ParameterSet, phase: str) -> set[str] | None:
-    mask = freeze_mask(phase)
-    if all(mask.values()):
-        return None
-    return {n for g, ok in mask.items() if ok for n in params.names(g)}
+    return ([EQUIPPED] * n + [PURE] * n) * cycles
 
 
 # -- assembly -----------------------------------------------------------------
@@ -263,14 +237,6 @@ class PhaseSpan:
 
 
 @dataclass
-class TrainState:
-    phase: str = EQUIPPED
-    best_score: float = -math.inf
-    best_step: int = -1
-    ring: list[CheckpointRecord] = field(default_factory=list)
-
-
-@dataclass
 class TrainResult:
     params: ParameterSet
     vocab: Vocabulary
@@ -336,9 +302,9 @@ def evaluate_dev(params: ParameterSet, dev: list[TrainingSample],
     return metrics.bleu(hyps, refs, max_n=4)
 
 
-def _save_ring_entry(state: TrainState, params: ParameterSet, step: int,
-                     score: float | None, out_dir: Path | None,
-                     capacity: int) -> None:
+def _save_ring_entry(ring: list[CheckpointRecord], best_step: int,
+                     params: ParameterSet, step: int, score: float | None,
+                     out_dir: Path | None, capacity: int) -> None:
     """Append a snapshot, evicting the oldest non-best entry past capacity.
 
     The best-scoring checkpoint is pinned: averaging centers on it, so it
@@ -347,11 +313,10 @@ def _save_ring_entry(state: TrainState, params: ParameterSet, step: int,
     if out_dir is not None:
         rec.path = out_dir / f"ckpt-{step:06d}.bin"
         save_checkpoint(rec.path, rec.state)
-    state.ring.append(rec)
-    while len(state.ring) > capacity:
-        victim = next((i for i, r in enumerate(state.ring)
-                       if r.step != state.best_step), 0)
-        old = state.ring.pop(victim)
+    ring.append(rec)
+    while len(ring) > capacity:
+        victim = next((i for i, r in enumerate(ring) if r.step != best_step), 0)
+        old = ring.pop(victim)
         if old.path is not None:
             old.path.unlink(missing_ok=True)
 
@@ -377,6 +342,7 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
 
     mode "itf" alternates equipped and plain spans and needs both corpora;
     "equipped-only" trains every step on equipped batches (ablation runs).
+    Plain steps update only qg_core: knowledge weights and moments stay frozen.
     stop_below ends training early once the question loss drops under the
     threshold, for quick-convergence checks. init_state starts from a saved
     checkpoint's weights instead of fresh random ones; the Adam moments and
@@ -387,7 +353,7 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
     if mode == "itf":
         if not equipped or not pure:
             raise ValidationError("itf mode needs both corpora non-empty")
-        schedule = itf_schedule(ITFConfig(config.itf_n, config.itf_cycles))
+        schedule = itf_schedule(config.itf_n, config.itf_cycles)
     elif mode == "equipped-only":
         if not equipped:
             raise ValidationError("equipped corpus is empty")
@@ -401,6 +367,12 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
                             min_freq=config.min_freq)
     if tag_vocabs is None:
         tag_vocabs = build_tag_vocabs(all_samples)
+    for i, sample in enumerate(dev):   # fail now, not at the first dev eval
+        try:
+            encode_batch([sample], vocab, tag_vocabs)
+        except ValidationError as e:
+            name = sample.sample_id if sample.sample_id is not None else f"#{i}"
+            raise ValidationError(f"dev sample {name}: {e}") from None
 
     init_rng = np.random.default_rng(config.seed)
     drop_rng = np.random.default_rng(config.seed + 1)
@@ -416,25 +388,13 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
     pure_iter = (cycle_batches(pure, vocab, tag_vocabs, config.batch_size)
                  if pure else None)
 
-    state = TrainState()
+    core_names = set(params.names("qg_core"))
+    best_score, best_step = -math.inf, -1
+    ring: list[CheckpointRecord] = []
     rows: list[dict] = []
     spans: list[PhaseSpan] = []
-    span_start = 1
-    span_hashes = _group_hashes(params)
-
-    def close_span(end_step: int, phase: str) -> None:
-        spans.append(PhaseSpan(phase=phase, start=span_start, end=end_step,
-                               hash_before=span_hashes,
-                               hash_after=_group_hashes(params)))
-
-    last_step = 0
+    span_start, span_hashes = 1, _group_hashes(params)
     for step, phase in enumerate(schedule, start=1):
-        if phase != state.phase and step > 1:
-            close_span(step - 1, state.phase)
-            span_start = step
-            span_hashes = spans[-1].hash_after
-        state.phase = phase
-
         batch = next(eq_iter if phase == EQUIPPED else pure_iter)
         try:
             if phase == EQUIPPED:
@@ -445,48 +405,47 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
                 bundle = pure_forward(params, batch, drop_rate=config.dropout,
                                       rng=drop_rng)
             l_q, l_r, l_t, total = bundle.values()
-            if not math.isfinite(total):
-                raise T.NumericsError(
-                    f"L_q={l_q} L_r={l_r} L_t={l_t} L={total}")
             bundle.l.backward()
         except T.NumericsError as e:
             raise TrainingError(
                 f"divergence at step {step} ({phase} phase): {e}") from e
         params.clip_grads(config.grad_clip)
-        optimizer.step(_trainable_names(params, phase))
+        optimizer.step(core_names if phase == PURE else None)
         params.zero_grads()
 
         dev_score: float | None = None
         at_eval = step % config.eval_every == 0 or step == len(schedule)
         if at_eval and dev:
             dev_score = evaluate_dev(params, dev, vocab, tag_vocabs, config)
-            if dev_score > state.best_score:
-                state.best_score = dev_score
-                state.best_step = step
-            _save_ring_entry(state, params, step, dev_score, out_path,
-                             config.ckpt_keep)
+            if dev_score > best_score:
+                best_score, best_step = dev_score, step
+            _save_ring_entry(ring, best_step, params, step, dev_score,
+                             out_path, config.ckpt_keep)
         rows.append({"step": step, "phase": phase, "l_q": l_q, "l_r": l_r,
                      "l_t": l_t, "l": total, "dev_bleu4": dev_score})
-        last_step = step
-        if stop_below is not None and l_q < stop_below:
+        stop = stop_below is not None and l_q < stop_below
+        if stop or step == len(schedule) or schedule[step] != phase:
+            spans.append(PhaseSpan(phase=phase, start=span_start, end=step,
+                                   hash_before=span_hashes,
+                                   hash_after=_group_hashes(params)))
+            span_start, span_hashes = step + 1, spans[-1].hash_after
+        if stop:
             log.info("question loss %.4f under %.4f at step %d, stopping",
                      l_q, stop_below, step)
             break
 
-    close_span(last_step, state.phase)
-
     averaged = None
-    if state.ring and state.best_step >= 0:
-        k = min(config.avg_k, len(state.ring))
-        chosen = _select_for_average(state.ring, state.best_step, k)
+    if ring and best_step >= 0:
+        k = min(config.avg_k, len(ring))
+        chosen = _select_for_average(ring, best_step, k)
         averaged = average_checkpoints([r.state for r in chosen])
-    best = state.best_step if state.best_step >= 0 else last_step
+    best = best_step if best_step >= 0 else len(rows)
     if out_path is not None:
         write_log_csv(out_path / "train_log.csv", rows)
         final = averaged if averaged is not None else params.state_dict()
         save_checkpoint(out_path / "model.bin", final)
     return TrainResult(params=params, vocab=vocab, tag_vocabs=tag_vocabs,
-                       log_rows=rows, checkpoints=state.ring,
+                       log_rows=rows, checkpoints=ring,
                        phase_spans=spans, best_step=best, averaged=averaged)
 
 

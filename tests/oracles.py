@@ -129,6 +129,24 @@ def reference_rouge_l(references, hypotheses, beta=1.2):
     return 100.0 * total / len(references)
 
 
+def reference_greedy_decode(params, prefix, enc, kmem, copy_ids, extended_size,
+                            *, max_len):
+    """Argmax decoding for a single sample, one batch-1 decode_step per
+    token; stops at EOS or max_len tokens."""
+    state = init_decoder_state(params, prefix, enc.bw_final)
+    y = np.array([BOS])
+    ids = []
+    for _ in range(max_len):
+        out, state = decode_step(params, prefix, y, state, enc, kmem,
+                                 copy_ids, extended_size)
+        tok = int(np.argmax(out.p.data[0]))
+        if tok == EOS:
+            break
+        ids.append(tok)
+        y = np.array([tok])
+    return ids
+
+
 def reference_beam_search(params, prefix, enc, kmem, copy_ids, extended_size,
                           *, beam, max_len, length_penalty=0.7):
     """Beam search one hypothesis at a time: a batch-1 decode_step per live

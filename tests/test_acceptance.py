@@ -28,7 +28,8 @@ from ckqg.corpus import (TrainingSample, Vocabulary, build_tag_vocabs,
 from ckqg.kb_extract import RELATIONS, AlignedTriple, KnowledgeTriple
 from ckqg.nn.gradcheck import grad_check
 
-from oracles import brute_force_extract, reference_bleu
+from oracles import (brute_force_extract, reference_bleu,
+                     reference_greedy_decode)
 
 
 @contextmanager
@@ -226,7 +227,7 @@ def test_04_alternating_phase_invariants():
                 for s in overfit_corpus()[4:8]]
         cfg = make_config(itf_n=5, itf_cycles=3)
         result = TR.train(eq, pure, [], cfg, mode="itf")
-        want = TR.itf_schedule(TR.ITFConfig(n=5, cycles=3))
+        want = TR.itf_schedule(5, 3)
         assert [row["phase"] for row in result.log_rows] == want
         assert len(result.phase_spans) == 6
         for span in result.phase_spans:
@@ -417,8 +418,9 @@ def test_09_distribution_hygiene():
             kmem = None
             if i % 2 == 0:
                 kmem = AX.unified_memory(params, AX.encode_triples(params, batch))
-            greedy = QG.greedy_decode(params, "dec", enc, kmem, batch.copy_ids,
-                                      batch.extended_size, max_len=10)
+            greedy = reference_greedy_decode(params, "dec", enc, kmem,
+                                             batch.copy_ids, batch.extended_size,
+                                             max_len=10)
             beam1 = QG.beam_search(params, "dec", enc, kmem, batch.copy_ids,
                                    batch.extended_size, beam=1, max_len=10).ids
             assert beam1 == greedy, i

@@ -169,6 +169,24 @@ class TestTrain:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    def test_unknown_dev_tag_is_data_error_before_any_step(
+            self, split_corpora, toy_config, tmp_path, capsys, monkeypatch):
+        steps = []
+        monkeypatch.setattr(trainer.Adam, "step",
+                            lambda self, trainable=None: steps.append(trainable))
+        row = json.loads(Path(split_corpora["dev"]).read_text().splitlines()[0])
+        row["pos"][0] = "zzz"
+        dev = tmp_path / "dev.jsonl"
+        dev.write_text(json.dumps(row) + "\n")
+        out = tmp_path / "o"
+        code = main(["--config", toy_config, "--out", str(out), "train",
+                     "--equipped", split_corpora["equipped"],
+                     "--pure", split_corpora["pure"], "--dev", str(dev)])
+        assert code == 2
+        assert f"dev sample {row['id']}: unknown tag 'zzz'" in capsys.readouterr().err
+        assert steps == []
+        assert not (out / "train_log.csv").exists()
+
     def test_ablation_flags_zero_logged_components(self, split_corpora,
                                                    toy_config, tmp_path):
         out = tmp_path / "ablate"

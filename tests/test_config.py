@@ -66,6 +66,10 @@ def test_bad_values_rejected():
         load_config(env={}, overrides={"dropout": "1.0"})
     with pytest.raises(ConfigError, match=">= 1"):
         load_config(env={}, overrides={"layers": "0"})
+    with pytest.raises(ConfigError, match="itf_n must be >= 1"):
+        load_config(env={}, overrides={"itf_n": "0"})
+    with pytest.raises(ConfigError, match="itf_cycles must be >= 1"):
+        load_config(env={}, overrides={"itf_cycles": "0"})
     with pytest.raises(ConfigError, match="positive"):
         load_config(env={}, overrides={"lr": "0"})
     with pytest.raises(ConfigError, match="vocab_size must exceed the 4 reserved ids"):

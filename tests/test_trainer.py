@@ -80,25 +80,13 @@ def build_world(seed=0):
 class TestSchedule:
     def test_two_by_two(self):
         E, P = TR.EQUIPPED, TR.PURE
-        assert TR.itf_schedule(TR.ITFConfig(2, 2)) == [E, E, P, P, E, E, P, P]
+        assert TR.itf_schedule(2, 2) == [E, E, P, P, E, E, P, P]
 
     def test_minimal(self):
-        assert TR.itf_schedule(TR.ITFConfig(1, 1)) == [TR.EQUIPPED, TR.PURE]
+        assert TR.itf_schedule(1, 1) == [TR.EQUIPPED, TR.PURE]
 
     def test_default_scale_totals(self):
-        assert len(TR.itf_schedule(TR.ITFConfig(3000, 3))) == 18000
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            TR.itf_schedule(TR.ITFConfig(0, 1))
-        with pytest.raises(ValueError):
-            TR.itf_schedule(TR.ITFConfig(1, 0))
-
-    def test_freeze_mask(self):
-        assert TR.freeze_mask(TR.EQUIPPED) == {"qg_core": True, "knowledge": True}
-        assert TR.freeze_mask(TR.PURE) == {"qg_core": True, "knowledge": False}
-        with pytest.raises(ValueError):
-            TR.freeze_mask("warmup")
+        assert len(TR.itf_schedule(3000, 3)) == 18000
 
 
 # -- forward passes -----------------------------------------------------------
@@ -372,7 +360,7 @@ class TestTrainLoop:
         eq, pu = equipped_samples(), pure_samples()
         cfg = tiny_config(itf_n=1, itf_cycles=2)
         result = TR.train(eq, pu, [], cfg)
-        want = TR.itf_schedule(TR.ITFConfig(1, 2))
+        want = TR.itf_schedule(1, 2)
         assert [r["phase"] for r in result.log_rows] == want
         assert [r["step"] for r in result.log_rows] == [1, 2, 3, 4]
 
@@ -471,6 +459,35 @@ class TestTrainLoop:
         result = TR.train(eq, [], [], cfg, mode="equipped-only", stop_below=0.5)
         assert result.log_rows[-1]["l_q"] < 0.5
         assert len(result.log_rows) < 500
+
+    def test_early_stop_mid_span_closes_the_span_at_the_stop_step(self):
+        cfg = tiny_config(itf_n=4, itf_cycles=100, lr=0.05, hidden_size=4)
+        result = TR.train(equipped_samples(), pure_samples(), [], cfg,
+                          stop_below=2.0)
+        stop = result.log_rows[-1]["step"]
+        spans = result.phase_spans
+        assert result.log_rows[-1]["l_q"] < 2.0
+        assert spans[-1].start < stop < spans[-1].start + cfg.itf_n - 1
+        assert (spans[-1].phase, spans[-1].end) == (result.log_rows[-1]["phase"], stop)
+        assert [s.start for s in spans] == [1] + [s.end + 1 for s in spans[:-1]]
+        assert spans[-1].hash_after == {g: result.params.group_hash(g)
+                                        for g in ("qg_core", "knowledge")}
+        assert result.best_step == stop
+
+    @pytest.mark.parametrize("sid, kind, name", [
+        ("d1", "pos_tags", "d1"), (None, "ner_tags", "#1")])
+    def test_unknown_dev_tag_fails_before_the_first_step(self, monkeypatch,
+                                                         sid, kind, name):
+        steps = []
+        monkeypatch.setattr(TR.Adam, "step",
+                            lambda self, trainable=None: steps.append(trainable))
+        dev = pure_samples()
+        dev[1].sample_id = sid
+        getattr(dev[1], kind)[2] = "zzz"
+        with pytest.raises(ValidationError,
+                           match=f"dev sample {name}: unknown tag 'zzz'"):
+            TR.train(equipped_samples(), pure_samples(), dev, tiny_config())
+        assert steps == []
 
     def test_decode_sample_returns_tokens(self):
         cfg, params, vocab, tags, eq, pu = build_world()
