@@ -25,16 +25,9 @@ from .kb_extract import AlignedTriple, KnowledgeTriple
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 RESERVED = ("<pad>", "<unk>", "<bos>", "<eos>")
 
-_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
-
 
 class ValidationError(ValueError):
     pass
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercased whitespace + punctuation split."""
-    return _TOKEN_RE.findall(text.lower())
 
 
 def coarse_tags(tokens: list[str]) -> tuple[list[str], list[str]]:

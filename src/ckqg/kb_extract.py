@@ -1,11 +1,15 @@
 """Knowledge triple retrieval and alignment filtering.
 
 Triples come from tab-separated KB dumps. For a (passage, question) pair we
-retrieve every triple whose head shares a non-stop token with the passage,
-then keep only triples whose head appears contiguously in the passage and
-whose tail appears contiguously in the question (swapping head and tail when
-the match is reversed). Matching is surface-form: lowercased tokens with
-surrounding punctuation stripped, no lemmatization.
+keep exactly the triples that bridge the two: the KB head occurs
+contiguously in the passage and the KB tail in the question, or the reverse
+(KB tail in the passage, KB head in the question), in which case head and
+tail are swapped so the stored head is the passage-side concept. A triple
+whose KB head is made only of stopwords is never kept. Retrieval finds these
+triples by exact lookup of n-grams in an index keyed by whole head concepts:
+passage n-grams for forward matches, question n-grams for reversed ones.
+Matching is surface-form: lowercased tokens with surrounding punctuation
+stripped, no lemmatization.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ def concept_tokens(concept: str) -> tuple[str, ...]:
     return tuple(t for t in (normalize_token(p) for p in concept.split()) if t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnowledgeTriple:
     head: str
     relation: str
@@ -61,29 +65,38 @@ class AlignedTriple:
 
 
 class TripleStore:
-    """Deduplicated triples plus a head-token inverted index.
+    """Deduplicated triples plus a whole-concept index.
 
-    Read-only after loading; the index maps each token of each head to the
-    ids of triples it occurs in, so retrieval is a token-lookup union.
+    Read-only after loading. ``by_head`` maps a concept's normalized token
+    tuple to the ids of the triples that have it as KB head, in store order;
+    ``tail_tokens`` holds each triple's tail tuple by id. ``max_concept_len``
+    is the longest concept in tokens, which bounds the n-grams retrieval has
+    to look up.
     """
 
     def __init__(self):
         self.triples: list[KnowledgeTriple] = []
-        self._seen: set[tuple[str, str, str, str]] = set()
-        self.index: dict[str, list[int]] = {}
+        self._seen: set[KnowledgeTriple] = set()
+        self.by_head: dict[tuple[str, ...], list[int]] = {}
+        self.tail_tokens: list[tuple[str, ...]] = []
+        self.max_concept_len = 0
 
     def __len__(self) -> int:
         return len(self.triples)
 
-    def add(self, triple: KnowledgeTriple) -> None:
-        key = (triple.head, triple.relation, triple.tail, triple.source)
-        if key in self._seen:
+    def add(self, triple: KnowledgeTriple, head_tokens: tuple[str, ...],
+            tail_tokens: tuple[str, ...]) -> None:
+        """Append a triple unless already present. The token tuples are
+        ``concept_tokens`` of its head and tail."""
+        n_seen = len(self._seen)
+        self._seen.add(triple)   # one hash per line: the set grows iff triple is new
+        if len(self._seen) == n_seen:
             return
-        self._seen.add(key)
         tid = len(self.triples)
         self.triples.append(triple)
-        for tok in set(concept_tokens(triple.head)):
-            self.index.setdefault(tok, []).append(tid)
+        self.tail_tokens.append(tail_tokens)
+        self.by_head.setdefault(head_tokens, []).append(tid)
+        self.max_concept_len = max(self.max_concept_len, len(head_tokens), len(tail_tokens))
 
 
 def load_knowledge_base(path: str | Path, source: str) -> TripleStore:
@@ -91,11 +104,22 @@ def load_knowledge_base(path: str | Path, source: str) -> TripleStore:
 
     Lines starting with '#' and blank lines are skipped. A line with the
     wrong field count, or one whose head or tail is empty after
-    normalization, is a parse error reported with its line number.
+    normalization, is a parse error reported with its line number. Each
+    distinct raw concept string is tokenized once, and all triples naming it
+    share one normalized string and one token tuple.
     """
     if source not in SOURCES:
         raise ValueError(f"unknown KB source '{source}'")
     store = TripleStore()
+    concepts: dict[str, tuple[str, tuple[str, ...]]] = {}
+
+    def concept(raw: str) -> tuple[str, tuple[str, ...]]:
+        hit = concepts.get(raw)
+        if hit is None:
+            toks = concept_tokens(raw)
+            hit = concepts[raw] = (" ".join(toks), toks)
+        return hit
+
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -105,11 +129,12 @@ def load_knowledge_base(path: str | Path, source: str) -> TripleStore:
             if len(fields) != 3:
                 raise KBParseError(
                     f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-            head = " ".join(concept_tokens(fields[0]))
-            tail = " ".join(concept_tokens(fields[2]))
+            head, head_toks = concept(fields[0])
+            tail, tail_toks = concept(fields[2])
             if not head or not tail:
                 raise KBParseError(f"{path}:{lineno}: empty concept after normalization")
-            store.add(KnowledgeTriple(head, normalize_relation(fields[1]), tail, source))
+            store.add(KnowledgeTriple(head, normalize_relation(fields[1]), tail, source),
+                      head_toks, tail_toks)
     return store
 
 
@@ -123,17 +148,35 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return frozenset(words)
 
 
-def retrieve_candidates(passage_tokens: list[str], stopwords: frozenset[str],
-                        store: TripleStore) -> list[KnowledgeTriple]:
-    """All triples whose head shares a non-stop token with the passage.
+def _ngrams(tokens: list[str], max_len: int) -> set[tuple[str, ...]]:
+    """Every contiguous token tuple of length 1..max_len."""
+    return {tuple(tokens[i:i + n]) for n in range(1, max_len + 1)
+            for i in range(len(tokens) - n + 1)}
 
-    Tokens must already be normalized the same way the store was built
-    (lowercase, punctuation-stripped). Result order is store insertion order.
+
+def retrieve_candidates(passage_tokens: list[str], question_tokens: list[str],
+                        stopwords: frozenset[str],
+                        store: TripleStore) -> list[KnowledgeTriple]:
+    """The triples that bridge passage and question in either orientation.
+
+    Forward: the KB head is a passage n-gram and the KB tail a question
+    n-gram. Reverse: the KB head is a question n-gram and the KB tail a
+    passage n-gram, so it is the same lookup with the two sides exchanged.
+    Only triples whose KB head has a non-stop token are returned; a
+    stopword-only tail is still found. Tokens must already be normalized the
+    same way the store was built (lowercase, punctuation-stripped). Result
+    order is store insertion order.
     """
+    p_grams = _ngrams(passage_tokens, store.max_concept_len)
+    q_grams = _ngrams(question_tokens, store.max_concept_len)
     hits: set[int] = set()
-    for tok in passage_tokens:
-        if tok and tok not in stopwords:
-            hits.update(store.index.get(tok, ()))
+    for head_side, tail_side in ((p_grams, q_grams), (q_grams, p_grams)):
+        for gram in head_side:
+            if all(tok in stopwords for tok in gram):
+                continue
+            for tid in store.by_head.get(gram, ()):
+                if store.tail_tokens[tid] in tail_side:
+                    hits.add(tid)
     return [store.triples[i] for i in sorted(hits)]
 
 
@@ -204,7 +247,7 @@ def extract_for_sample(passage_tokens: list[str], question_tokens: list[str],
     """Retrieve + filter against each store, then merge across sources."""
     merged: list[AlignedTriple] = []
     for store in stores:
-        cands = retrieve_candidates(passage_tokens, stopwords, store)
+        cands = retrieve_candidates(passage_tokens, question_tokens, stopwords, store)
         merged = merge_dedup(merged, align_filter(cands, passage_tokens, question_tokens))
     return merged
 

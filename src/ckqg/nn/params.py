@@ -106,7 +106,10 @@ class ParameterSet:
         return float(np.sqrt(total))
 
     def clip_grads(self, max_norm: float) -> float:
-        """Global L2 clipping over all parameters; returns the pre-clip norm."""
+        """Global L2 clipping over all parameters; returns the pre-clip norm.
+
+        A non-finite gradient entry makes the norm NaN or inf, and then
+        nothing is scaled: the caller must check the returned norm."""
         norm = self.grad_norm()
         if norm > max_norm > 0.0:
             scale = max_norm / norm

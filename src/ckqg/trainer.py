@@ -33,7 +33,7 @@ PURE = "Pure"
 
 
 class TrainingError(RuntimeError):
-    """Optimization cannot continue (non-finite loss or bad setup)."""
+    """Optimization cannot continue (non-finite loss or gradient, or bad setup)."""
 
 
 # -- losses -------------------------------------------------------------------
@@ -409,7 +409,13 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
         except T.NumericsError as e:
             raise TrainingError(
                 f"divergence at step {step} ({phase} phase): {e}") from e
-        params.clip_grads(config.grad_clip)
+        norm = params.clip_grads(config.grad_clip)
+        if not math.isfinite(norm):
+            bad = [n for n, t in params.items()
+                   if t.grad is not None and not np.all(np.isfinite(t.grad))]
+            raise TrainingError(
+                f"divergence at step {step} ({phase} phase): gradient norm {norm}; "
+                f"non-finite gradient entries in {', '.join(bad) or 'no parameter'}")
         optimizer.step(core_names if phase == PURE else None)
         params.zero_grads()
 

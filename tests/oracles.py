@@ -28,18 +28,34 @@ def contains_contiguous(concept: str, tokens: list[str]) -> bool:
     return len(toks) > 0 and " ".join(toks) in windows(list(tokens), len(toks))
 
 
-def brute_force_extract(passage, question, stores):
+def first_window(concept: str, tokens: list[str]) -> tuple[int, ...] | None:
+    """Positions of the first contiguous occurrence of concept, or None."""
+    toks = concept_tokens(concept)
+    if not toks:
+        return None
+    wins = windows(list(tokens), len(toks))
+    joined = " ".join(toks)
+    if joined not in wins:
+        return None
+    start = wins.index(joined)
+    return tuple(range(start, start + len(toks)))
+
+
+def brute_force_extract(passage, question, stores, stopwords=frozenset()):
     """Scan every triple in every store against both orientations.
 
     Returns (head, relation, tail, source, swapped) tuples, deduplicated by
     (head, relation, tail) with first occurrence winning, in store order.
-    Retrieval is modeled by requiring some head token in the passage, which
-    is what makes an index-based lookup reachable at all.
+    A triple is kept iff its KB head has a token outside ``stopwords`` and
+    it bridges in either orientation: KB head in the passage and KB tail in
+    the question, or else KB tail in the passage and KB head in the
+    question (kept swapped). With no stopwords given, the stopword clause
+    keeps every triple.
     """
     out, seen = [], set()
     for store in stores:
         for t in store.triples:
-            if not any(tok in passage for tok in concept_tokens(t.head)):
+            if all(tok in stopwords for tok in concept_tokens(t.head)):
                 continue
             if contains_contiguous(t.head, passage) and contains_contiguous(t.tail, question):
                 key = (t.head, t.relation, t.tail)

@@ -203,7 +203,7 @@ def test_03_extraction_matches_brute_force():
             got_tuples = [(a.triple.head, a.triple.relation, a.triple.tail,
                            a.triple.source, a.swapped) for a in got]
             assert got_tuples == brute_force_extract(s.passage, s.question,
-                                                     [cn, wn]), s.sample_id
+                                                     [cn, wn], stops), s.sample_id
         s01 = next(s for s in samples if s.sample_id == "s01")
         kept = {(a.triple.head, a.triple.relation, a.triple.tail)
                 for a in kb.extract_for_sample(s01.passage, s01.question,

@@ -93,6 +93,23 @@ class TestExtract:
         for name in ("annotated.jsonl", "partition.json"):
             assert (tmp_path / name).read_bytes() == (annotated / name).read_bytes()
 
+    def test_reversed_match_with_head_absent_from_passage_is_kept(self, tmp_path):
+        kb_file = tmp_path / "kb.tsv"
+        kb_file.write_text("animal\tRelatedTo\tcat\n")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({
+            "id": "g1", "passage": ["the", "cat", "sat"], "answer_span": [1, 1],
+            "pos": ["det", "noun", "verb"], "ner": ["o", "o", "o"],
+            "question": ["what", "animal", "sat"]}) + "\n")
+        code = main(["--out", str(tmp_path / "o"), "extract", "--corpus", str(corpus),
+                     "--conceptnet", str(kb_file)])
+        assert code == 0
+        row = json.loads((tmp_path / "o" / "annotated.jsonl").read_text())
+        assert [(t["head"], t["relation"], t["tail"], t["swapped"]) for t in row["triples"]] \
+            == [("cat", "RelatedTo", "animal", True)]
+        manifest = json.loads((tmp_path / "o" / "partition.json").read_text())
+        assert manifest["equipped"] == ["g1"]
+
     def test_no_kb_means_all_pure(self, tmp_path):
         assert run_extract(tmp_path, kbs=False) == 0
         manifest = json.loads((tmp_path / "partition.json").read_text())
@@ -186,6 +203,22 @@ class TestTrain:
         assert f"dev sample {row['id']}: unknown tag 'zzz'" in capsys.readouterr().err
         assert steps == []
         assert not (out / "train_log.csv").exists()
+
+    def test_nan_gradient_is_numeric_failure(self, split_corpora, toy_config, tmp_path,
+                                             capsys, monkeypatch):
+        clip = trainer.ParameterSet.clip_grads
+
+        def poisoned(self, max_norm):
+            self["emb.word"].grad.flat[0] = np.nan
+            return clip(self, max_norm)
+
+        monkeypatch.setattr(trainer.ParameterSet, "clip_grads", poisoned)
+        code = main(["--config", toy_config, "--out", str(tmp_path / "o"), "train",
+                     "--equipped", split_corpora["equipped"],
+                     "--pure", split_corpora["pure"]])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "step 1 (Equipped phase)" in err and "emb.word" in err
 
     def test_ablation_flags_zero_logged_components(self, split_corpora,
                                                    toy_config, tmp_path):

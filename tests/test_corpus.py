@@ -12,7 +12,7 @@ from ckqg import corpus
 from ckqg.assets import MINI_CORPUS, asset_path
 from ckqg.corpus import (BOS, EOS, PAD, UNK, Batch, TagVocab, TrainingSample,
                          ValidationError, Vocabulary, bio_from_span, build_tag_vocabs,
-                         build_vocab, encode_batch, load_dataset, save_dataset, tokenize)
+                         build_vocab, encode_batch, load_dataset, save_dataset)
 from ckqg.kb_extract import AlignedTriple, KnowledgeTriple
 
 
@@ -35,12 +35,6 @@ def aligned(head, rel, tail):
 
 def tag_vocabs_for(*samples):
     return build_tag_vocabs(list(samples))
-
-
-def test_tokenize_lowercases_and_splits_punctuation():
-    assert tokenize("Hello, world!") == ["hello", ",", "world", "!"]
-    assert tokenize("it's a test") == ["it", "'", "s", "a", "test"]
-    assert tokenize("") == []
 
 
 def test_bio_examples():

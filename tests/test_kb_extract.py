@@ -8,13 +8,14 @@ from ckqg import kb_extract as kb
 from ckqg.assets import KB_CONCEPTNET, KB_WORDNET, MINI_CORPUS, STOPWORDS, asset_path
 from ckqg.corpus import load_dataset
 
-from oracles import brute_force_extract, contains_contiguous
+from oracles import brute_force_extract, contains_contiguous, first_window
 
 
 def make_store(*rows):
     store = kb.TripleStore()
     for head, rel, tail in rows:
-        store.add(kb.KnowledgeTriple(head, rel, tail, "ConceptNet"))
+        store.add(kb.KnowledgeTriple(head, rel, tail, "ConceptNet"),
+                  kb.concept_tokens(head), kb.concept_tokens(tail))
     return store
 
 
@@ -89,49 +90,105 @@ def test_concept_normalization(tmp_path):
     store = kb.load_knowledge_base(f, "WordNet")
     t = store.triples[0]
     assert (t.head, t.tail) == ("legislative bodies", "parliament")
-    # the index covers every head token
-    assert store.index["legislative"] == [0]
-    assert store.index["bodies"] == [0]
+    # heads are indexed, and tails kept, as normalized token tuples
+    assert store.by_head == {("legislative", "bodies"): [0]}
+    assert store.tail_tokens == [("parliament",)]
+    assert store.max_concept_len == 2
 
 
 # ---------------------------------------------------------------------------
 # retrieval
 
 
-COUNCIL_STORE = make_store(
+COUNCIL_STORE_ROWS = (
     ("council", "RelatedTo", "governing"),
     ("council", "RelatedTo", "city"),
     ("council", "Synonymy", "assembly"),
     ("dog", "IsA", "animal"),
 )
+COUNCIL_STORE = make_store(*COUNCIL_STORE_ROWS)
 
 
 def test_retrieve_all_triples_for_matching_token():
-    got = kb.retrieve_candidates(["the", "council", "voted"], frozenset({"the"}), COUNCIL_STORE)
-    assert [t.tail for t in got] == ["governing", "city", "assembly"]
+    # forward hits only: the head is in the passage, the tail in the question
+    got = kb.retrieve_candidates(["the", "council", "voted"], ["which", "city", "assembly"],
+                                 frozenset({"the"}), COUNCIL_STORE)
+    assert [t.tail for t in got] == ["city", "assembly"]
 
 
 def test_retrieve_stopword_only_passage_is_empty():
+    # a KB head made only of stopwords is never returned, in either orientation
     stops = frozenset({"the", "council"})
-    assert kb.retrieve_candidates(["the", "council"], stops, COUNCIL_STORE) == []
+    assert kb.retrieve_candidates(["the", "council"], ["governing"], stops, COUNCIL_STORE) == []
+    assert kb.retrieve_candidates(["governing"], ["the", "council"], stops, COUNCIL_STORE) == []
 
 
 def test_retrieve_unindexed_words_contribute_nothing():
-    assert kb.retrieve_candidates(["platypus"], frozenset(), COUNCIL_STORE) == []
+    assert kb.retrieve_candidates(["platypus"], ["council"], frozenset(), COUNCIL_STORE) == []
+    # a head in the passage whose tail is not in the question bridges nothing
+    assert kb.retrieve_candidates(["council"], ["platypus"], frozenset(), COUNCIL_STORE) == []
 
 
 def test_retrieve_order_is_store_insertion_order():
-    store = make_store(("b", "IsA", "x"), ("a", "IsA", "y"), ("b", "Synonymy", "z"))
-    got = kb.retrieve_candidates(["a", "b"], frozenset(), store)
-    assert [(t.head, t.tail) for t in got] == [("b", "x"), ("a", "y"), ("b", "z")]
+    store = make_store(("b", "IsA", "x"), ("y", "IsA", "a"), ("b", "Synonymy", "z"))
+    # forward hits for "b" and a reverse hit for "y"-"a" come in store order,
+    # not in the passage's order
+    got = kb.retrieve_candidates(["a", "b"], ["x", "y", "z"], frozenset(), store)
+    assert [(t.head, t.tail) for t in got] == [("b", "x"), ("y", "a"), ("b", "z")]
 
 
 def test_retrieve_matches_brute_force_scan():
+    store = make_store(*COUNCIL_STORE_ROWS, ("governing", "RelatedTo", "the council"),
+                       ("the", "IsA", "dog"), ("slept", "RelatedTo", "the"))
     passage = ["the", "council", "dog", "slept"]
-    got = kb.retrieve_candidates(passage, frozenset({"the"}), COUNCIL_STORE)
-    want = [t for t in COUNCIL_STORE.triples
-            if any(tok in passage[1:] for tok in t.head.split())]
+    question = ["governing", "the", "city", "animal"]
+    stops = frozenset({"the"})
+    got = kb.retrieve_candidates(passage, question, stops, store)
+    want = [t for t in store.triples
+            if any(tok not in stops for tok in t.head.split())
+            and ((contains_contiguous(t.head, passage) and contains_contiguous(t.tail, question))
+                 or (contains_contiguous(t.tail, passage)
+                     and contains_contiguous(t.head, question)))]
     assert got == want
+    assert [(t.head, t.tail) for t in got] == [
+        ("council", "governing"), ("council", "city"), ("dog", "animal"),
+        ("governing", "the council"), ("slept", "the")]
+
+
+# ---------------------------------------------------------------------------
+# the reversed match whose KB head is absent from the passage
+
+
+def test_reversed_match_with_head_absent_from_passage_is_kept(tmp_path):
+    f = tmp_path / "kb.tsv"
+    f.write_text("animal\tRelatedTo\tcat\n")
+    store = kb.load_knowledge_base(f, "ConceptNet")
+    stops = kb.load_stopwords(asset_path(STOPWORDS))
+    got = kb.extract_for_sample(["the", "cat", "sat"], ["what", "animal", "sat"], stops, [store])
+    assert got == [kb.AlignedTriple(kb.KnowledgeTriple("cat", "RelatedTo", "animal", "ConceptNet"),
+                                    (1,), (1,), swapped=True)]
+
+
+def test_reversed_match_with_stopword_only_tail_is_kept():
+    # KB tail "the" is all stopwords but sits in the passage; the head is in
+    # the question only
+    store = make_store(("sleepy", "RelatedTo", "the"))
+    got = kb.extract_for_sample(["the", "cat"], ["is", "it", "sleepy"], frozenset({"the", "is", "it"}),
+                                [store])
+    assert [(a.triple.head, a.triple.tail, a.swapped, a.head_positions, a.tail_positions)
+            for a in got] == [("the", "sleepy", True, (0,), (2,))]
+
+
+def test_stopword_only_head_is_never_kept():
+    store = make_store(("the", "RelatedTo", "cat"), ("of the", "IsA", "sat"))
+    stops = frozenset({"the", "of"})
+    # forward: KB head in the passage, KB tail in the question
+    assert kb.extract_for_sample(["of", "the", "mat"], ["cat", "sat"], stops, [store]) == []
+    # reverse: KB tail in the passage, KB head in the question
+    assert kb.extract_for_sample(["cat", "sat"], ["of", "the", "mat"], stops, [store]) == []
+    # the same lines bridge once no stopwords are given
+    assert len(kb.extract_for_sample(["of", "the", "mat"], ["cat", "sat"], frozenset(),
+                                     [store])) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +343,7 @@ def test_bundle_pipeline_matches_brute_force(bundle):
         got = kb.extract_for_sample(s.passage, s.question, stops, [cn, wn])
         got_tuples = [(a.triple.head, a.triple.relation, a.triple.tail,
                        a.triple.source, a.swapped) for a in got]
-        want = brute_force_extract(s.passage, s.question, [cn, wn])
+        want = brute_force_extract(s.passage, s.question, [cn, wn], stops)
         assert got_tuples == want, s.sample_id
 
 
@@ -375,6 +432,40 @@ def test_filter_determinism(cands, passage, question):
     one = kb.align_filter(list(cands), list(passage), list(question))
     two = kb.align_filter(list(cands), list(passage), list(question))
     assert repr(one) == repr(two)
+
+
+_STORE_WORDS = st.sampled_from(["a", "b", "c", "d", "the"])
+_STORE_CONCEPT = st.lists(_STORE_WORDS, min_size=1, max_size=3).map(" ".join)
+_STORE_TOKENS = st.lists(_STORE_WORDS, min_size=1, max_size=8)
+
+
+@st.composite
+def _two_stores(draw):
+    """Two stores drawing from one pool of facts, so facts repeat within a
+    store (deduplicated on load) and across stores (merged)."""
+    facts = draw(st.lists(st.tuples(_STORE_CONCEPT, _RELATION, _STORE_CONCEPT),
+                          min_size=1, max_size=8))
+    stores = []
+    for source in kb.SOURCES:
+        store = kb.TripleStore()
+        for i in draw(st.lists(st.integers(0, len(facts) - 1), max_size=10)):
+            head, rel, tail = facts[i]
+            store.add(kb.KnowledgeTriple(head, rel, tail, source),
+                      kb.concept_tokens(head), kb.concept_tokens(tail))
+        stores.append(store)
+    return stores
+
+
+@given(_two_stores(), _STORE_TOKENS, _STORE_TOKENS)
+@settings(max_examples=300)
+def test_extraction_equals_brute_force_on_random_stores(stores, passage, question):
+    stops = frozenset({"the"})
+    got = [(a.triple.head, a.triple.relation, a.triple.tail, a.triple.source, a.swapped,
+            a.head_positions, a.tail_positions)
+           for a in kb.extract_for_sample(passage, question, stops, stores)]
+    want = [(*t, first_window(t[0], passage), first_window(t[2], question))
+            for t in brute_force_extract(passage, question, stores, stops)]
+    assert got == want
 
 
 @given(st.lists(st.booleans(), max_size=30))

@@ -411,6 +411,33 @@ class TestTrainLoop:
             TR.train(eq, pu, [], cfg, vocab=vocab, tag_vocabs=tags,
                      init_state=poisoned)
 
+    def test_nan_gradient_stops_before_adam_and_names_the_parameter(self, monkeypatch):
+        # a NaN in one gradient at step 3 (the first Pure step) must stop the
+        # run there, before Adam writes it into the weights
+        clip, seen, updates = TR.ParameterSet.clip_grads, [], []
+
+        def poisoned(self, max_norm):
+            seen.append(max_norm)
+            if len(seen) == 3:
+                self["emb.word"].grad.flat[7] = np.nan
+            return clip(self, max_norm)
+
+        adam_step = TR.Adam.step
+
+        def counted_step(self, trainable=None):
+            updates.append(trainable)
+            adam_step(self, trainable)
+
+        monkeypatch.setattr(TR.ParameterSet, "clip_grads", poisoned)
+        monkeypatch.setattr(TR.Adam, "step", counted_step)
+        with pytest.raises(TR.TrainingError) as info:
+            TR.train(equipped_samples(), pure_samples(), [], tiny_config(itf_n=2))
+        msg = str(info.value)
+        assert "step 3 (Pure phase)" in msg
+        assert "gradient norm nan" in msg
+        assert msg.endswith("non-finite gradient entries in emb.word")
+        assert len(updates) == 2
+
     def test_dev_eval_ring_and_averaging(self, tmp_path):
         eq, pu = equipped_samples(), pure_samples()
         cfg = tiny_config(itf_n=2, itf_cycles=1, eval_every=1, ckpt_keep=2,
