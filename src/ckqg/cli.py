@@ -64,19 +64,13 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def cmd_extract(args) -> int:
-    samples = load_dataset(args.corpus)
-    stores = []
-    if args.conceptnet:
-        stores.append(kb.load_knowledge_base(args.conceptnet, "ConceptNet"))
-    if args.wordnet:
-        stores.append(kb.load_knowledge_base(args.wordnet, "WordNet"))
-    stop_path = args.stopwords or asset_path(STOPWORDS)
-    stopwords = kb.load_stopwords(stop_path)
-    for s in samples:
-        s.triples[:] = kb.extract_for_sample(s.passage, s.question,
-                                             stopwords, stores)
-    equipped, pure = kb.partition_dataset(samples)
     out = _require_out(args, "extract")
+    samples = load_dataset(args.corpus)
+    stopwords = kb.load_stopwords(args.stopwords or asset_path(STOPWORDS))
+    dumps = [(path, source) for path, source in ((args.conceptnet, "ConceptNet"),
+                                                 (args.wordnet, "WordNet")) if path]
+    kb.annotate_corpus(samples, stopwords, dumps)
+    equipped, pure = kb.partition_dataset(samples)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(out / "annotated.jsonl", samples)
     manifest = {
@@ -286,12 +280,9 @@ def _gradcheck_config(args) -> Config:
 
 def _gradcheck_batch(cfg: Config):
     samples = load_dataset(asset_path(MINI_CORPUS))
-    stores = [kb.load_knowledge_base(asset_path(KB_CONCEPTNET), "ConceptNet"),
-              kb.load_knowledge_base(asset_path(KB_WORDNET), "WordNet")]
-    stopwords = kb.load_stopwords(asset_path(STOPWORDS))
-    for s in samples:
-        s.triples[:] = kb.extract_for_sample(s.passage, s.question,
-                                             stopwords, stores)
+    kb.annotate_corpus(samples, kb.load_stopwords(asset_path(STOPWORDS)),
+                       [(asset_path(KB_CONCEPTNET), "ConceptNet"),
+                        (asset_path(KB_WORDNET), "WordNet")])
     equipped, _ = kb.partition_dataset(samples)
     toy = equipped[:cfg.batch_size]
     vocab = build_vocab(toy, max_size=cfg.vocab_size, min_freq=cfg.min_freq)

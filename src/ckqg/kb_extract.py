@@ -8,13 +8,16 @@ tail are swapped so the stored head is the passage-side concept. A triple
 whose KB head is made only of stopwords is never kept. Retrieval finds these
 triples by exact lookup of n-grams in an index keyed by whole head concepts:
 passage n-grams for forward matches, question n-grams for reversed ones.
-Matching is surface-form: lowercased tokens with surrounding punctuation
-stripped, no lemmatization.
+A corpus is annotated against stores that hold only the triples made of its
+own tokens, the only ones that can bridge any of its samples. Matching is
+surface-form: lowercased tokens with surrounding punctuation stripped, no
+lemmatization.
 """
 
 from __future__ import annotations
 
 import string
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,8 +73,13 @@ class TripleStore:
     Read-only after loading. ``by_head`` maps a concept's normalized token
     tuple to the ids of the triples that have it as KB head, in store order;
     ``tail_tokens`` holds each triple's tail tuple by id. ``max_concept_len``
-    is the longest concept in tokens, which bounds the n-grams retrieval has
-    to look up.
+    is the longest stored concept in tokens, which bounds the n-grams
+    retrieval has to look up.
+
+    A store loaded with a vocabulary holds only the triples whose concepts
+    are made of its tokens, in the order of the full dump. For text made of
+    those tokens it retrieves what the full store does: every triple that
+    can match is stored, and ``max_concept_len`` still covers each of them.
     """
 
     def __init__(self):
@@ -99,25 +107,37 @@ class TripleStore:
         self.max_concept_len = max(self.max_concept_len, len(head_tokens), len(tail_tokens))
 
 
-def load_knowledge_base(path: str | Path, source: str) -> TripleStore:
+def load_knowledge_base(path: str | Path, source: str,
+                        vocabulary: AbstractSet[str] | None = None) -> TripleStore:
     """Parse a `head<TAB>relation<TAB>tail` dump into a TripleStore.
 
     Lines starting with '#' and blank lines are skipped. A line with the
     wrong field count, or one whose head or tail is empty after
-    normalization, is a parse error reported with its line number. Each
-    distinct raw concept string is tokenized once, and all triples naming it
-    share one normalized string and one token tuple.
+    normalization, is a parse error reported with its line number.
+
+    With a ``vocabulary`` of normalized tokens, every line is still parsed
+    and checked, but a triple is stored only if every token of its head and
+    tail is in the vocabulary. Scoped to the tokens of a corpus, the store
+    extracts exactly what the full one does for that corpus: retrieval only
+    returns triples whose head and tail are n-grams of the passage or the
+    question, so every such triple is kept, and the kept ones keep their
+    relative order and first-occurrence dedup.
+
+    Each distinct raw concept string is tokenized once, and all triples
+    naming it share one normalized string and one token tuple; each distinct
+    raw relation string is normalized once.
     """
     if source not in SOURCES:
         raise ValueError(f"unknown KB source '{source}'")
     store = TripleStore()
-    concepts: dict[str, tuple[str, tuple[str, ...]]] = {}
+    # raw concept -> (normalized string, token tuple, all tokens in vocabulary)
+    concepts: dict[str, tuple[str, tuple[str, ...], bool]] = {}
+    relations: dict[str, str] = {}
 
-    def concept(raw: str) -> tuple[str, tuple[str, ...]]:
-        hit = concepts.get(raw)
-        if hit is None:
-            toks = concept_tokens(raw)
-            hit = concepts[raw] = (" ".join(toks), toks)
+    def concept(raw: str) -> tuple[str, tuple[str, ...], bool]:
+        toks = concept_tokens(raw)
+        in_vocab = vocabulary is None or all(t in vocabulary for t in toks)
+        hit = concepts[raw] = (" ".join(toks), toks, in_vocab)
         return hit
 
     with open(path, encoding="utf-8") as fh:
@@ -129,12 +149,16 @@ def load_knowledge_base(path: str | Path, source: str) -> TripleStore:
             if len(fields) != 3:
                 raise KBParseError(
                     f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-            head, head_toks = concept(fields[0])
-            tail, tail_toks = concept(fields[2])
+            raw_head, raw_rel, raw_tail = fields
+            head, head_toks, head_in = concepts.get(raw_head) or concept(raw_head)
+            tail, tail_toks, tail_in = concepts.get(raw_tail) or concept(raw_tail)
             if not head or not tail:
                 raise KBParseError(f"{path}:{lineno}: empty concept after normalization")
-            store.add(KnowledgeTriple(head, normalize_relation(fields[1]), tail, source),
-                      head_toks, tail_toks)
+            if head_in and tail_in:
+                rel = relations.get(raw_rel)
+                if rel is None:
+                    rel = relations[raw_rel] = normalize_relation(raw_rel)
+                store.add(KnowledgeTriple(head, rel, tail, source), head_toks, tail_toks)
     return store
 
 
@@ -250,6 +274,18 @@ def extract_for_sample(passage_tokens: list[str], question_tokens: list[str],
         cands = retrieve_candidates(passage_tokens, question_tokens, stopwords, store)
         merged = merge_dedup(merged, align_filter(cands, passage_tokens, question_tokens))
     return merged
+
+
+def annotate_corpus(samples, stopwords: frozenset[str],
+                    dumps: list[tuple[str | Path, str]]) -> None:
+    """Set each sample's ``triples`` to its extraction against the
+    ``(path, source)`` dumps, in that order. Each dump is loaded scoped to
+    the corpus's passage and question tokens, which gives the same triples
+    as the full dump (see ``load_knowledge_base``)."""
+    vocabulary = {tok for s in samples for tok in (*s.passage, *s.question)}
+    stores = [load_knowledge_base(path, source, vocabulary) for path, source in dumps]
+    for s in samples:
+        s.triples[:] = extract_for_sample(s.passage, s.question, stopwords, stores)
 
 
 def partition_dataset(samples):

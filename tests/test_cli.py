@@ -119,13 +119,31 @@ class TestExtract:
     def test_bad_kb_line_reports_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("head\tRelatedTo\ttail\nonly-two\tfields\n")
-        code = main(["--out", str(tmp_path / "o"), "extract", "--corpus", MINI,
-                     "--conceptnet", str(bad)])
-        assert code == 2
-        assert "bad.tsv:2" in capsys.readouterr().err
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        # no corpus token reaches the bad line, and it is still checked
+        for corpus in (MINI, str(empty)):
+            code = main(["--out", str(tmp_path / "o"), "extract", "--corpus", corpus,
+                         "--conceptnet", str(bad)])
+            assert code == 2
+            assert "bad.tsv:2" in capsys.readouterr().err
 
-    def test_missing_out_is_usage_error(self, capsys):
+    def test_missing_stopwords_fails_before_kb_loading(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("only-two\tfields\n")
+        code = main(["--out", str(tmp_path / "o"), "extract", "--corpus", MINI,
+                     "--conceptnet", str(bad), "--stopwords", str(tmp_path / "nope.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "nope.txt" in err and "bad.tsv" not in err
+
+    def test_missing_out_is_usage_error(self, tmp_path, capsys):
         assert main(["extract", "--corpus", MINI]) == 1
+        assert "--out" in capsys.readouterr().err
+        # checked before the dumps are read
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("only-two\tfields\n")
+        assert main(["extract", "--corpus", MINI, "--conceptnet", str(bad)]) == 1
         assert "--out" in capsys.readouterr().err
 
     def test_missing_corpus_is_data_error(self, tmp_path):

@@ -1,5 +1,8 @@
 """Triple parsing, retrieval, alignment filtering, merging, and stats."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,8 +54,10 @@ def test_load_skips_comments_and_blanks(tmp_path):
 def test_load_reports_malformed_line_number(tmp_path):
     f = tmp_path / "kb.tsv"
     f.write_text("dog\tIsA\tanimal\nno tabs here\n")
-    with pytest.raises(kb.KBParseError, match=r":2:"):
-        kb.load_knowledge_base(f, "ConceptNet")
+    # the bad line's tokens are outside the vocabulary: it is checked anyway
+    for vocabulary in (None, {"dog", "animal"}, set()):
+        with pytest.raises(kb.KBParseError, match=r":2:"):
+            kb.load_knowledge_base(f, "ConceptNet", vocabulary)
 
 
 def test_load_rejects_empty_concept(tmp_path):
@@ -60,6 +65,14 @@ def test_load_rejects_empty_concept(tmp_path):
     f.write_text("...\tIsA\tanimal\n")
     with pytest.raises(kb.KBParseError, match=r":1:"):
         kb.load_knowledge_base(f, "ConceptNet")
+    # an empty head or tail beside an out-of-vocabulary concept
+    f.write_text("dog\tIsA\tanimal\nzebra\tIsA\t!!\n")
+    for vocabulary in ({"dog", "animal"}, set()):
+        with pytest.raises(kb.KBParseError, match=r":2: empty concept"):
+            kb.load_knowledge_base(f, "ConceptNet", vocabulary)
+    f.write_text("\"\tIsA\tzebra\n")
+    with pytest.raises(kb.KBParseError, match=r":1: empty concept"):
+        kb.load_knowledge_base(f, "ConceptNet", {"dog"})
 
 
 def test_load_rejects_unknown_source(tmp_path):
@@ -435,37 +448,70 @@ def test_filter_determinism(cands, passage, question):
 
 
 _STORE_WORDS = st.sampled_from(["a", "b", "c", "d", "the"])
-_STORE_CONCEPT = st.lists(_STORE_WORDS, min_size=1, max_size=3).map(" ".join)
 _STORE_TOKENS = st.lists(_STORE_WORDS, min_size=1, max_size=8)
+# raw dump spellings: case and punctuation variants normalize onto _STORE_WORDS
+_RAW_CONCEPT = st.lists(st.sampled_from(["a", "B", "c,", "(d)", "the", "The"]),
+                        min_size=1, max_size=3).map(" ".join)
+_RAW_RELATION = st.sampled_from([*kb.RELATIONS, "isa", " relatedto ", "Antonym"])
+_FACTS = st.lists(st.tuples(_RAW_CONCEPT, _RAW_RELATION, _RAW_CONCEPT),
+                  min_size=1, max_size=8)
+
+
+def _load_lines(lines, source, vocabulary=None):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "kb.tsv"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        return kb.load_knowledge_base(path, source, vocabulary)
 
 
 @st.composite
-def _two_stores(draw):
-    """Two stores drawing from one pool of facts, so facts repeat within a
-    store (deduplicated on load) and across stores (merged)."""
-    facts = draw(st.lists(st.tuples(_STORE_CONCEPT, _RELATION, _STORE_CONCEPT),
-                          min_size=1, max_size=8))
-    stores = []
-    for source in kb.SOURCES:
-        store = kb.TripleStore()
-        for i in draw(st.lists(st.integers(0, len(facts) - 1), max_size=10)):
-            head, rel, tail = facts[i]
-            store.add(kb.KnowledgeTriple(head, rel, tail, source),
-                      kb.concept_tokens(head), kb.concept_tokens(tail))
-        stores.append(store)
-    return stores
+def _dump_lines(draw, facts=None):
+    """Lines of one dump; facts repeat, so the loader has duplicates to drop."""
+    facts = facts or draw(_FACTS)
+    return ["\t".join(facts[i])
+            for i in draw(st.lists(st.integers(0, len(facts) - 1), max_size=10))]
 
 
-@given(_two_stores(), _STORE_TOKENS, _STORE_TOKENS)
+@st.composite
+def _two_dumps(draw):
+    """Two dumps drawing from one pool of facts, so facts repeat within a
+    dump (deduplicated on load) and across dumps (merged)."""
+    facts = draw(_FACTS)
+    return [(source, draw(_dump_lines(facts))) for source in kb.SOURCES]
+
+
+@given(_two_dumps(), _STORE_TOKENS, _STORE_TOKENS)
 @settings(max_examples=300)
-def test_extraction_equals_brute_force_on_random_stores(stores, passage, question):
+def test_extraction_equals_brute_force_on_random_stores(dumps, passage, question):
+    """Stores scoped to the sample's tokens extract exactly what full ones
+    do: the same triples in the same order, with source, swapped flag and
+    positions."""
     stops = frozenset({"the"})
-    got = [(a.triple.head, a.triple.relation, a.triple.tail, a.triple.source, a.swapped,
-            a.head_positions, a.tail_positions)
-           for a in kb.extract_for_sample(passage, question, stops, stores)]
+    full = [_load_lines(lines, source) for source, lines in dumps]
+    scoped = [_load_lines(lines, source, {*passage, *question}) for source, lines in dumps]
     want = [(*t, first_window(t[0], passage), first_window(t[2], question))
-            for t in brute_force_extract(passage, question, stores, stops)]
-    assert got == want
+            for t in brute_force_extract(passage, question, full, stops)]
+    for stores in (full, scoped):
+        got = [(a.triple.head, a.triple.relation, a.triple.tail, a.triple.source, a.swapped,
+                a.head_positions, a.tail_positions)
+               for a in kb.extract_for_sample(passage, question, stops, stores)]
+        assert got == want
+
+
+@given(_dump_lines(), st.sets(_STORE_WORDS))
+@settings(max_examples=200)
+def test_scoped_store_is_the_in_vocabulary_subsequence(lines, vocabulary):
+    full = _load_lines(lines, "WordNet")
+    scoped = _load_lines(lines, "WordNet", vocabulary)
+    assert scoped.triples == [t for t in full.triples
+                              if {*t.head.split(), *t.tail.split()} <= vocabulary]
+    assert scoped.tail_tokens == [kb.concept_tokens(t.tail) for t in scoped.triples]
+    by_head = {}
+    for tid, t in enumerate(scoped.triples):
+        by_head.setdefault(kb.concept_tokens(t.head), []).append(tid)
+    assert scoped.by_head == by_head
+    assert scoped.max_concept_len == max(
+        (len(c.split()) for t in scoped.triples for c in (t.head, t.tail)), default=0)
 
 
 @given(st.lists(st.booleans(), max_size=30))
