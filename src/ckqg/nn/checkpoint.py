@@ -5,7 +5,7 @@ C row-major order):
 
     magic    : 4 bytes  b"CKQG"
     version  : u32      (currently 1)
-    count    : u32      number of tensors
+    count    : u32      number of tensors (unique names; no bytes follow the last)
     entry*count:
         name_len : u16
         name     : name_len bytes, UTF-8
@@ -71,6 +71,8 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack("<H", read(2, "name length"))
             name = read(name_len, "name").decode("utf-8")
+            if name in out:
+                raise CheckpointError(f"{path}: duplicate parameter '{name}'")
             (ndim,) = struct.unpack("<B", read(1, f"ndim for '{name}'"))
             dims = struct.unpack(f"<{ndim}I", read(4 * ndim, f"dims for '{name}'"))
             (dtype_code,) = struct.unpack("<B", read(1, f"dtype for '{name}'"))
@@ -79,4 +81,6 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             n = int(np.prod(dims)) if dims else 1
             payload = read(8 * n, f"payload for '{name}'")
             out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        if fh.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after the last entry")
         return out

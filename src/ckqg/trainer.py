@@ -9,9 +9,12 @@ frozen together with its optimizer moments.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 import math
+import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from .config import Config
 from .corpus import (Batch, TagVocab, TrainingSample, ValidationError,
                      Vocabulary, build_tag_vocabs, build_vocab, encode_batch)
 from .nn import tensor as T
-from .nn.checkpoint import save_checkpoint
+from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.optim import Adam
 from .nn.params import GROUPS, ParameterSet, initial_value
 
@@ -188,32 +191,33 @@ def build_parameters(config: Config, vocab: Vocabulary,
     return params
 
 
-def average_checkpoints(states: list[dict[str, np.ndarray]]
+def average_checkpoints(states: Iterable[dict[str, np.ndarray]]
                         ) -> dict[str, np.ndarray]:
     """Arithmetic mean per parameter.
 
-    Computed as first + mean(deltas from first), summed in list order.
+    Computed as first + mean(deltas from first), summed in iteration order.
     Neighboring snapshots sit close together, so the deltas are small and
     the recentred form loses less precision than a plain sum; identical
-    inputs come back bit-for-bit unchanged.
+    inputs come back bit-for-bit unchanged. Holds the first state, the sums
+    and one more state at a time, so the states may stream from disk.
     """
-    if not states:
+    it = iter(states)
+    base = next(it, None)
+    if base is None:
         raise ValueError("no checkpoints to average")
-    names = set(states[0])
-    for st in states[1:]:
-        if set(st) != names:
-            raise ValueError("checkpoint key sets differ")
-    out = {}
-    for name in states[0]:
-        base = states[0][name]
-        acc = np.zeros_like(base, dtype=np.float64)
-        for st in states[1:]:
-            if st[name].shape != base.shape:
+    acc = {name: np.zeros_like(arr, dtype=np.float64) for name, arr in base.items()}
+    n = 1
+    for n, st in enumerate(it, start=2):
+        missing, extra = sorted(set(base) - set(st)), sorted(set(st) - set(base))
+        if missing or extra:
+            raise ValueError(f"checkpoint key sets differ: missing {missing}, extra {extra}")
+        for name, first in base.items():
+            if st[name].shape != first.shape:
                 raise ValueError(f"shape mismatch for '{name}': "
-                                 f"{st[name].shape} vs {base.shape}")
-            acc = acc + (st[name] - base)
-        out[name] = base + acc / len(states)
-    return out
+                                 f"{st[name].shape} vs {first.shape}")
+            acc[name] += st[name] - first
+        del st  # release it before the next state loads
+    return {name: first + acc[name] / n for name, first in base.items()}
 
 
 # -- training loop ------------------------------------------------------------
@@ -222,9 +226,8 @@ def average_checkpoints(states: list[dict[str, np.ndarray]]
 @dataclass
 class CheckpointRecord:
     step: int
-    state: dict[str, np.ndarray]
+    path: Path                      # ckpt-NNNNNN.bin, the only copy of the snapshot
     score: float | None = None
-    path: Path | None = None
 
 
 @dataclass
@@ -304,21 +307,17 @@ def evaluate_dev(params: ParameterSet, dev: list[TrainingSample],
 
 def _save_ring_entry(ring: list[CheckpointRecord], best_step: int,
                      params: ParameterSet, step: int, score: float | None,
-                     out_dir: Path | None, capacity: int) -> None:
-    """Append a snapshot, evicting the oldest non-best entry past capacity.
+                     ring_dir: Path, capacity: int) -> None:
+    """Write a snapshot file, evicting the oldest non-best entry past capacity.
 
     The best-scoring checkpoint is pinned: averaging centers on it, so it
     must survive however much later the run ends."""
-    rec = CheckpointRecord(step=step, state=params.state_dict(), score=score)
-    if out_dir is not None:
-        rec.path = out_dir / f"ckpt-{step:06d}.bin"
-        save_checkpoint(rec.path, rec.state)
+    rec = CheckpointRecord(step, ring_dir / f"ckpt-{step:06d}.bin", score)
+    save_checkpoint(rec.path, {n: t.data for n, t in params.items()})
     ring.append(rec)
     while len(ring) > capacity:
         victim = next((i for i, r in enumerate(ring) if r.step != best_step), 0)
-        old = ring.pop(victim)
-        if old.path is not None:
-            old.path.unlink(missing_ok=True)
+        ring.pop(victim).path.unlink(missing_ok=True)
 
 
 def _select_for_average(ring: list[CheckpointRecord], best_step: int,
@@ -347,7 +346,8 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
     threshold, for quick-convergence checks. init_state starts from a saved
     checkpoint's weights instead of fresh random ones; the Adam moments and
     step count, the schedule position, the batch order and the dropout rng
-    still start fresh.
+    still start fresh. The ckpt-NNNNNN.bin ring goes to out_dir or, without
+    one, to a temporary directory that is removed on every exit.
     """
     config.validate()
     if mode == "itf":
@@ -380,13 +380,11 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
     if init_state is not None:
         params.load_state_dict(init_state)
     optimizer = Adam(params, lr=config.lr)
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
 
     eq_iter = cycle_batches(equipped, vocab, tag_vocabs, config.batch_size)
-    pure_iter = (cycle_batches(pure, vocab, tag_vocabs, config.batch_size)
-                 if pure else None)
+    pure_iter = cycle_batches(pure, vocab, tag_vocabs, config.batch_size)
 
     core_names = set(params.names("qg_core"))
     best_score, best_step = -math.inf, -1
@@ -394,62 +392,63 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
     rows: list[dict] = []
     spans: list[PhaseSpan] = []
     span_start, span_hashes = 1, _group_hashes(params)
-    for step, phase in enumerate(schedule, start=1):
-        batch = next(eq_iter if phase == EQUIPPED else pure_iter)
-        try:
-            if phase == EQUIPPED:
-                bundle = unified_forward(params, batch,
-                                         drop_rate=config.dropout, rng=drop_rng,
-                                         no_rc=no_rc, no_tg=no_tg)
-            else:
-                bundle = pure_forward(params, batch, drop_rate=config.dropout,
-                                      rng=drop_rng)
-            l_q, l_r, l_t, total = bundle.values()
-            bundle.l.backward()
-        except T.NumericsError as e:
-            raise TrainingError(
-                f"divergence at step {step} ({phase} phase): {e}") from e
-        norm = params.clip_grads(config.grad_clip)
-        if not math.isfinite(norm):
-            bad = [n for n, t in params.items()
-                   if t.grad is not None and not np.all(np.isfinite(t.grad))]
-            raise TrainingError(
-                f"divergence at step {step} ({phase} phase): gradient norm {norm}; "
-                f"non-finite gradient entries in {', '.join(bad) or 'no parameter'}")
-        optimizer.step(core_names if phase == PURE else None)
-        params.zero_grads()
+    with (contextlib.nullcontext(out_dir) if out_dir is not None
+          else tempfile.TemporaryDirectory(prefix="ckqg-ring-")) as ring_dir:
+        for step, phase in enumerate(schedule, start=1):
+            batch = next(eq_iter if phase == EQUIPPED else pure_iter)
+            try:
+                if phase == EQUIPPED:
+                    bundle = unified_forward(params, batch,
+                                             drop_rate=config.dropout, rng=drop_rng,
+                                             no_rc=no_rc, no_tg=no_tg)
+                else:
+                    bundle = pure_forward(params, batch, drop_rate=config.dropout,
+                                          rng=drop_rng)
+                l_q, l_r, l_t, total = bundle.values()
+                bundle.l.backward()
+            except T.NumericsError as e:
+                raise TrainingError(
+                    f"divergence at step {step} ({phase} phase): {e}") from e
+            norm = params.clip_grads(config.grad_clip)
+            if not math.isfinite(norm):
+                bad = [n for n, t in params.items()
+                       if t.grad is not None and not np.all(np.isfinite(t.grad))]
+                raise TrainingError(
+                    f"divergence at step {step} ({phase} phase): gradient norm {norm}; "
+                    f"non-finite gradient entries in {', '.join(bad) or 'no parameter'}")
+            optimizer.step(core_names if phase == PURE else None)
+            params.zero_grads()
 
-        dev_score: float | None = None
-        at_eval = step % config.eval_every == 0 or step == len(schedule)
-        if at_eval and dev:
-            dev_score = evaluate_dev(params, dev, vocab, tag_vocabs, config)
-            if dev_score > best_score:
-                best_score, best_step = dev_score, step
-            _save_ring_entry(ring, best_step, params, step, dev_score,
-                             out_path, config.ckpt_keep)
-        rows.append({"step": step, "phase": phase, "l_q": l_q, "l_r": l_r,
-                     "l_t": l_t, "l": total, "dev_bleu4": dev_score})
-        stop = stop_below is not None and l_q < stop_below
-        if stop or step == len(schedule) or schedule[step] != phase:
-            spans.append(PhaseSpan(phase=phase, start=span_start, end=step,
-                                   hash_before=span_hashes,
-                                   hash_after=_group_hashes(params)))
-            span_start, span_hashes = step + 1, spans[-1].hash_after
-        if stop:
-            log.info("question loss %.4f under %.4f at step %d, stopping",
-                     l_q, stop_below, step)
-            break
+            dev_score: float | None = None
+            at_eval = step % config.eval_every == 0 or step == len(schedule)
+            if at_eval and dev:
+                dev_score = evaluate_dev(params, dev, vocab, tag_vocabs, config)
+                if dev_score > best_score:
+                    best_score, best_step = dev_score, step
+                _save_ring_entry(ring, best_step, params, step, dev_score,
+                                 Path(ring_dir), config.ckpt_keep)
+            rows.append({"step": step, "phase": phase, "l_q": l_q, "l_r": l_r,
+                         "l_t": l_t, "l": total, "dev_bleu4": dev_score})
+            stop = stop_below is not None and l_q < stop_below
+            if stop or step == len(schedule) or schedule[step] != phase:
+                spans.append(PhaseSpan(phase=phase, start=span_start, end=step,
+                                       hash_before=span_hashes,
+                                       hash_after=_group_hashes(params)))
+                span_start, span_hashes = step + 1, spans[-1].hash_after
+            if stop:
+                log.info("question loss %.4f under %.4f at step %d, stopping",
+                         l_q, stop_below, step)
+                break
 
-    averaged = None
-    if ring and best_step >= 0:
-        k = min(config.avg_k, len(ring))
-        chosen = _select_for_average(ring, best_step, k)
-        averaged = average_checkpoints([r.state for r in chosen])
+        averaged = None
+        if ring and best_step >= 0:
+            chosen = _select_for_average(ring, best_step, config.avg_k)
+            averaged = average_checkpoints(load_checkpoint(r.path) for r in chosen)
     best = best_step if best_step >= 0 else len(rows)
-    if out_path is not None:
-        write_log_csv(out_path / "train_log.csv", rows)
+    if out_dir is not None:
+        write_log_csv(Path(out_dir) / "train_log.csv", rows)
         final = averaged if averaged is not None else params.state_dict()
-        save_checkpoint(out_path / "model.bin", final)
+        save_checkpoint(Path(out_dir) / "model.bin", final)
     return TrainResult(params=params, vocab=vocab, tag_vocabs=tag_vocabs,
                        log_rows=rows, checkpoints=ring,
                        phase_spans=spans, best_step=best, averaged=averaged)

@@ -589,6 +589,19 @@ def test_checkpoint_rejects_corrupt_files(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(bad_dtype)
 
+    # a repeated name would silently overwrite the first copy
+    duplicate = tmp_path / "dup.ckpt"
+    duplicate.write_bytes(raw[:4] + struct.pack("<II", 1, 2) + raw[12:] + raw[12:])
+    with pytest.raises(CheckpointError, match="duplicate parameter 'w'") as info:
+        load_checkpoint(duplicate)
+    assert str(duplicate) in str(info.value)
+
+    trailing = tmp_path / "trailing.ckpt"
+    trailing.write_bytes(raw + b"\0")
+    with pytest.raises(CheckpointError, match="trailing bytes") as info:
+        load_checkpoint(trailing)
+    assert str(trailing) in str(info.value)
+
 
 def test_checkpoint_every_proper_prefix_is_rejected(tmp_path):
     # cuts land in the header, a name, the dims, the dtype byte and a payload

@@ -1,7 +1,11 @@
 """Phase schedule, loss assembly, freezing, checkpoint averaging, and the
 training loop itself at desk scale."""
 
+import gc
 import hashlib
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,12 +303,14 @@ class TestAveraging:
         out = TR.average_checkpoints([a, b])
         assert np.array_equal(out["w"], np.array([1.5, 4.0]))
 
-    def test_matches_elementwise_recomputation(self):
+    @pytest.mark.parametrize("as_input", [list, lambda states: iter(states)],
+                             ids=["list", "generator"])
+    def test_matches_elementwise_recomputation(self, as_input):
         # scalar-loop oracle mirroring the recentred mean, bit for bit
         rng = np.random.default_rng(9)
         states = [{"w": rng.normal(size=(3, 2)), "v": rng.normal(size=(5,))}
                   for _ in range(5)]
-        out = TR.average_checkpoints(states)
+        out = TR.average_checkpoints(as_input(states))
         for key in ("w", "v"):
             want = np.zeros_like(states[0][key])
             flat = want.reshape(-1)
@@ -324,7 +330,8 @@ class TestAveraging:
         assert np.allclose(out["w"], base + 2e-8, rtol=0, atol=1e-9)
 
     def test_key_and_shape_mismatches_rejected(self):
-        with pytest.raises(ValueError, match="key sets"):
+        with pytest.raises(ValueError,
+                           match=r"key sets differ: missing \['a'\], extra \['b'\]"):
             TR.average_checkpoints([{"a": np.zeros(2)}, {"b": np.zeros(2)}])
         with pytest.raises(ValueError, match="shape"):
             TR.average_checkpoints([{"a": np.zeros(2)}, {"a": np.zeros(3)}])
@@ -458,8 +465,72 @@ class TestTrainLoop:
         on_disk = sorted(p.name for p in tmp_path.glob("ckpt-*.bin"))
         assert on_disk == [f"ckpt-{r.step:06d}.bin" for r in result.checkpoints]
 
+    def test_ring_without_out_dir_leaves_no_file(self, tmp_path, monkeypatch):
+        # without out_dir the ring goes to a temporary directory that is
+        # removed on success and on a failed step alike
+        ring_tmp = tmp_path / "tmp"
+        ring_tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(ring_tmp))
+        written, save = [], TR.save_checkpoint
+        monkeypatch.setattr(TR, "save_checkpoint",
+                            lambda path, tensors: (written.append(Path(path)),
+                                                   save(path, tensors)))
+        eq, pu = equipped_samples(), pure_samples()
+        cfg = tiny_config(itf_n=2, itf_cycles=1, eval_every=1, ckpt_keep=2,
+                          avg_k=2)
+        result = TR.train(eq, pu, pu[:1], cfg)
+        assert len(written) == 4
+        assert all(p.parent.parent == ring_tmp for p in written)
+        assert list(ring_tmp.iterdir()) == []
+
+        on_disk = TR.train(eq, pu, pu[:1], cfg, out_dir=tmp_path / "out")
+        assert list(result.averaged) == list(on_disk.averaged)
+        for k, arr in result.averaged.items():
+            assert arr.tobytes() == on_disk.averaged[k].tobytes(), k
+
+        written.clear()
+        clip = TR.ParameterSet.clip_grads
+
+        def poisoned(self, max_norm):
+            if len(written) == 2:   # after the dev evals of steps 1 and 2
+                self["emb.word"].grad.flat[0] = np.nan
+            return clip(self, max_norm)
+
+        monkeypatch.setattr(TR.ParameterSet, "clip_grads", poisoned)
+        with pytest.raises(TR.TrainingError, match="step 3"):
+            TR.train(eq, pu, pu[:1], cfg)
+        assert len(written) == 2
+        assert list(ring_tmp.iterdir()) == []
+
+    def test_ring_memory_does_not_grow_with_ckpt_keep(self, tmp_path,
+                                                      monkeypatch):
+        # snapshots live only in their files, so keeping 10 instead of 3
+        # must not raise the traced peak by even one snapshot's bytes; every
+        # step is Equipped, so the last steps peak as high as the first
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        eq = equipped_samples()
+        dev = eq[:1]
+        # hidden 12: a snapshot (116 kB) dwarfs the ring records' own bytes
+        configs = [tiny_config(itf_n=10, itf_cycles=1, eval_every=1, hidden_size=12,
+                               ckpt_keep=keep, avg_k=3) for keep in (3, 10)]
+        TR.train(eq, [], dev, configs[0], mode="equipped-only")  # warm caches
+        peaks = []
+        for cfg in configs:
+            gc.collect()   # leftover cycles freed mid-run would blur the peak
+            tracemalloc.start()
+            try:
+                result = TR.train(eq, [], dev, cfg, mode="equipped-only")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert sum(r["dev_bleu4"] is not None for r in result.log_rows) == 10
+            assert len(result.checkpoints) == cfg.ckpt_keep
+        snapshot = sum(t.data.nbytes for _, t in result.params.items())
+        assert abs(peaks[1] - peaks[0]) < snapshot, (peaks, snapshot)
+
     def test_averaged_selection_centers_on_best(self):
-        ring = [TR.CheckpointRecord(step=s, state={}) for s in (10, 20, 30, 40, 50)]
+        ring = [TR.CheckpointRecord(step=s, path=Path(f"ckpt-{s:06d}.bin"))
+                for s in (10, 20, 30, 40, 50)]
         picked = TR._select_for_average(ring, best_step=40, k=3)
         assert [r.step for r in picked] == [30, 40, 50]
         picked = TR._select_for_average(ring, best_step=10, k=3)
