@@ -1,0 +1,108 @@
+"""Compare this checkout's `ckqg` output with another checkout's on one
+benchmark workload's generated inputs.
+
+    python3 scripts/compare_outputs.py --base OTHER_CHECKOUT \
+        --workload {extract,train,generate} [--seeds 7 11]
+
+For each seed it writes the workload's inputs with ``perfbench/gen.py``,
+runs the workload's command as ``perfbench/run.py`` does (same arguments,
+one BLAS thread, no CKQG_* overrides) once per checkout, each in a child
+process that imports ``ckqg`` from that checkout's ``src/``, and requires
+the outputs to be byte-equal:
+
+    extract   annotated.jsonl, partition.json
+    train     model.bin, train_log.csv
+    generate  hyp.jsonl
+
+It prints one JSON line per seed and exits 1 when a command fails or any
+output differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import common  # noqa: E402
+
+BEAM = 10   # perfbench's generate beam
+OUTPUTS = {"extract": ("annotated.jsonl", "partition.json"),
+           "train": ("model.bin", "train_log.csv"),
+           "generate": ("hyp.jsonl",)}
+
+
+def command(workload: str, inputs: Path, out: Path) -> list[str]:
+    """The ``ckqg`` arguments perfbench runs for ``workload``."""
+    m = {k: str(inputs / v) for k, v in
+         json.loads((inputs / "manifest.json").read_text()).items()}
+    if workload == "extract":
+        return ["--out", str(out), "extract", "--corpus", m["corpus"],
+                "--conceptnet", m["conceptnet"], "--wordnet", m["wordnet"]]
+    if workload == "train":
+        return ["--config", m["config"], "--out", str(out), "train", "--equipped",
+                m["equipped"], "--pure", m["pure"], "--dev", m["dev"]]
+    out.mkdir()
+    return ["--out", str(out / "hyp.jsonl"), "generate", "--model", m["model"],
+            "--corpus", m["test"], "--beam", str(BEAM)]
+
+
+def run_ckqg(checkout: Path, argv: list[str]) -> str | None:
+    """None on success, else the failed command's exit code and last error line."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    proc = subprocess.run([sys.executable, "-m", "ckqg.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode == 0:
+        return None
+    lines = proc.stderr.strip().splitlines() or ["(no output)"]
+    return f"exit {proc.returncode}: {lines[-1]}"
+
+
+def compare_seed(base: Path, workload: str, seed: int) -> tuple[dict, list[str]]:
+    counts: dict = {"workload": workload, "seed": seed}
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        subprocess.run([sys.executable, str(ROOT / "perfbench" / "gen.py"), "--workload",
+                        workload, "--seed", str(seed), "--out", str(tmp / "inputs")],
+                       capture_output=True, check=True)
+        for side, checkout in (("base", base), ("here", ROOT)):
+            failure = run_ckqg(checkout, command(workload, tmp / "inputs", tmp / side))
+            if failure:
+                problems.append(f"seed {seed}: {side} command failed, {failure}")
+        if not problems:
+            for name in OUTPUTS[workload]:
+                here = (tmp / "here" / name).read_bytes()
+                counts[f"{name}_sha256_16"] = hashlib.sha256(here).hexdigest()[:16]
+                if (tmp / "base" / name).read_bytes() != here:
+                    problems.append(f"seed {seed}: {name} differs")
+    counts["equal"] = not problems
+    return counts, problems
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", type=Path, required=True, help="checkout to compare against")
+    ap.add_argument("--workload", required=True, choices=sorted(OUTPUTS))
+    ap.add_argument("--seeds", type=int, nargs="+", default=[7, 11])
+    args = ap.parse_args(argv)
+    common.prepare_process()   # the ckqg children inherit the pinned environment
+    failed = False
+    for seed in args.seeds:
+        counts, problems = compare_seed(args.base.resolve(), args.workload, seed)
+        print(json.dumps(counts), flush=True)
+        for p in problems:
+            print(f"  {p}")
+        failed |= bool(problems)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

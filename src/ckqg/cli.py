@@ -24,9 +24,10 @@ from .corpus import (RESERVED, TagVocab, TrainingSample, ValidationError,
                      Vocabulary, build_tag_vocabs, build_vocab, encode_batch,
                      is_str_list, load_dataset, save_dataset)
 from .nn import tensor as T
-from .nn.checkpoint import CheckpointError, load_checkpoint
+from .nn.checkpoint import load_checkpoint
 from .nn.gradcheck import grad_check
 from .nn.params import ParameterSet
+from .textio import open_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -148,23 +149,16 @@ def cmd_train(args) -> int:
 
 
 def _load_model(model_dir: Path) -> tuple:
-    """The saved model, checked against trainer.model_spec. Nothing is drawn
-    and nothing copied: the parameters adopt the checkpoint's arrays."""
+    """The saved model, checked by trainer.check_weights against the
+    trainer.model_spec that config.json describes. Nothing is drawn and
+    nothing copied: the parameters adopt the checkpoint's arrays."""
     cfg, vocab, tags = _load_world(model_dir)
-    path = model_dir / "model.bin"
-    state = load_checkpoint(path)
     spec = trainer.model_spec(cfg, len(vocab), {k: len(v) for k, v in tags.items()})
-    extra = sorted(set(state) - {name for name, *_ in spec})
-    if extra:
-        raise CheckpointError(f"{path}: parameters {extra} are not in the model "
-                              f"config.json describes")
+    path = model_dir / "model.bin"
+    state = trainer.check_weights(load_checkpoint(path),
+                                  {name: shape for name, shape, *_ in spec}, path)
     params = ParameterSet(cfg.layers)
-    for name, shape, group, _ in spec:
-        if name not in state:
-            raise CheckpointError(f"{path}: missing parameter '{name}'")
-        if state[name].shape != shape:
-            raise CheckpointError(f"{path}: parameter '{name}' has shape "
-                                  f"{state[name].shape}, config.json needs {shape}")
+    for name, _, group, _ in spec:
         params.add(name, state[name], group)
     return cfg, vocab, tags, params
 
@@ -191,7 +185,7 @@ def cmd_generate(args) -> int:
 def _read_jsonl(path: str) -> list[tuple[str, dict]]:
     """Non-blank rows of a JSONL file, each with its ``path:line`` location."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, ValidationError) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .corpus import RESERVED
+from .textio import open_text
 
 ENV_PREFIX = "CKQG_"
 
@@ -86,7 +87,7 @@ def _convert(key: str, raw: str):
 def parse_config_file(path: str) -> dict[str, str]:
     """key = value lines; # comments and blanks ignored."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, ConfigError) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import kb_extract as kb
 from .kb_extract import AlignedTriple, KnowledgeTriple
+from .textio import open_text
 
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 RESERVED = ("<pad>", "<unk>", "<bos>", "<eos>")
@@ -330,7 +331,7 @@ def _triple_from_json(raw: dict, passage: list[str], question: list[str],
 def load_dataset(path: str | Path) -> list[TrainingSample]:
     """Read a JSONL dataset, validating every sample."""
     samples = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, ValidationError) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -21,6 +21,8 @@ from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from pathlib import Path
 
+from .textio import open_text
+
 RELATIONS = ("Synonymy", "RelatedTo", "IsA", "Hypernymy", "Hyponymy", "Others")
 RELATION_IDS = {r: i for i, r in enumerate(RELATIONS)}
 SOURCES = ("ConceptNet", "WordNet")
@@ -140,7 +142,7 @@ def load_knowledge_base(path: str | Path, source: str,
         hit = concepts[raw] = (" ".join(toks), toks, in_vocab)
         return hit
 
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, KBParseError) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -164,7 +166,7 @@ def load_knowledge_base(path: str | Path, source: str,
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     words = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, KBParseError) as fh:
         for line in fh:
             word = line.strip()
             if word and not word.startswith("#"):

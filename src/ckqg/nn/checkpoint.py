@@ -20,6 +20,8 @@ checkpoint averager) can parse it without this package.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -67,10 +69,15 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         version, count = struct.unpack("<II", read(8, "header"))
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
+        size = os.fstat(fh.fileno()).st_size
         out: dict[str, np.ndarray] = {}
-        for _ in range(count):
+        for i in range(1, count + 1):
             (name_len,) = struct.unpack("<H", read(2, "name length"))
-            name = read(name_len, "name").decode("utf-8")
+            try:
+                name = read(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(
+                    f"{path}: the name of entry {i} of {count} is not UTF-8") from None
             if name in out:
                 raise CheckpointError(f"{path}: duplicate parameter '{name}'")
             (ndim,) = struct.unpack("<B", read(1, f"ndim for '{name}'"))
@@ -78,8 +85,12 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             (dtype_code,) = struct.unpack("<B", read(1, f"dtype for '{name}'"))
             if dtype_code != DTYPE_F64:
                 raise CheckpointError(f"{path}: unknown dtype code {dtype_code} for '{name}'")
-            n = int(np.prod(dims)) if dims else 1
-            payload = read(8 * n, f"payload for '{name}'")
+            # exact in Python ints: u32 dims can claim more than int64 holds
+            nbytes, left = 8 * math.prod(dims), size - fh.tell()
+            if nbytes > left:
+                raise CheckpointError(f"{path}: truncated payload for '{name}': "
+                                      f"dims {dims} need {nbytes} bytes, {left} remain")
+            payload = read(nbytes, f"payload for '{name}'")
             out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after the last entry")

@@ -1,8 +1,9 @@
 """Adam optimizer over a ParameterSet.
 
-Each parameter carries its own step counter so bias correction stays
-self-consistent for parameters that sit out frozen phases: a frozen
-parameter's moments and counter do not advance.
+A parameter is updated exactly when it holds a gradient, so freezing is by
+construction: one that no loss reaches in a step (the knowledge group in a
+Pure step, ``rc.out`` under ``--no-rc``) keeps its weights, moments and own
+step counter, which keeps bias correction self-consistent when it resumes.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
         self.t: dict[str, int] = {}
 
-    def step(self, trainable: set[str] | None = None) -> None:
-        """Update parameters with accumulated grads; skip frozen names entirely."""
+    def step(self) -> None:
+        """Update every parameter that holds a gradient; leave the rest as they are."""
         for name, p in self.params.items():
-            if trainable is not None and name not in trainable:
-                continue
             if p.grad is None:
                 continue
             g = p.grad

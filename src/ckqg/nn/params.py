@@ -3,9 +3,10 @@
 Two groups exist: ``qg_core`` (embeddings, QG encoder/decoder, self-attention,
 readout, copy gate) and ``knowledge`` (triple encoders, co-attention
 classifier, tail-concept decoder, knowledge-attention projections). Group
-membership is fixed when a parameter is registered and drives the iterative
-training framework's freezing. The set also records the depth of every LSTM
-stack it holds, so layers read it instead of probing parameter names.
+membership is fixed when a parameter is registered; freezing a group needs
+no flag, as a parameter without a gradient is not updated (nn.optim). The
+set also records the depth of every LSTM stack it holds, so layers read it
+instead of probing parameter names.
 """
 
 from __future__ import annotations
@@ -68,27 +69,12 @@ class ParameterSet:
         for n in self.names(group):
             yield n, self._params[n]
 
-    def group_of(self, name: str) -> str:
-        return self._groups[name]
-
     def zero_grads(self) -> None:
         for t in self._params.values():
             t.grad = None
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {n: t.data.copy() for n, t in self._params.items()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        missing = set(self._params) - set(state)
-        extra = set(state) - set(self._params)
-        if missing or extra:
-            raise ValueError(f"state dict mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        for n, arr in state.items():
-            t = self._params[n]
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ValueError(f"shape mismatch for '{n}': {arr.shape} vs {t.data.shape}")
-            t.data = arr.copy()
 
     def group_hash(self, group: str) -> str:
         """Content hash of one group, for freezing invariants."""

@@ -3,8 +3,8 @@
 The question decoder always trains; on triple-equipped batches the relation
 classifier and tail decoder add their losses and the decoder attends over
 the triple memory. Training alternates fixed-length spans of equipped and
-plain batches, and during plain spans the knowledge parameter group is
-frozen together with its optimizer moments.
+plain batches; during plain spans the knowledge parameter group and its
+optimizer moments stay frozen, as a plain batch reaches no knowledge weight.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .config import Config
 from .corpus import (Batch, TagVocab, TrainingSample, ValidationError,
                      Vocabulary, build_tag_vocabs, build_vocab, encode_batch)
 from .nn import tensor as T
-from .nn.checkpoint import load_checkpoint, save_checkpoint
+from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .nn.optim import Adam
 from .nn.params import GROUPS, ParameterSet, initial_value
 
@@ -191,9 +191,27 @@ def build_parameters(config: Config, vocab: Vocabulary,
     return params
 
 
+def check_weights(state: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]],
+                  where: str | Path) -> dict[str, np.ndarray]:
+    """The one fit rule for saved weights: ``state`` itself if it holds
+    exactly the parameters of ``shapes``, each with its shape, else a
+    CheckpointError naming ``where`` and the parameter."""
+    extra = sorted(set(state) - set(shapes))
+    if extra:
+        raise CheckpointError(f"{where}: parameters {extra} are not in the model")
+    for name, shape in shapes.items():
+        if name not in state:
+            raise CheckpointError(f"{where}: missing parameter '{name}'")
+        if state[name].shape != shape:
+            raise CheckpointError(f"{where}: parameter '{name}' has shape "
+                                  f"{state[name].shape}, the model needs {shape}")
+    return state
+
+
 def average_checkpoints(states: Iterable[dict[str, np.ndarray]]
                         ) -> dict[str, np.ndarray]:
-    """Arithmetic mean per parameter.
+    """Arithmetic mean per parameter of states that share names and shapes
+    (check_weights each one first).
 
     Computed as first + mean(deltas from first), summed in iteration order.
     Neighboring snapshots sit close together, so the deltas are small and
@@ -208,13 +226,7 @@ def average_checkpoints(states: Iterable[dict[str, np.ndarray]]
     acc = {name: np.zeros_like(arr, dtype=np.float64) for name, arr in base.items()}
     n = 1
     for n, st in enumerate(it, start=2):
-        missing, extra = sorted(set(base) - set(st)), sorted(set(st) - set(base))
-        if missing or extra:
-            raise ValueError(f"checkpoint key sets differ: missing {missing}, extra {extra}")
         for name, first in base.items():
-            if st[name].shape != first.shape:
-                raise ValueError(f"shape mismatch for '{name}': "
-                                 f"{st[name].shape} vs {first.shape}")
             acc[name] += st[name] - first
         del st  # release it before the next state loads
     return {name: first + acc[name] / n for name, first in base.items()}
@@ -335,19 +347,17 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
           out_dir: str | Path | None = None,
           vocab: Vocabulary | None = None,
           tag_vocabs: dict[str, TagVocab] | None = None,
-          stop_below: float | None = None,
-          init_state: dict[str, np.ndarray] | None = None) -> TrainResult:
+          stop_below: float | None = None) -> TrainResult:
     """Run the phase schedule over the two corpora.
 
     mode "itf" alternates equipped and plain spans and needs both corpora;
     "equipped-only" trains every step on equipped batches (ablation runs).
-    Plain steps update only qg_core: knowledge weights and moments stay frozen.
+    Plain steps update only qg_core by construction: pure_forward gives no
+    knowledge parameter a gradient, and Adam skips a parameter without one.
     stop_below ends training early once the question loss drops under the
-    threshold, for quick-convergence checks. init_state starts from a saved
-    checkpoint's weights instead of fresh random ones; the Adam moments and
-    step count, the schedule position, the batch order and the dropout rng
-    still start fresh. The ckpt-NNNNNN.bin ring goes to out_dir or, without
-    one, to a temporary directory that is removed on every exit.
+    threshold, for quick-convergence checks. The ckpt-NNNNNN.bin ring goes
+    to out_dir or, without one, to a temporary directory that is removed on
+    every exit; each file must pass check_weights to be averaged.
     """
     config.validate()
     if mode == "itf":
@@ -377,8 +387,6 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
     init_rng = np.random.default_rng(config.seed)
     drop_rng = np.random.default_rng(config.seed + 1)
     params = build_parameters(config, vocab, tag_vocabs, init_rng)
-    if init_state is not None:
-        params.load_state_dict(init_state)
     optimizer = Adam(params, lr=config.lr)
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -386,7 +394,6 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
     eq_iter = cycle_batches(equipped, vocab, tag_vocabs, config.batch_size)
     pure_iter = cycle_batches(pure, vocab, tag_vocabs, config.batch_size)
 
-    core_names = set(params.names("qg_core"))
     best_score, best_step = -math.inf, -1
     ring: list[CheckpointRecord] = []
     rows: list[dict] = []
@@ -416,7 +423,7 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
                 raise TrainingError(
                     f"divergence at step {step} ({phase} phase): gradient norm {norm}; "
                     f"non-finite gradient entries in {', '.join(bad) or 'no parameter'}")
-            optimizer.step(core_names if phase == PURE else None)
+            optimizer.step()
             params.zero_grads()
 
             dev_score: float | None = None
@@ -443,11 +450,13 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
         averaged = None
         if ring and best_step >= 0:
             chosen = _select_for_average(ring, best_step, config.avg_k)
-            averaged = average_checkpoints(load_checkpoint(r.path) for r in chosen)
+            shapes = {n: t.data.shape for n, t in params.items()}
+            averaged = average_checkpoints(
+                check_weights(load_checkpoint(r.path), shapes, r.path) for r in chosen)
     best = best_step if best_step >= 0 else len(rows)
     if out_dir is not None:
         write_log_csv(Path(out_dir) / "train_log.csv", rows)
-        final = averaged if averaged is not None else params.state_dict()
+        final = averaged if averaged is not None else {n: t.data for n, t in params.items()}
         save_checkpoint(Path(out_dir) / "model.bin", final)
     return TrainResult(params=params, vocab=vocab, tag_vocabs=tag_vocabs,
                        log_rows=rows, checkpoints=ring,

@@ -207,8 +207,7 @@ class TestTrain:
     def test_unknown_dev_tag_is_data_error_before_any_step(
             self, split_corpora, toy_config, tmp_path, capsys, monkeypatch):
         steps = []
-        monkeypatch.setattr(trainer.Adam, "step",
-                            lambda self, trainable=None: steps.append(trainable))
+        monkeypatch.setattr(trainer.Adam, "step", lambda self: steps.append(self))
         row = json.loads(Path(split_corpora["dev"]).read_text().splitlines()[0])
         row["pos"][0] = "zzz"
         dev = tmp_path / "dev.jsonl"
@@ -480,3 +479,24 @@ class TestEvaluate:
                      "--ref", str(ref)]) == 2
         err = capsys.readouterr().err
         assert "hyp.jsonl:3" in err and message in err
+
+
+class TestTextInputs:
+    @pytest.mark.parametrize("raw, argv, code", [
+        (b"seed = 3\n# caf\xff\n",
+         ["--config", "{bad}", "--out", "{out}", "train", "--equipped", MINI], 1),
+        (b'{"passage": "caf\xff"}\n', ["stats", "--corpus", "{bad}"], 2),
+        (b"cafe\tIsA\tplace\n\xff\tIsA\tthing\n",
+         ["--out", "{out}", "extract", "--corpus", MINI, "--conceptnet", "{bad}"], 2),
+        (b"the\n\xff\n", ["--out", "{out}", "extract", "--corpus", MINI,
+                          "--stopwords", "{bad}"], 2),
+        (b'{"question": "caf\xff"}\n', ["evaluate", "--hyp", "{bad}", "--ref", MINI], 2),
+    ], ids=["config", "corpus", "kb_dump", "stopwords", "jsonl"])
+    def test_non_utf8_input_names_its_file(self, tmp_path, capsys, raw, argv, code):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(raw)
+        fill = {"bad": str(bad), "out": str(tmp_path / "out")}
+        assert main([a.format(**fill) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error" if code == 1 else "data error")
+        assert f"{bad}: not UTF-8 text" in err

@@ -12,6 +12,7 @@ from ckqg.nn.gradcheck import grad_check
 from ckqg.nn.optim import Adam
 from ckqg.nn.params import ParameterSet, initial_value
 from ckqg.nn.tensor import ShapeError, Tensor
+from ckqg.trainer import check_weights
 from oracles import reference_run_lstm
 
 
@@ -389,7 +390,7 @@ def test_parameter_registration_and_groups():
     assert w.requires_grad
     assert len(params) == 2
     assert params.names("qg_core") == ["enc.W"]
-    assert params.group_of("rc.W") == "knowledge"
+    assert params.names("knowledge") == ["rc.W"]
     assert "enc.W" in params and "dec.W" not in params
     with pytest.raises(ValueError):
         params.add("enc.W", np.ones(1), "qg_core")
@@ -397,20 +398,22 @@ def test_parameter_registration_and_groups():
         params.add("other", np.ones(1), "nonexistent_group")
 
 
-def test_state_dict_roundtrip_and_validation():
+def test_state_dict_roundtrip_and_validation(tmp_path):
+    # a snapshot is a copy; the fit rule itself is tested in test_trainer
     params = ParameterSet(layers=1)
     params.add("a", np.array([1.0, 2.0]), "qg_core")
     params.add("b", np.eye(2), "knowledge")
     snap = params.state_dict()
     params["a"].data[:] = 99.0
-    params.load_state_dict(snap)
-    np.testing.assert_array_equal(params["a"].data, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        params.load_state_dict({"a": snap["a"]})
-    with pytest.raises(ValueError):
-        params.load_state_dict({**snap, "c": np.zeros(1)})
-    with pytest.raises(ValueError):
-        params.load_state_dict({"a": np.zeros(3), "b": snap["b"]})
+    np.testing.assert_array_equal(snap["a"], [1.0, 2.0])
+    save_checkpoint(tmp_path / "snap.ckpt", snap)
+    back = load_checkpoint(tmp_path / "snap.ckpt")
+    shapes = {n: t.data.shape for n, t in params.items()}
+    assert check_weights(back, shapes, "snap.ckpt") is back
+    for name in snap:
+        np.testing.assert_array_equal(back[name], snap[name])
+    with pytest.raises(CheckpointError, match="snap.ckpt: missing parameter 'b'"):
+        check_weights({"a": back["a"]}, shapes, "snap.ckpt")
 
 
 def test_group_hash_tracks_only_its_group():
@@ -470,21 +473,30 @@ def test_adam_ignores_missing_gradients():
 
 
 def test_adam_frozen_names_keep_data_and_moments():
+    # frozen means no gradient: a Pure step's graph never reaches k
     params = ParameterSet(layers=1)
     a = params.add("a", np.array([1.0]), "qg_core")
     k = params.add("k", np.array([1.0]), "knowledge")
     opt = Adam(params, lr=0.1)
     for _ in range(3):
         a.grad = np.array([1.0])
-        k.grad = np.array([1.0])
-        opt.step(trainable={"a"})
+        k.grad = None
+        opt.step()
     np.testing.assert_array_equal(k.data, [1.0])
     assert "k" not in opt.m and opt.t["a"] == 3
     # after unfreezing the first update is a fresh t=1 step
+    a.grad = np.array([1.0])
     k.grad = np.array([2.0])
-    opt.step(trainable={"a", "k"})
-    assert opt.t["k"] == 1
+    opt.step()
+    assert opt.t["k"] == 1 and opt.t["a"] == 4
     np.testing.assert_allclose(k.data, 1.0 - 0.1 * 2.0 / (2.0 + 1e-8), rtol=1e-12)
+    # freezing again keeps the weights, moments and step count it reached
+    kept = (k.data.copy(), opt.m["k"].copy(), opt.v["k"].copy())
+    k.grad = None
+    opt.step()
+    assert opt.t["k"] == 1 and opt.t["a"] == 5
+    for was, now in zip(kept, (k.data, opt.m["k"], opt.v["k"])):
+        np.testing.assert_array_equal(now, was)
 
 
 def test_adam_runs_are_bitwise_deterministic():
@@ -601,6 +613,20 @@ def test_checkpoint_rejects_corrupt_files(tmp_path):
     with pytest.raises(CheckpointError, match="trailing bytes") as info:
         load_checkpoint(trailing)
     assert str(trailing) in str(info.value)
+
+    # header 12 bytes, then name length (2), name b"w", ndim (1), dims
+    bad_name = tmp_path / "name.ckpt"
+    bad_name.write_bytes(raw[:14] + b"\xff" + raw[15:])
+    with pytest.raises(CheckpointError, match="name of entry 1 of 1 is not UTF-8") as info:
+        load_checkpoint(bad_name)
+    assert str(bad_name) in str(info.value)
+
+    # 2**64 elements: more than int64 holds, and far more than the file
+    huge = tmp_path / "huge.ckpt"
+    huge.write_bytes(raw[:15] + struct.pack("<BII", 2, 2**32 - 1, 2**32 - 1) + raw[20:])
+    with pytest.raises(CheckpointError, match="truncated payload for 'w'") as info:
+        load_checkpoint(huge)
+    assert str(huge) in str(info.value)
 
 
 def test_checkpoint_every_proper_prefix_is_rejected(tmp_path):

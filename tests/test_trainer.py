@@ -18,7 +18,7 @@ from ckqg.corpus import (TrainingSample, ValidationError, build_tag_vocabs,
                          build_vocab, coarse_tags, encode_batch)
 from ckqg.kb_extract import AlignedTriple, KnowledgeTriple
 from ckqg.nn import tensor as T
-from ckqg.nn.checkpoint import load_checkpoint
+from ckqg.nn.checkpoint import CheckpointError, load_checkpoint
 from ckqg.qg_model import KnowledgeMemory
 
 
@@ -195,10 +195,11 @@ class TestForward:
 
 
 def parameter_digest(params):
+    group_of = {n: g for g in ("qg_core", "knowledge") for n in params.names(g)}
     h = hashlib.sha256()
     for name in params.names():
         data = params[name].data
-        h.update(f"{name}|{params.group_of(name)}|{data.shape}|{data.dtype}\n".encode())
+        h.update(f"{name}|{group_of[name]}|{data.shape}|{data.dtype}\n".encode())
         h.update(data.tobytes())
     return h.hexdigest()
 
@@ -329,14 +330,28 @@ class TestAveraging:
         out = TR.average_checkpoints(states)
         assert np.allclose(out["w"], base + 2e-8, rtol=0, atol=1e-9)
 
-    def test_key_and_shape_mismatches_rejected(self):
-        with pytest.raises(ValueError,
-                           match=r"key sets differ: missing \['a'\], extra \['b'\]"):
-            TR.average_checkpoints([{"a": np.zeros(2)}, {"b": np.zeros(2)}])
-        with pytest.raises(ValueError, match="shape"):
-            TR.average_checkpoints([{"a": np.zeros(2)}, {"a": np.zeros(3)}])
-        with pytest.raises(ValueError):
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="no checkpoints to average"):
             TR.average_checkpoints([])
+
+
+class TestCheckWeights:
+    SHAPES = {"a": (2,), "b": (3, 1)}
+
+    def test_fitting_state_is_returned_as_is(self):
+        state = {"b": np.zeros((3, 1)), "a": np.zeros(2)}
+        assert TR.check_weights(state, self.SHAPES, "w.bin") is state
+
+    @pytest.mark.parametrize("state, message", [
+        ({"a": np.zeros(2)}, "w.bin: missing parameter 'b'"),
+        ({"a": np.zeros(2), "b": np.zeros((3, 1)), "c": np.zeros(1)},
+         r"w.bin: parameters \['c'\] are not in the model"),
+        ({"a": np.zeros(2), "b": np.zeros((1, 3))},
+         r"w.bin: parameter 'b' has shape \(1, 3\), the model needs \(3, 1\)"),
+    ], ids=["missing", "extra", "shape"])
+    def test_misfit_names_where_and_the_parameter(self, state, message):
+        with pytest.raises(CheckpointError, match=message):
+            TR.check_weights(state, self.SHAPES, "w.bin")
 
 
 # -- the training loop --------------------------------------------------------
@@ -403,20 +418,19 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="mode"):
             TR.train(eq, pure_samples(), [], tiny_config(), mode="warmup")
 
-    def test_divergence_aborts_with_diagnostic(self):
-        # resume from a blown-up snapshot: the forward overflows to inf and
-        # the loop must stop with a step/phase diagnostic, not march on
-        eq, pu = equipped_samples(), pure_samples()
-        cfg = tiny_config(itf_n=3, itf_cycles=1)
-        vocab = build_vocab(eq + pu)
-        tags = build_tag_vocabs(eq + pu)
-        params = TR.build_parameters(cfg, vocab, tags,
-                                     np.random.default_rng(cfg.seed))
-        poisoned = params.state_dict()
-        poisoned["emb.word"] = np.full_like(poisoned["emb.word"], np.inf)
+    def test_divergence_aborts_with_diagnostic(self, monkeypatch):
+        # start from blown-up weights: the forward overflows to inf and the
+        # loop must stop with a step/phase diagnostic, not march on
+        build = TR.build_parameters
+
+        def poisoned(*args):
+            params = build(*args)
+            params["emb.word"].data[:] = np.inf
+            return params
+
+        monkeypatch.setattr(TR, "build_parameters", poisoned)
         with pytest.raises(TR.TrainingError, match=r"step 1 \(Equipped"):
-            TR.train(eq, pu, [], cfg, vocab=vocab, tag_vocabs=tags,
-                     init_state=poisoned)
+            TR.train(equipped_samples(), pure_samples(), [], tiny_config(itf_n=3))
 
     def test_nan_gradient_stops_before_adam_and_names_the_parameter(self, monkeypatch):
         # a NaN in one gradient at step 3 (the first Pure step) must stop the
@@ -431,9 +445,9 @@ class TestTrainLoop:
 
         adam_step = TR.Adam.step
 
-        def counted_step(self, trainable=None):
-            updates.append(trainable)
-            adam_step(self, trainable)
+        def counted_step(self):
+            updates.append(self)
+            adam_step(self)
 
         monkeypatch.setattr(TR.ParameterSet, "clip_grads", poisoned)
         monkeypatch.setattr(TR.Adam, "step", counted_step)
@@ -464,6 +478,26 @@ class TestTrainLoop:
         # evicted checkpoint files are removed, surviving ones exist
         on_disk = sorted(p.name for p in tmp_path.glob("ckpt-*.bin"))
         assert on_disk == [f"ckpt-{r.step:06d}.bin" for r in result.checkpoints]
+
+    def test_ring_file_that_misfits_the_model_stops_the_average(self, tmp_path,
+                                                                monkeypatch):
+        # every ring file lacks rc.out.b: averaging must refuse the first
+        # one it reads rather than write a model.bin without the parameter
+        save = TR.save_checkpoint
+
+        def lossy(path, tensors):
+            if Path(path).name.startswith("ckpt-"):
+                tensors = {n: a for n, a in tensors.items() if n != "rc.out.b"}
+            save(path, tensors)
+
+        monkeypatch.setattr(TR, "save_checkpoint", lossy)
+        eq, pu = equipped_samples(), pure_samples()
+        cfg = tiny_config(itf_n=2, itf_cycles=1, eval_every=1, avg_k=2)
+        with pytest.raises(CheckpointError) as info:
+            TR.train(eq, pu, pu[:1], cfg, out_dir=tmp_path)
+        first = sorted(tmp_path.glob("ckpt-*.bin"))[0]
+        assert str(info.value).startswith(f"{first}: missing parameter 'rc.out.b'")
+        assert not (tmp_path / "model.bin").exists()
 
     def test_ring_without_out_dir_leaves_no_file(self, tmp_path, monkeypatch):
         # without out_dir the ring goes to a temporary directory that is
@@ -577,8 +611,7 @@ class TestTrainLoop:
     def test_unknown_dev_tag_fails_before_the_first_step(self, monkeypatch,
                                                          sid, kind, name):
         steps = []
-        monkeypatch.setattr(TR.Adam, "step",
-                            lambda self, trainable=None: steps.append(trainable))
+        monkeypatch.setattr(TR.Adam, "step", lambda self: steps.append(self))
         dev = pure_samples()
         dev[1].sample_id = sid
         getattr(dev[1], kind)[2] = "zzz"
