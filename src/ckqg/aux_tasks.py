@@ -18,8 +18,8 @@ from .nn import tensor as T
 from .nn.layers import bilstm, linear
 from .nn.params import ParameterSet
 from .nn.tensor import Tensor, length_mask
-from .qg_model import (PROB_FLOOR, EncoderOutput, KnowledgeMemory,
-                       OutputDistribution, make_memory, teacher_forced_steps)
+from .qg_model import (PROB_FLOOR, EncoderOutput, KnowledgeMemory, make_memory,
+                       teacher_forced_steps)
 
 N_RELATIONS = len(RELATIONS)
 SEP_INDEX = N_RELATIONS  # row of the separator in the special embedding table
@@ -173,7 +173,8 @@ def tg_memory(params: ParameterSet, trip: TripleEncoding) -> KnowledgeMemory:
 def tg_teacher_steps(params: ParameterSet, enc: EncoderOutput,
                      trip: TripleEncoding, batch, *, drop_rate: float = 0.0,
                      rng: np.random.Generator | None = None
-                     ) -> list[OutputDistribution]:
+                     ) -> list[Tensor]:
+    """Per-step gold probabilities of the tail decoder under teacher forcing."""
     return teacher_forced_steps(params, "tg.dec", enc, tg_memory(params, trip),
                                 batch.tail_gen_ids, batch.tail_gen_lengths,
                                 batch.copy_ids, batch.extended_size,

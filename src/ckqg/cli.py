@@ -27,7 +27,7 @@ from .nn import tensor as T
 from .nn.checkpoint import load_checkpoint
 from .nn.gradcheck import grad_check
 from .nn.params import ParameterSet
-from .textio import open_text
+from .textio import open_text, read_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,20 +110,26 @@ def _save_world(out: Path, cfg: Config, vocab: Vocabulary,
 
 
 def _load_world(model_dir: Path) -> tuple[Config, Vocabulary, dict[str, TagVocab]]:
+    """The config, vocabulary and tag vocabularies that ``ckqg train`` saved.
+    Content that does not parse or fit is a ConfigError in ``config.json``
+    and a ValidationError in the other two, and each names its file."""
     path = model_dir / "config.json"
-    raw = json.loads(path.read_text())
+    raw = read_json(path, ConfigError)
     # JSON numbers only: a quoted "8" would slip through the string parser
     if not isinstance(raw, dict) or not all(
             isinstance(v, (int, float)) for v in raw.values()):
         raise ConfigError(f"{path}: expected an object of numeric settings")
-    cfg = load_config(overrides={k: str(v) for k, v in raw.items()}, env={})
+    try:
+        cfg = load_config(overrides={k: str(v) for k, v in raw.items()}, env={})
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     path = model_dir / "vocab.json"
-    raw = json.loads(path.read_text())
+    raw = read_json(path, ValidationError)
     if not (isinstance(raw, dict) and is_str_list(raw.get("tokens"))):
         raise ValidationError(f'{path}: expected {{"tokens": [string, ...]}}')
     vocab = Vocabulary(raw["tokens"])
     path = model_dir / "tags.json"
-    raw = json.loads(path.read_text())
+    raw = read_json(path, ValidationError)
     if not (isinstance(raw, dict) and sorted(raw) == ["bio", "ner", "pos"]
             and all(map(is_str_list, raw.values()))):
         raise ValidationError(f"{path}: expected lists of strings under bio, pos and ner")

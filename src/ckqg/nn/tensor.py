@@ -249,16 +249,20 @@ def mul(a, b) -> Tensor:
     return Tensor._from_op(data, (a, b), backward, "mul")
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``; inside ``row_by_row()`` a 2-D product runs row by row."""
+    if _mode.row_by_row and a.ndim == 2 and b.ndim == 2:
+        return np.matmul(a[:, None, :], b)[:, 0, :]
+    return np.matmul(a, b)
+
+
 def matmul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2D operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    if _mode.row_by_row and a.ndim == 2 and b.ndim == 2:
-        data = np.matmul(a.data[:, None, :], b.data)[:, 0, :]
-    else:
-        data = np.matmul(a.data, b.data)
+    data = _product(a.data, b.data)
 
     def backward(g):
         if a.requires_grad:
@@ -328,6 +332,31 @@ def clamp_min(x: Tensor, floor: float) -> Tensor:
 # -- softmax ---------------------------------------------------------------
 
 
+def _softmax(v: np.ndarray, axis: int, mask: np.ndarray | None, op: str) -> np.ndarray:
+    """The softmax values of ``softmax`` and of the ops that fuse one in;
+    ``op`` names the caller in the error for a non-finite input."""
+    if not np.all(np.isfinite(v)):
+        raise NumericsError(f"{op} received non-finite input")
+    if mask is not None:
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), v.shape)
+        if not np.all(mask.any(axis=axis)):
+            raise NumericsError(f"{op} row is fully masked")
+        v = np.where(mask, v, -np.inf)
+    m = np.max(v, axis=axis, keepdims=True)
+    e = np.exp(v - m)
+    if mask is not None:
+        e = np.where(mask, e, 0.0)
+    s = np.sum(e, axis=axis, keepdims=True)
+    return e / s
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """The input gradient of a softmax with output ``out`` and output
+    gradient ``g``."""
+    dot = np.sum(g * out, axis=axis, keepdims=True)
+    return out * (g - dot)
+
+
 def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
     """Shift-invariant softmax along ``axis``.
 
@@ -336,24 +365,10 @@ def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor
     no valid position are an error.
     """
     x = _coerce(x)
-    if not np.all(np.isfinite(x.data)):
-        raise NumericsError("softmax received non-finite input")
-    v = x.data
-    if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), v.shape)
-        if not np.all(mask.any(axis=axis)):
-            raise NumericsError("softmax row is fully masked")
-        v = np.where(mask, v, -np.inf)
-    m = np.max(v, axis=axis, keepdims=True)
-    e = np.exp(v - m)
-    if mask is not None:
-        e = np.where(mask, e, 0.0)
-    s = np.sum(e, axis=axis, keepdims=True)
-    out = e / s
+    out = _softmax(x.data, axis, mask, "softmax")
 
     def backward(g):
-        dot = np.sum(g * out, axis=axis, keepdims=True)
-        x._accumulate(out * (g - dot))
+        x._accumulate(_softmax_grad(out, g, axis))
 
     return Tensor._from_op(out, (x,), backward, "softmax")
 
@@ -528,6 +543,66 @@ def scatter_sum(weights: Tensor, ids: np.ndarray, size: int) -> Tensor:
         w._accumulate(g[rows, ids])
 
     return Tensor._from_op(data, (w,), backward, "scatter_sum")
+
+
+def gold_mixture_prob(u: Tensor, w: Tensor, b: Tensor, alpha: Tensor, p_g: Tensor,
+                      copy_ids: np.ndarray, gold: np.ndarray) -> Tensor:
+    """The pointer-generator probability of each row's gold id, as one node.
+
+    Returns [B] values ``p_g * softmax(u @ w + b)[gold] + (1 - p_g) *
+    sum(alpha[copy_ids == gold])``: the gold entry of the mixture over the
+    extended vocabulary, whose first V = w.shape[1] ids are the generate
+    distribution's, without building that mixture. A gold id at or above V
+    has only copy mass. ``alpha`` is [B, L], ``copy_ids`` broadcast against
+    it and ``p_g`` is [B, 1]. Of the vocabulary-wide arrays only the softmax
+    is kept for backward.
+
+    Values and gradients equal, bit for bit, those of the composition
+    ``softmax(linear)``, ``scatter_sum``, the zero-padded mix and
+    ``gather_last``: the copy mass is summed in position order from 0.0, as
+    np.add.at sums it, and each gradient is formed by the expressions of the
+    ops it replaces.
+    """
+    u, w, b, alpha, p_g = (_coerce(t) for t in (u, w, b, alpha, p_g))
+    gold = np.asarray(gold, dtype=np.intp)
+    nb, vocab = u.shape[0], w.shape[-1]
+    if (u.ndim != 2 or w.shape != (u.shape[1], vocab) or b.shape != (vocab,)
+            or alpha.ndim != 2 or alpha.shape[0] != nb or p_g.shape != (nb, 1)
+            or gold.shape != (nb,)):
+        raise ShapeError(f"gold_mixture_prob: u {u.shape}, w {w.shape}, b {b.shape}, "
+                         f"alpha {alpha.shape}, p_g {p_g.shape} and gold {gold.shape} "
+                         f"do not fit")
+    if gold.size and gold.min() < 0:
+        raise ShapeError("gold_mixture_prob: negative gold id")
+    match = np.broadcast_to(copy_ids, alpha.shape) == gold[:, None]
+    pv = _softmax(_product(u.data, w.data) + b.data, -1, None, "gold_mixture_prob")
+    rows = np.arange(nb)
+    in_vocab = gold < vocab
+    pv_gold = np.where(in_vocab, pv[rows, np.minimum(gold, vocab - 1)], 0.0)
+    hit_rows, hit_pos = np.nonzero(match)
+    pc_gold = np.zeros(nb)
+    np.add.at(pc_gold, hit_rows, alpha.data[hit_rows, hit_pos])
+    pg = p_g.data[:, 0]
+    data = pv_gold * pg + pc_gold * (1.0 - pg)
+
+    def backward(g):
+        if u.requires_grad or w.requires_grad or b.requires_grad:
+            # the generate distribution's gradient is g * p_g at the gold id
+            gpv = np.zeros_like(pv)
+            gpv[rows[in_vocab], gold[in_vocab]] = (g * pg)[in_vocab]
+            gl = _softmax_grad(pv, gpv, -1)
+            if b.requires_grad:
+                b._accumulate(gl.sum(axis=0))
+            if u.requires_grad:
+                u._accumulate(np.matmul(gl, w.data.T))
+            if w.requires_grad:
+                w._accumulate(np.matmul(u.data.T, gl))
+        if alpha.requires_grad:
+            alpha._accumulate(np.where(match, (g * (1.0 - pg))[:, None], 0.0))
+        if p_g.requires_grad:
+            p_g._accumulate((g * pv_gold + (g * pc_gold) * -1.0)[:, None])
+
+    return Tensor._from_op(data, (u, w, b, alpha, p_g), backward, "gold_mixture_prob")
 
 
 # -- structured ops -------------------------------------------------------------

@@ -143,13 +143,15 @@ def copy_distribution(alpha: Tensor, copy_ids: np.ndarray, extended_size: int) -
     return T.scatter_sum(alpha, np.broadcast_to(copy_ids, alpha.shape), extended_size)
 
 
-def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
-                state: DecoderState, enc: EncoderOutput,
-                kmem: KnowledgeMemory | None, copy_ids: np.ndarray,
-                extended_size: int, *, drop_rate: float = 0.0,
-                rng: np.random.Generator | None = None
-                ) -> tuple[OutputDistribution, DecoderState]:
-    """One decoder step over a batch.
+def decoder_state_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
+                       state: DecoderState, enc: EncoderOutput,
+                       kmem: KnowledgeMemory | None, *, drop_rate: float = 0.0,
+                       rng: np.random.Generator | None = None
+                       ) -> tuple[Tensor, DecoderState]:
+    """One decoder step over a batch, up to the output layer: the readout
+    ``u`` [B, d] that ``{prefix}.out`` projects onto the vocabulary, and
+    the new state, whose ``alpha`` and ``p_g`` are the copy attention and
+    gate of this step's output distribution.
 
     The blend terms are summed in fixed order c, k, s so dropping the k term
     is numerically identical to a zeroed k-slice.
@@ -176,21 +178,34 @@ def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
 
     z = T.dropout(T.concat([c, s], axis=-1), drop_rate, rng)
     u = T.maxout(T.tanh(linear(params, f"{prefix}.readout", z)))
-    p_vocab = T.softmax(linear(params, f"{prefix}.out", u), axis=-1)
-
     p_g = T.sigmoid(linear(params, f"{prefix}.copy", T.concat([c, s, emb], axis=-1)))
-    p_copy = copy_distribution(alpha, copy_ids, extended_size)
+    return u, DecoderState(states=new_states, s_tilde=s_tilde, s=s, c=c,
+                           alpha=alpha, k=k, p_g=p_g)
+
+
+def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
+                state: DecoderState, enc: EncoderOutput,
+                kmem: KnowledgeMemory | None, copy_ids: np.ndarray,
+                extended_size: int, *, drop_rate: float = 0.0,
+                rng: np.random.Generator | None = None
+                ) -> tuple[OutputDistribution, DecoderState]:
+    """One decoder step with the full output distribution over the extended
+    vocabulary, as decoding needs it: the generate distribution padded with
+    zeros past the word vocabulary, mixed with the copy distribution by the
+    gate ``p_g``."""
+    u, new_state = decoder_state_step(params, prefix, y_prev, state, enc, kmem,
+                                      drop_rate=drop_rate, rng=rng)
+    nb, vocab_size = u.shape[0], params["emb.word"].shape[0]
+    p_g = new_state.p_g
+    p_vocab = T.softmax(linear(params, f"{prefix}.out", u), axis=-1)
+    p_copy = copy_distribution(new_state.alpha, copy_ids, extended_size)
     if extended_size > vocab_size:
         tail = Tensor(np.zeros((nb, extended_size - vocab_size)))
         p_vocab_ext = T.concat([p_vocab, tail], axis=-1)
     else:
         p_vocab_ext = p_vocab
     p = T.add(T.mul(p_vocab_ext, p_g), T.mul(p_copy, 1.0 - p_g))
-
-    out = OutputDistribution(p_vocab=p_vocab, p_copy=p_copy, p=p)
-    new_state = DecoderState(states=new_states, s_tilde=s_tilde, s=s, c=c,
-                             alpha=alpha, k=k, p_g=p_g)
-    return out, new_state
+    return OutputDistribution(p_vocab=p_vocab, p_copy=p_copy, p=p), new_state
 
 
 # -- teacher forcing and loss -------------------------------------------------
@@ -202,26 +217,39 @@ def teacher_forced_steps(params: ParameterSet, prefix: str, enc: EncoderOutput,
                          extended_size: int, *, init_source: Tensor,
                          drop_rate: float = 0.0,
                          rng: np.random.Generator | None = None
-                         ) -> list[OutputDistribution]:
-    """Run the decoder with gold inputs; step t predicts target_ids[:, t+1]."""
+                         ) -> list[Tensor]:
+    """Run the decoder with gold inputs; step t scores target_ids[:, t+1].
+
+    Returns each step's [B] probabilities of the gold ids under the
+    decode_step mixture, which nn.tensor.gold_mixture_prob computes without
+    building the distribution over the extended vocabulary."""
+    target_ids = np.asarray(target_ids)
+    if target_ids.size and target_ids.max() >= extended_size:
+        raise T.ShapeError(f"target id {target_ids.max()} is outside the "
+                           f"extended vocabulary of {extended_size}")
+    out_w, out_b = params[f"{prefix}.out.W"], params[f"{prefix}.out.b"]
     state = init_decoder_state(params, prefix, init_source)
     steps = []
     for t in range(int(np.max(target_lengths)) - 1):
-        out, state = decode_step(params, prefix, target_ids[:, t], state, enc,
-                                 kmem, copy_ids, extended_size,
-                                 drop_rate=drop_rate, rng=rng)
-        steps.append(out)
+        u, state = decoder_state_step(params, prefix, target_ids[:, t], state, enc,
+                                      kmem, drop_rate=drop_rate, rng=rng)
+        steps.append(T.gold_mixture_prob(u, out_w, out_b, state.alpha, state.p_g,
+                                         copy_ids, target_ids[:, t + 1]))
     return steps
 
 
-def sequence_nll(steps: list[OutputDistribution], target_ids: np.ndarray,
+def sequence_nll(steps: list[Tensor], target_ids: np.ndarray,
                  target_lengths: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood: per-sample mean over its own real steps,
-    then mean over the batch. Zero-probability targets are floored at
-    PROB_FLOOR, and a warning is logged with their count."""
+    """Mean negative log-likelihood of the per-step gold probabilities of
+    teacher_forced_steps, one step per target after BOS: per-sample mean
+    over its own real steps, then mean over the batch. Zero-probability
+    targets are floored at PROB_FLOOR, and a warning is logged with their
+    count."""
     n_steps = len(steps)
-    picked = T.stack([T.gather_last(steps[t].p, target_ids[:, t + 1])
-                      for t in range(n_steps)], axis=1)
+    if np.shape(target_ids)[1] != n_steps + 1:
+        raise T.ShapeError(f"{n_steps} steps for targets of width "
+                           f"{np.shape(target_ids)[1]}")
+    picked = T.stack(steps, axis=1)
     valid = length_mask(np.asarray(target_lengths) - 1, n_steps)
     floored = int(np.sum((picked.data < PROB_FLOOR) & valid))
     if floored:

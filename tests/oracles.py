@@ -194,6 +194,24 @@ def reference_beam_search(params, prefix, enc, kmem, copy_ids, extended_size,
     return BeamHypothesis(ids=list(ids), score=norm, logprob=raw)
 
 
+def reference_teacher_forced_steps(params, prefix, enc, kmem, target_ids,
+                                   target_lengths, copy_ids, extended_size, *,
+                                   init_source, drop_rate=0.0, rng=None):
+    """Teacher forcing through the full output distribution: a decode_step
+    per target after BOS, then its gold entry picked by ``gather_last``. Each
+    step records the mixture over the extended vocabulary that
+    ``gold_mixture_prob`` fuses away; the signature and the result are
+    ``qg_model.teacher_forced_steps``'."""
+    state = init_decoder_state(params, prefix, init_source)
+    steps = []
+    for t in range(int(np.max(target_lengths)) - 1):
+        out, state = decode_step(params, prefix, target_ids[:, t], state, enc, kmem,
+                                 copy_ids, extended_size, drop_rate=drop_rate,
+                                 rng=rng)
+        steps.append(T.gather_last(out.p, target_ids[:, t + 1]))
+    return steps
+
+
 def _masked_carry(new, prev, m):
     # m is [B, 1]: True inside the sample, False on pads
     return T.add(T.mul(new, m), T.mul(prev, 1.0 - m))

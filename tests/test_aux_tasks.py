@@ -272,14 +272,28 @@ def test_rc_gradients_against_finite_differences():
 # -- tail generation ------------------------------------------------------------
 
 
+def tg_first_distribution(params, enc, trip, batch):
+    """The tail decoder's full output distribution at its first step."""
+    state = M.init_decoder_state(params, "tg.dec", trip.t_final)
+    out, _ = M.decode_step(params, "tg.dec", batch.tail_gen_ids[:, 0], state, enc,
+                           A.tg_memory(params, trip), batch.copy_ids,
+                           batch.extended_size)
+    return out
+
+
 def test_tg_steps_and_loss_finite():
     params, _, _, batch = build_setup()
     enc = M.encode_passage(params, batch)
     trip = A.encode_triples(params, batch)
     steps = A.tg_teacher_steps(params, enc, trip, batch)
     assert len(steps) == int(batch.tail_gen_lengths.max()) - 1
-    for out in steps:
-        assert np.allclose(out.p.data.sum(axis=-1), 1.0, atol=1e-9)
+    for gold in steps:
+        assert gold.shape == (batch.size,)
+        assert np.all((gold.data >= 0.0) & (gold.data <= 1.0))
+    out = tg_first_distribution(params, enc, trip, batch)
+    assert np.allclose(out.p.data.sum(axis=-1), 1.0, atol=1e-9)
+    assert np.array_equal(steps[0].data,
+                          out.p.data[np.arange(batch.size), batch.tail_gen_ids[:, 1]])
     loss = M.sequence_nll(steps, batch.tail_gen_ids, batch.tail_gen_lengths)
     assert math.isfinite(loss.item()) and loss.item() > 0.0
 
@@ -302,10 +316,10 @@ def test_tg_forced_copy_emits_passage_tokens_only():
     params["tg.dec.copy.b"].data[:] = -1e9
     enc = M.encode_passage(params, batch)
     trip = A.encode_triples(params, batch)
-    steps = A.tg_teacher_steps(params, enc, trip, batch)
+    out = tg_first_distribution(params, enc, trip, batch)
     for b in range(2):
         source = set(batch.copy_ids[b, :batch.passage_lengths[b]].tolist())
-        nonzero = set(np.nonzero(steps[0].p.data[b])[0].tolist())
+        nonzero = set(np.nonzero(out.p.data[b])[0].tolist())
         assert nonzero <= source
 
 
@@ -315,8 +329,7 @@ def test_tg_one_token_tail_hand_oracle():
     targets = np.array([[BOS, 2, EOS]])
     step0 = np.array([[0.1, 0.1, 0.7, 0.1]])
     step1 = np.array([[0.3, 0.3, 0.2, 0.2]])
-    steps = [M.OutputDistribution(p_vocab=Tensor(s), p_copy=Tensor(s), p=Tensor(s))
-             for s in (step0, step1)]
+    steps = [Tensor(s[[0], targets[:, t + 1]]) for t, s in enumerate((step0, step1))]
     loss = M.sequence_nll(steps, targets, np.array([3]))
     assert loss.item() == pytest.approx(0.9830564281864164, abs=1e-12)
 

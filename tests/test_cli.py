@@ -312,6 +312,28 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "data error" in err and name in err
 
+    @pytest.mark.parametrize("name, raw, code, message", [
+        ("config.json", b'{"hidden_size": 3', 1, "not valid JSON"),
+        ("config.json", b'{"hidden_size": 3}\xff', 1, "not UTF-8 text"),
+        ("config.json", b'{"hiden_size": 3}', 1, "unknown config key 'hiden_size'"),
+        ("config.json", b'{"hidden_size": 0}', 1, "hidden_size"),
+        ("vocab.json", b'{"tokens": ["a"', 2, "not valid JSON"),
+        ("vocab.json", b"\xff", 2, "not UTF-8 text"),
+        ("tags.json", b'{"pos": ', 2, "not valid JSON"),
+        ("tags.json", b'{"pos": ["caf\xff"]}', 2, "not UTF-8 text"),
+    ], ids=["config-syntax", "config-utf8", "config-key", "config-value",
+            "vocab-syntax", "vocab-utf8", "tags-syntax", "tags-utf8"])
+    def test_unreadable_saved_file_names_itself(self, trained, split_corpora, tmp_path,
+                                                 capsys, name, raw, code, message):
+        model = tmp_path / "model"
+        shutil.copytree(trained, model)
+        (model / name).write_bytes(raw)
+        assert main(["generate", "--model", str(model),
+                     "--corpus", split_corpora["dev"]]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error" if code == 1 else "data error")
+        assert f"{model / name}: " in err and message in err
+
     @pytest.mark.parametrize("beam", ["0", "-2"])
     @pytest.mark.parametrize("empty_corpus", [False, True])
     def test_beam_below_one_is_usage_error(self, trained, split_corpora, tmp_path,

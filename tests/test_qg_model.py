@@ -254,19 +254,18 @@ def test_decoder_init_state():
 # -- sequence loss ------------------------------------------------------------
 
 
-def const_steps(rows: list[np.ndarray]) -> list[M.OutputDistribution]:
-    steps = []
-    for r in rows:
-        t = Tensor(np.asarray(r))
-        steps.append(M.OutputDistribution(p_vocab=t, p_copy=t, p=t))
-    return steps
+def gold_steps(rows: list[np.ndarray], targets: np.ndarray) -> list[Tensor]:
+    """The per-step gold probabilities that fixed distributions give the
+    targets, as teacher_forced_steps returns them."""
+    return [Tensor(np.asarray(r)[np.arange(len(r)), targets[:, t + 1]])
+            for t, r in enumerate(rows)]
 
 
 def test_point_mass_predictions_loss_zero():
     targets = np.array([[BOS, 2, 1]])
     step0 = np.zeros((1, 4)); step0[0, 2] = 1.0
     step1 = np.zeros((1, 4)); step1[0, 1] = 1.0
-    loss = M.sequence_nll(const_steps([step0, step1]), targets, np.array([3]))
+    loss = M.sequence_nll(gold_steps([step0, step1], targets), targets, np.array([3]))
     assert loss.item() == 0.0
 
 
@@ -274,7 +273,7 @@ def test_uniform_predictions_loss_ln_vext():
     n = 7
     targets = np.array([[BOS, 5, 2]])
     u = np.full((1, n), 1.0 / n)
-    loss = M.sequence_nll(const_steps([u, u]), targets, np.array([3]))
+    loss = M.sequence_nll(gold_steps([u, u], targets), targets, np.array([3]))
     assert loss.item() == pytest.approx(math.log(n), abs=1e-12)
 
 
@@ -286,7 +285,7 @@ def test_two_sample_hand_oracle():
     lengths = np.array([3, 2])
     step0 = np.array([[0.2, 0.2, 0.2, 0.4], [0.6, 0.2, 0.1, 0.1]])
     step1 = np.array([[0.25, 0.25, 0.25, 0.25], [0.9, 0.05, 0.03, 0.02]])
-    loss = M.sequence_nll(const_steps([step0, step1]), targets, lengths)
+    loss = M.sequence_nll(gold_steps([step0, step1], targets), targets, lengths)
     assert loss.item() == pytest.approx(1.7269388197455342, abs=1e-12)
 
 
@@ -298,7 +297,7 @@ def floor_warnings(caplog) -> list[str]:
 def test_zero_probability_target_floors_and_counts(caplog):
     targets = np.array([[BOS, 0]])
     step0 = np.array([[0.0, 1.0]])
-    loss = M.sequence_nll(const_steps([step0]), targets, np.array([2]))
+    loss = M.sequence_nll(gold_steps([step0], targets), targets, np.array([2]))
     assert loss.item() == pytest.approx(-math.log(M.PROB_FLOOR), rel=1e-12)
     assert floor_warnings(caplog) == ["floored 1 zero-probability target tokens"]
 
@@ -307,8 +306,21 @@ def test_pad_steps_do_not_touch_floor_counter(caplog):
     targets = np.array([[BOS, 1, 0], [BOS, 1, 1]])
     ok = np.array([[0.1, 0.9], [0.1, 0.9]])
     bad_on_pad = np.array([[1.0, 0.0], [0.5, 0.5]])
-    M.sequence_nll(const_steps([ok, bad_on_pad]), targets, np.array([2, 3]))
+    M.sequence_nll(gold_steps([ok, bad_on_pad], targets), targets, np.array([2, 3]))
     assert floor_warnings(caplog) == []
+
+
+def test_steps_must_fit_the_targets():
+    targets = np.array([[BOS, 1, 0]])
+    with pytest.raises(ShapeError, match="1 steps for targets of width 3"):
+        M.sequence_nll(gold_steps([np.array([[0.5, 0.5]])], targets), targets,
+                       np.array([3]))
+    params, _, _, batch = build_setup()
+    enc = M.encode_passage(params, batch)
+    with pytest.raises(ShapeError, match="outside the extended vocabulary"):
+        M.teacher_forced_steps(params, "dec", enc, None, batch.question_ids,
+                               batch.question_lengths, batch.copy_ids,
+                               int(batch.question_ids.max()), init_source=enc.bw_final)
 
 
 def test_teacher_forcing_step_count():
@@ -330,7 +342,7 @@ def test_oov_question_token_reachable_through_copy():
     ext_positions = np.nonzero(qid >= len(vocab))[0]
     assert ext_positions.size > 0  # "kraken" is copy-only
     for t in ext_positions:
-        assert steps[t - 1].p.data[1, qid[t]] > 0.0
+        assert steps[t - 1].data[1] > 0.0  # step t - 1 scores qid[t]
 
 
 def test_loss_gradients_against_finite_differences():

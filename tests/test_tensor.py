@@ -262,6 +262,65 @@ class TestGradients:
         assert y.grad.base is None
 
 
+# A word vocabulary of V = 5 ids and passages of 4 positions: each case is one
+# row's copy ids, its passage length and its gold id; a plain row follows it.
+GOLD_ROWS = {
+    "copy_only": ([6, 2, 6, 1], 4, 6),
+    "absent_from_passage": ([1, 3, 4, 1], 4, 2),
+    "at_two_positions": ([3, 1, 3, 4], 4, 3),
+    "at_three_positions": ([3, 3, 1, 3], 4, 3),   # summed in position order
+    "padded": ([2, 4, 0, 0], 2, 0),
+}
+
+
+class TestGoldMixtureProb:
+    @staticmethod
+    def inputs(case):
+        ids, length, gold = GOLD_ROWS[case]
+        leaves = [rand_tensor(2, 3), rand_tensor(3, 5), rand_tensor(5),
+                  rand_tensor(2, 4), rand_tensor(2, 1)]
+        mask = T.length_mask(np.array([length, 4]), 4)
+        return leaves, (np.array([ids, [1, 2, 3, 4]]), mask, np.array([gold, 2]))
+
+    @staticmethod
+    def build(leaves, rows, fused=True):
+        """The gold probabilities with attention masked on pads, fused or as
+        the composition over the extended vocabulary of 7 ids."""
+        u, w, b, x, z = leaves
+        copy_ids, mask, gold = rows
+        alpha, p_g = T.softmax(x, mask=mask), T.sigmoid(z)
+        if fused:
+            return T.gold_mixture_prob(u, w, b, alpha, p_g, copy_ids, gold)
+        p_vocab = T.concat([T.softmax(T.add(T.matmul(u, w), b)), Tensor(np.zeros((2, 2)))])
+        p = T.add(T.mul(p_vocab, p_g), T.mul(T.scatter_sum(alpha, copy_ids, 7), 1.0 - p_g))
+        return T.gather_last(p, gold)
+
+    @pytest.mark.parametrize("case", sorted(GOLD_ROWS))
+    def test_grad(self, case):
+        leaves, rows = self.inputs(case)
+        fd_check(lambda: scalarize(self.build(leaves, rows)), leaves)
+
+    @pytest.mark.parametrize("case", sorted(GOLD_ROWS))
+    def test_equals_the_composition_bitwise(self, case):
+        for _ in range(20):   # summation-order slips show on some draws only
+            leaves, rows = self.inputs(case)
+            got = []
+            for fused in (True, False):
+                for t in leaves:
+                    t.grad = None
+                out = self.build(leaves, rows, fused)
+                scalarize(out).backward()
+                got.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+            assert got[0] == got[1]
+
+    @pytest.mark.parametrize("poisoned", [0, 1])
+    def test_nan_in_readout_or_weight_names_the_op(self, poisoned):
+        leaves, rows = self.inputs("copy_only")
+        leaves[poisoned].data[0, 0] = np.nan
+        with pytest.raises(NumericsError, match="gold_mixture_prob"):
+            self.build(leaves, rows)
+
+
 class TestRelease:
     @staticmethod
     def small_graph(a, b):

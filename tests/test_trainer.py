@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import reference_teacher_forced_steps
+
 from ckqg import aux_tasks as A
 from ckqg import qg_model as M
 from ckqg import trainer as TR
@@ -189,6 +191,65 @@ class TestForward:
         both = TR.unified_forward(params, batch, no_rc=True, no_tg=True)
         plain = TR.pure_forward(params, batch)
         assert float(both.l_q.data) != float(plain.l_q.data)
+
+
+class TestGoldScoring:
+    """Teacher forcing scores only the gold token (nn.tensor.gold_mixture_prob)
+    and must equal the full-distribution composition that decoding keeps."""
+
+    @staticmethod
+    def world():
+        """The forward-test samples over a vocabulary of the pure samples
+        alone, so the equipped questions hold copy-only ids past it."""
+        eq, pu = equipped_samples(), pure_samples()
+        vocab, tags = build_vocab(pu), build_tag_vocabs(eq + pu)
+        params = TR.build_parameters(tiny_config(layers=2), vocab, tags,
+                                     np.random.default_rng(1))
+        return params, vocab, encode_batch(eq, vocab, tags), encode_batch(pu, vocab, tags)
+
+    @staticmethod
+    def use_reference(monkeypatch):
+        monkeypatch.setattr(M, "teacher_forced_steps", reference_teacher_forced_steps)
+        monkeypatch.setattr(A, "teacher_forced_steps", reference_teacher_forced_steps)
+
+    @pytest.mark.parametrize("equipped", [True, False], ids=["equipped", "pure"])
+    def test_losses_and_gradients_equal_the_full_distribution_bitwise(
+            self, monkeypatch, equipped):
+        params, vocab, eq, pu = self.world()
+        assert eq.question_ids.max() >= len(vocab)
+        forward, batch = (TR.unified_forward, eq) if equipped else (TR.pure_forward, pu)
+        runs = []
+        for reference in (False, True):
+            if reference:
+                self.use_reference(monkeypatch)
+            params.zero_grads()
+            bundle = forward(params, batch, drop_rate=0.3, rng=np.random.default_rng(9))
+            bundle.l.backward()
+            grads = {name: None if p.grad is None else p.grad.tobytes()
+                     for name, p in params.items()}
+            runs.append((bundle.l_q.data.tobytes(), bundle.l_t.data.tobytes(), grads))
+        assert runs[0] == runs[1]
+
+    def test_equipped_tape_holds_no_vocabulary_wide_node(self, monkeypatch):
+        params, vocab, batch, _ = self.world()
+        widths = {len(vocab), batch.extended_size}
+
+        def wide_nodes() -> int:
+            stack, seen, wide = [TR.unified_forward(params, batch).l], set(), 0
+            while stack:
+                node = stack.pop()
+                if id(node) in seen:
+                    continue
+                seen.add(id(node))
+                if (node._backward is not None and node.data.ndim
+                        and node.data.shape[-1] in widths):
+                    wide += 1
+                stack.extend(node._parents)
+            return wide
+
+        assert wide_nodes() == 0
+        self.use_reference(monkeypatch)
+        assert wide_nodes() > 0
 
 
 # -- the parameter table --------------------------------------------------------
