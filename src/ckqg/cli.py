@@ -27,7 +27,7 @@ from .nn import tensor as T
 from .nn.checkpoint import load_checkpoint
 from .nn.gradcheck import grad_check
 from .nn.params import ParameterSet
-from .textio import open_text, read_json
+from .textio import read_json, read_jsonl
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,7 +71,6 @@ def cmd_extract(args) -> int:
     dumps = [(path, source) for path, source in ((args.conceptnet, "ConceptNet"),
                                                  (args.wordnet, "WordNet")) if path]
     kb.annotate_corpus(samples, stopwords, dumps)
-    equipped, pure = kb.partition_dataset(samples)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(out / "annotated.jsonl", samples)
     manifest = {
@@ -80,8 +79,8 @@ def cmd_extract(args) -> int:
     }
     (out / "partition.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    print(f"annotated {len(samples)} samples: {len(equipped)} equipped, "
-          f"{len(pure)} pure -> {out}")
+    print(f"annotated {len(samples)} samples: {len(manifest['equipped'])} equipped, "
+          f"{len(manifest['pure'])} pure -> {out}")
     return EXIT_OK
 
 
@@ -191,17 +190,10 @@ def cmd_generate(args) -> int:
 def _read_jsonl(path: str) -> list[tuple[str, dict]]:
     """Non-blank rows of a JSONL file, each with its ``path:line`` location."""
     rows = []
-    with open_text(path, ValidationError) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            if not isinstance(row, dict):
-                raise ValidationError(f"{path}:{lineno}: expected a JSON object")
-            rows.append((f"{path}:{lineno}", row))
+    for where, row in read_jsonl(path, ValidationError):
+        if not isinstance(row, dict):
+            raise ValidationError(f"{where}: expected a JSON object")
+        rows.append((where, row))
     return rows
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kb_extract as kb
 from .kb_extract import AlignedTriple, KnowledgeTriple
-from .textio import open_text
+from .textio import read_jsonl
 
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 RESERVED = ("<pad>", "<unk>", "<bos>", "<eos>")
@@ -331,35 +331,27 @@ def _triple_from_json(raw: dict, passage: list[str], question: list[str],
 def load_dataset(path: str | Path) -> list[TrainingSample]:
     """Read a JSONL dataset, validating every sample."""
     samples = []
-    with open_text(path, ValidationError) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{where}: invalid JSON: {exc}") from None
-            _check_field_types(raw, where)
-            try:
-                sample = TrainingSample(
-                    passage=list(raw["passage"]),
-                    answer_span=tuple(raw["answer_span"]),
-                    pos_tags=list(raw["pos"]),
-                    ner_tags=list(raw["ner"]),
-                    question=list(raw["question"]),
-                    sample_id=raw.get("id"),
-                )
-            except KeyError as exc:
-                raise ValidationError(f"{where}: missing field {exc}") from None
-            try:
-                sample.validate()
-            except ValidationError as exc:
-                raise ValidationError(f"{where}: {exc}") from None
-            for t in raw.get("triples", []):
-                sample.triples.append(
-                    _triple_from_json(t, sample.passage, sample.question, where))
-            samples.append(sample)
+    for where, raw in read_jsonl(path, ValidationError):
+        _check_field_types(raw, where)
+        try:
+            sample = TrainingSample(
+                passage=list(raw["passage"]),
+                answer_span=tuple(raw["answer_span"]),
+                pos_tags=list(raw["pos"]),
+                ner_tags=list(raw["ner"]),
+                question=list(raw["question"]),
+                sample_id=raw.get("id"),
+            )
+        except KeyError as exc:
+            raise ValidationError(f"{where}: missing field {exc}") from None
+        try:
+            sample.validate()
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
+        for t in raw.get("triples", []):
+            sample.triples.append(
+                _triple_from_json(t, sample.passage, sample.question, where))
+        samples.append(sample)
     return samples
 
 

@@ -10,8 +10,9 @@ triples by exact lookup of n-grams in an index keyed by whole head concepts:
 passage n-grams for forward matches, question n-grams for reversed ones.
 A corpus is annotated against stores that hold only the triples made of its
 own tokens, the only ones that can bridge any of its samples. Matching is
-surface-form: lowercased tokens with surrounding punctuation stripped, no
-lemmatization.
+surface-form, with no lemmatization. Only KB concepts are normalized
+(lowercased, surrounding punctuation stripped); corpus tokens are matched
+as given, so they must already be normalized the same way.
 """
 
 from __future__ import annotations
@@ -243,21 +244,6 @@ def align_filter(candidates: list[KnowledgeTriple], passage_tokens: list[str],
     return kept
 
 
-def merge_dedup(a: list[AlignedTriple], b: list[AlignedTriple]) -> list[AlignedTriple]:
-    """Concatenate keeping first occurrence per (head, relation, tail).
-
-    The key ignores source so the same fact from both KBs collapses to one.
-    """
-    out: list[AlignedTriple] = []
-    seen: set[tuple[str, str, str]] = set()
-    for item in list(a) + list(b):
-        key = (item.triple.head, item.triple.relation, item.triple.tail)
-        if key not in seen:
-            seen.add(key)
-            out.append(item)
-    return out
-
-
 def select_training_triple(aligned: list[AlignedTriple]) -> AlignedTriple | None:
     """Pick the triple to train on: Synonymy first, then the label order,
     with list position breaking ties."""
@@ -270,11 +256,18 @@ def select_training_triple(aligned: list[AlignedTriple]) -> AlignedTriple | None
 def extract_for_sample(passage_tokens: list[str], question_tokens: list[str],
                        stopwords: frozenset[str],
                        stores: list[TripleStore]) -> list[AlignedTriple]:
-    """Retrieve + filter against each store, then merge across sources."""
+    """Retrieve + filter against each store, in order, keeping the first
+    occurrence per (head, relation, tail). The key ignores source, so the
+    same fact from both KBs collapses to the first store's."""
     merged: list[AlignedTriple] = []
+    seen: set[tuple[str, str, str]] = set()
     for store in stores:
         cands = retrieve_candidates(passage_tokens, question_tokens, stopwords, store)
-        merged = merge_dedup(merged, align_filter(cands, passage_tokens, question_tokens))
+        for item in align_filter(cands, passage_tokens, question_tokens):
+            key = (item.triple.head, item.triple.relation, item.triple.tail)
+            if key not in seen:
+                seen.add(key)
+                merged.append(item)
     return merged
 
 
@@ -283,7 +276,8 @@ def annotate_corpus(samples, stopwords: frozenset[str],
     """Set each sample's ``triples`` to its extraction against the
     ``(path, source)`` dumps, in that order. Each dump is loaded scoped to
     the corpus's passage and question tokens, which gives the same triples
-    as the full dump (see ``load_knowledge_base``)."""
+    as the full dump (see ``load_knowledge_base``). Those tokens are used as
+    given, so they must already be normalized as KB concepts are."""
     vocabulary = {tok for s in samples for tok in (*s.passage, *s.question)}
     stores = [load_knowledge_base(path, source, vocabulary) for path, source in dumps]
     for s in samples:

@@ -33,20 +33,6 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: Tensor, b: Tensor) -
     return h, c
 
 
-def run_lstm(xs: Tensor, lengths: np.ndarray, w: Tensor, b: Tensor,
-             reverse: bool = False) -> tuple[Tensor, Tensor]:
-    """Run one LSTM direction over [B, L, D]; returns (H [B,L,h], h_final).
-
-    The recurrence is one tape node (``T.lstm_sequence``). Pad steps keep the
-    previous state, so h_final, read from the last step (forward) or the
-    first (reverse), is each sample's state after all of its real tokens.
-    """
-    out = T.lstm_sequence(xs, lengths, w, b, reverse)
-    nb, nl, hidden = out.shape
-    final = np.full((nb, hidden), 0 if reverse else nl - 1)
-    return out, T.gather_last(T.swapaxes(out, 1, 2), final)
-
-
 def bilstm(params: ParameterSet, prefix: str, xs: Tensor, lengths: np.ndarray,
            drop_rate: float = 0.0,
            rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor, Tensor]:
@@ -59,13 +45,17 @@ def bilstm(params: ParameterSet, prefix: str, xs: Tensor, lengths: np.ndarray,
     if xs.shape[1] == 0:
         raise T.ShapeError("bilstm: empty sequence")
     cur = xs
-    fw_h = bw_h = None
     for layer in range(params.layers):
-        fw_out, fw_h = run_lstm(cur, lengths, params[f"{prefix}.l{layer}.fw.W"],
-                                params[f"{prefix}.l{layer}.fw.b"])
-        bw_out, bw_h = run_lstm(cur, lengths, params[f"{prefix}.l{layer}.bw.W"],
-                                params[f"{prefix}.l{layer}.bw.b"], reverse=True)
+        fw_out = T.lstm_sequence(cur, lengths, params[f"{prefix}.l{layer}.fw.W"],
+                                 params[f"{prefix}.l{layer}.fw.b"])
+        bw_out = T.lstm_sequence(cur, lengths, params[f"{prefix}.l{layer}.bw.W"],
+                                 params[f"{prefix}.l{layer}.bw.b"], reverse=True)
         cur = T.dropout(T.concat([fw_out, bw_out], axis=-1), drop_rate, rng)
+    # pad steps carry the state, so the last step (forward) and the first
+    # (reverse) hold each sample's state after all of its real tokens
+    nb, nl, hidden = fw_out.shape
+    fw_h = T.gather_last(T.swapaxes(fw_out, 1, 2), np.full((nb, hidden), nl - 1))
+    bw_h = T.gather_last(T.swapaxes(bw_out, 1, 2), np.full((nb, hidden), 0))
     return cur, fw_h, bw_h
 
 

@@ -84,22 +84,15 @@ class ParameterSet:
             h.update(self._params[n].data.tobytes())
         return h.hexdigest()
 
-    def grad_norm(self) -> float:
-        total = 0.0
-        for t in self._params.values():
-            if t.grad is not None:
-                total += float(np.sum(t.grad * t.grad))
-        return float(np.sqrt(total))
-
     def clip_grads(self, max_norm: float) -> float:
         """Global L2 clipping over all parameters; returns the pre-clip norm.
 
         A non-finite gradient entry makes the norm NaN or inf, and then
         nothing is scaled: the caller must check the returned norm."""
-        norm = self.grad_norm()
+        grads = [t.grad for t in self._params.values() if t.grad is not None]
+        norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
         if norm > max_norm > 0.0:
             scale = max_norm / norm
-            for t in self._params.values():
-                if t.grad is not None:
-                    t.grad *= scale
+            for g in grads:
+                g *= scale
         return norm

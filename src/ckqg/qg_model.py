@@ -71,7 +71,7 @@ def encode_passage(params: ParameterSet, batch, *, drop_rate: float = 0.0,
     h, _, bw_final = bilstm(params, "enc", e, batch.passage_lengths, drop_rate, rng)
     mask = length_mask(batch.passage_lengths, h.shape[1])
     f, g = self_match(params, h, mask)
-    h_hat = T.add(T.mul(g, f), T.mul(1.0 - g, h))
+    h_hat = T.add(T.mul(g, f), T.mul(T.add(T.mul(g, -1.0), 1.0), h))
     proj = T.matmul(h_hat, params["attn.Wh"])
     return EncoderOutput(h=h, h_hat=h_hat, f=f, g=g, mask=mask, proj=proj,
                          bw_final=bw_final)
@@ -204,7 +204,7 @@ def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
         p_vocab_ext = T.concat([p_vocab, tail], axis=-1)
     else:
         p_vocab_ext = p_vocab
-    p = T.add(T.mul(p_vocab_ext, p_g), T.mul(p_copy, 1.0 - p_g))
+    p = T.add(T.mul(p_vocab_ext, p_g), T.mul(p_copy, T.add(T.mul(p_g, -1.0), 1.0)))
     return OutputDistribution(p_vocab=p_vocab, p_copy=p_copy, p=p), new_state
 
 

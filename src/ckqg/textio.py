@@ -29,3 +29,19 @@ def read_json(path: str | Path, error: type[Exception]):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise error(f"{path}: not valid JSON: {exc}") from None
+
+
+def read_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[str, object]]:
+    """``("path:line", value)`` for each non-blank line of ``path``, in
+    order. Text that is not UTF-8 raises ``error`` naming the path, and a
+    line that is not JSON raises it naming the line."""
+    with open_text(path, error) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"{where}: invalid JSON: {exc}") from None
+            yield where, value

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +279,15 @@ def test_load_bundled_corpus():
     assert len(samples) == 20
     assert all(s.sample_id for s in samples)
     assert samples[0].passage[5] == "council"
+
+
+def test_readme_corpus_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Data formats", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "example.jsonl"
+    _write_jsonl(path, [json.loads(block)])
+    [sample] = load_dataset(path)
+    assert sample.sample_id == "s01" and len(sample.triples) == 1
 
 
 def test_save_load_round_trip(tmp_path):

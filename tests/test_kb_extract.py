@@ -14,10 +14,10 @@ from ckqg.corpus import load_dataset
 from oracles import brute_force_extract, contains_contiguous, first_window
 
 
-def make_store(*rows):
+def make_store(*rows, source="ConceptNet"):
     store = kb.TripleStore()
     for head, rel, tail in rows:
-        store.add(kb.KnowledgeTriple(head, rel, tail, "ConceptNet"),
+        store.add(kb.KnowledgeTriple(head, rel, tail, source),
                   kb.concept_tokens(head), kb.concept_tokens(tail))
     return store
 
@@ -266,23 +266,42 @@ def _aligned(head, rel, tail, source="ConceptNet", swapped=False):
     return kb.AlignedTriple(kb.KnowledgeTriple(head, rel, tail, source), (0,), (0,), swapped)
 
 
+# extract_for_sample merges the stores' aligned triples: one sample, and a
+# fact that bridges it
+_P, _Q = ["the", "council", "votes", "today"], ["who", "governs", "the", "city", "?"]
+_ROW = ("council", "RelatedTo", "governs")
+
+
 def test_merge_identical_collapses():
-    a = [_aligned("x", "IsA", "y")]
-    assert kb.merge_dedup(a, list(a)) == a
-
-
-def test_merge_disjoint_concatenates():
-    a = [_aligned("a", "IsA", "b"), _aligned("c", "IsA", "d")]
-    b = [_aligned("e", "IsA", "f"), _aligned("g", "IsA", "h"), _aligned("i", "IsA", "j")]
-    assert kb.merge_dedup(a, b) == a + b
+    store = make_store(_ROW)
+    got = kb.extract_for_sample(_P, _Q, frozenset(), [store, store])
+    assert [a.triple for a in got] == [kb.KnowledgeTriple(*_ROW, "ConceptNet")]
 
 
 def test_merge_ignores_source_first_wins():
-    a = [_aligned("x", "IsA", "y", source="ConceptNet")]
-    b = [_aligned("x", "IsA", "y", source="WordNet")]
-    got = kb.merge_dedup(a, b)
-    assert len(got) == 1
-    assert got[0].triple.source == "ConceptNet"
+    cn, wn = make_store(_ROW), make_store(_ROW, source="WordNet")
+    for stores in ([cn, wn], [wn, cn]):
+        got = kb.extract_for_sample(_P, _Q, frozenset(), stores)
+        assert [a.triple for a in got] == [stores[0].triples[0]]
+
+
+def test_merge_disjoint_concatenates():
+    first = [("votes", "IsA", "city"), ("council", "RelatedTo", "governs")]
+    second = [("today", "Others", "city"), ("council", "IsA", "city"),
+              ("votes", "RelatedTo", "governs")]
+    stores = [make_store(*first), make_store(*second, source="WordNet")]
+    got = kb.extract_for_sample(_P, _Q, frozenset(), stores)
+    assert [a.triple for a in got] == (
+        [kb.KnowledgeTriple(*row, "ConceptNet") for row in first]
+        + [kb.KnowledgeTriple(*row, "WordNet") for row in second])
+
+
+def test_merge_reversed_duplicate_in_one_store_collapses_to_the_first():
+    fwd, rev = _ROW, ("governs", "RelatedTo", "council")
+    got = kb.extract_for_sample(_P, _Q, frozenset(), [make_store(fwd, rev)])
+    assert len(got) == 1 and got[0].triple.head == "council" and not got[0].swapped
+    got = kb.extract_for_sample(_P, _Q, frozenset(), [make_store(rev, fwd)])
+    assert len(got) == 1 and got[0].triple.head == "council" and got[0].swapped
 
 
 def test_selection_prefers_synonymy():

@@ -88,7 +88,7 @@ def test_self_match_hand_case():
     f, g = M.self_match(params, h, np.ones((1, 3), dtype=bool))
     assert np.allclose(f.data[0], ORACLE_F, atol=1e-12)
     assert np.allclose(g.data[0, :, 0], ORACLE_G, atol=1e-12)
-    h_hat = T.add(T.mul(g, f), T.mul(1.0 - g, h))
+    h_hat = T.add(T.mul(g, f), T.mul(T.add(T.mul(g, -1.0), 1.0), h))
     assert np.allclose(h_hat.data[0], ORACLE_H_HAT, atol=1e-12)
 
 
