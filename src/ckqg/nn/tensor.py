@@ -46,7 +46,7 @@ def _as_array(x) -> np.ndarray:
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericsError(f"non-finite values produced by op '{op}'")
 
 
@@ -79,7 +79,9 @@ def row_by_row():
     """Within the block (in this thread) a 2-D matmul computes each row of
     its output as a one-row product would, bit for bit, whatever other rows
     share the batch. BLAS sums a multi-row product in another order than a
-    one-row product, so the last bits would otherwise depend on the batch."""
+    one-row product, so the last bits would otherwise depend on the batch.
+    Wide products run in cache-sized column blocks, each the same one-row
+    BLAS call, so each row still comes out bit for bit as it would alone."""
     return _set_mode("row_by_row", True)
 
 
@@ -223,11 +225,33 @@ def mul(a, b) -> Tensor:
     return Tensor._from_op(data, (a, b), backward, "mul")
 
 
+# Row-by-row column blocks: the widest multiple of 64 columns of ``b`` that
+# fits in this many bytes (half a 2 MiB per-core L2), never under 64 columns.
+BLOCK_BYTES = 1 << 20
+
+
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``; inside ``row_by_row()`` a 2-D product runs row by row."""
-    if _mode.row_by_row and a.ndim == 2 and b.ndim == 2:
-        return np.matmul(a[:, None, :], b)[:, 0, :]
-    return np.matmul(a, b)
+    """``a @ b``; inside ``row_by_row()`` a 2-D product runs row by row.
+
+    The rows run block by block over ``b``'s columns, so each block stays in
+    cache while every row reads it; a ``b`` narrower than two blocks is one
+    block. A row's block is the same one-row BLAS call over the same columns,
+    so under one BLAS thread each row equals ``a[i:i+1] @ b`` bit for bit:
+    blocks start at multiples of 64 columns and the last one takes the
+    remainder, so no block is one column wide (numpy runs that as another
+    BLAS call) and none starts off a multiple of 4 columns (the kernel's
+    column grouping). With more threads OpenBLAS splits a wide unblocked
+    product between them, and its last bits then depend on the thread count;
+    the rows still all run the same calls, so none depends on the others."""
+    if not (_mode.row_by_row and a.ndim == 2 and b.ndim == 2):
+        return np.matmul(a, b)
+    rows, n = a[:, None, :], b.shape[1]
+    width = max(1, BLOCK_BYTES // (64 * max(b.shape[0], 1) * b.itemsize)) * 64
+    out = np.empty((a.shape[0], n), np.result_type(a, b))
+    starts = range(0, max(n - width, 0) + 1, width)
+    for j, hi in zip(starts, [*starts[1:], n]):
+        np.matmul(rows, b[:, j:hi], out=out[:, None, j:hi])
+    return out
 
 
 def matmul(a, b) -> Tensor:
@@ -309,7 +333,7 @@ def clamp_min(x: Tensor, floor: float) -> Tensor:
 def _softmax(v: np.ndarray, axis: int, mask: np.ndarray | None, op: str) -> np.ndarray:
     """The softmax values of ``softmax`` and of the ops that fuse one in;
     ``op`` names the caller in the error for a non-finite input."""
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NumericsError(f"{op} received non-finite input")
     if mask is not None:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), v.shape)

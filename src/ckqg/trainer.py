@@ -419,7 +419,7 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
             norm = params.clip_grads(config.grad_clip)
             if not math.isfinite(norm):
                 bad = [n for n, t in params.items()
-                       if t.grad is not None and not np.all(np.isfinite(t.grad))]
+                       if t.grad is not None and not np.isfinite(t.grad).all()]
                 raise TrainingError(
                     f"divergence at step {step} ({phase} phase): gradient norm {norm}; "
                     f"non-finite gradient entries in {', '.join(bad) or 'no parameter'}")

@@ -14,8 +14,8 @@ from ckqg import aux_tasks as A
 from ckqg import qg_model as M
 from ckqg import trainer as TR
 from ckqg.config import Config
-from ckqg.corpus import (BOS, EOS, UNK, TrainingSample, build_tag_vocabs,
-                         build_vocab, coarse_tags, encode_batch)
+from ckqg.corpus import (BOS, EOS, UNK, TrainingSample, Vocabulary,
+                         build_tag_vocabs, build_vocab, coarse_tags, encode_batch)
 from ckqg.kb_extract import AlignedTriple, KnowledgeTriple
 from ckqg.nn import tensor as T
 from ckqg.nn.gradcheck import grad_check
@@ -537,6 +537,40 @@ def test_decode_step_broadcasts_one_sample_inputs_over_state_rows(k):
         for g, w in zip(state_tensors(got_state), state_tensors(want_state),
                         strict=True):
             assert g.shape[0] == k and np.array_equal(g.data, w.data)
+
+
+@pytest.mark.parametrize("k", [3, 10])
+def test_decode_step_rows_equal_one_row_calls_when_the_output_splits(k):
+    s = make_sample("a kraken rose from the deep sea near the dog",
+                    "what did the kraken rise from ?", (5, 6), "b")
+    s.triples.append(AlignedTriple(
+        triple=KnowledgeTriple("sea", "RelatedTo", "kraken", "ConceptNet"),
+        head_positions=(6,), tail_positions=(3,)))
+    # a column block of dec.out.W, worked out from T.BLOCK_BYTES as
+    # _product does (2,048 columns at hidden 64); the vocabulary spans two
+    # blocks and a remainder
+    block = max(1, T.BLOCK_BYTES // (64 * 64 * 8)) * 64
+    vocab = Vocabulary([f"w{i}" for i in range(2 * block)] + s.passage[:5])
+    tags = build_tag_vocabs([s])
+    cfg = Config(emb_dim=5, feat_dim=2, hidden_size=64, layers=2)
+    params = TR.build_parameters(cfg, vocab, tags, np.random.default_rng(k))
+    assert params["dec.out.W"].shape == (64, len(vocab)) and len(vocab) > 2 * block
+    batch = encode_batch([s], vocab, tags)
+    enc = M.encode_passage(params, batch)
+    rng = np.random.default_rng(k)
+    y = rng.integers(0, batch.extended_size, size=k)
+    state = k_row_state(params, k, rng)
+    with T.no_grad(), T.row_by_row():
+        full_kmem = A.unified_memory(params, A.encode_triples(params, batch))
+        for kmem in (None, full_kmem):
+            got, _ = M.decode_step(params, "dec", y, state, enc, kmem,
+                                   batch.copy_ids, batch.extended_size)
+            for i in range(k):
+                one, _ = M.decode_step(params, "dec", y[i:i + 1],
+                                       M._reorder_state(state, [i]), enc, kmem,
+                                       batch.copy_ids, batch.extended_size)
+                assert got.p.data[i].tobytes() == one.p.data[0].tobytes()
+                assert got.p_vocab.data[i].tobytes() == one.p_vocab.data[0].tobytes()
 
 
 def test_beam_passes_the_callers_own_inputs_to_every_step(monkeypatch):

@@ -6,7 +6,11 @@ softmax, closed forms elsewhere.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,6 +422,27 @@ class TestProperties:
         assert gw1.tobytes() == gw2.tobytes()
 
 
+# Each row of a row_by_row() product against numpy's one-row product, printing
+# the rows that differ. The block width is worked out from T.BLOCK_BYTES as
+# _product does (1024 columns at K = 128 and 192 at K = 600), so the widths
+# 5000, 5003, two blocks plus one column and three blocks plus one split.
+ONE_ROW_PRODUCTS = """
+import numpy as np
+import ckqg.nn.tensor as T
+rng = np.random.default_rng(7)
+for k in (128, 600):
+    block = max(1, T.BLOCK_BYTES // (64 * k * 8)) * 64
+    for n in (5000, 5003, 2 * block + 1, 3 * block + 1):
+        for m in (1, 3, 10):
+            a, b = rng.uniform(-1, 1, (m, k)), rng.uniform(-1, 1, (k, n))
+            with T.row_by_row():
+                rows = T.matmul(T.Tensor(a), T.Tensor(b)).data
+            for i in range(m):
+                if rows[i].tobytes() != np.matmul(a[i:i + 1], b)[0].tobytes():
+                    print(f"K={k} n={n} rows={m}: row {i} differs")
+"""
+
+
 class TestNoGrad:
     def test_ops_inside_record_no_graph(self):
         w = rand_tensor(3, 2)
@@ -445,13 +470,29 @@ class TestNoGrad:
                 T.mul(Tensor([np.inf]), 0.0)
 
     def test_row_by_row_matmul_equals_one_row_products(self):
-        a, b = RNG.uniform(-1, 1, (7, 130)), RNG.uniform(-1, 1, (130, 300))
-        with T.row_by_row():
-            rows = T.matmul(Tensor(a), Tensor(b)).data
-            singles = [T.matmul(Tensor(a[i:i + 1]), Tensor(b)).data[0] for i in range(7)]
-        assert all(rows[i].tobytes() == singles[i].tobytes() for i in range(7))
-        np.testing.assert_allclose(T.matmul(Tensor(a), Tensor(b)).data, rows,
-                                   rtol=0, atol=1e-12)
+        # The reference is numpy's own one-row product, so it runs under one
+        # BLAS thread, in a child process: with more threads OpenBLAS splits
+        # a wide one-row product between them, and where the split falls
+        # moves the reference's own last bits.
+        env = {**os.environ, "PYTHONPATH": str(Path(T.__file__).parents[2]),
+               **{v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS")}}
+        proc = subprocess.run([sys.executable, "-c", ONE_ROW_PRODUCTS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""
+
+    def test_row_by_row_rows_do_not_depend_on_the_batch(self):
+        # one block at 7x130 @ 130x300; four blocks at 10x128 @ 128x5003
+        for m, k, n in ((7, 130, 300), (10, 128, 5003)):
+            a, b = RNG.uniform(-1, 1, (m, k)), RNG.uniform(-1, 1, (k, n))
+            with T.row_by_row():
+                rows = T.matmul(Tensor(a), Tensor(b)).data
+                singles = [T.matmul(Tensor(a[i:i + 1]), Tensor(b)).data[0]
+                           for i in range(m)]
+            assert all(rows[i].tobytes() == singles[i].tobytes() for i in range(m))
+            np.testing.assert_allclose(T.matmul(Tensor(a), Tensor(b)).data, rows,
+                                       rtol=0, atol=1e-12)
 
     def test_decoding_records_no_tape(self, monkeypatch):
         from ckqg import qg_model, trainer
