@@ -1,10 +1,10 @@
-"""Compare this checkout's `ckqg` output with another checkout's on one
-benchmark workload's generated inputs.
+"""Compare this checkout's `ckqg` output with another checkout's on
+benchmark workloads' generated inputs.
 
     python3 scripts/compare_outputs.py --base OTHER_CHECKOUT \
-        --workload {extract,train,generate} [--seeds 7 11]
+        --workload {extract,train,generate} [...] [--seeds 7 11]
 
-For each seed it writes the workload's inputs with ``perfbench/gen.py``,
+For each workload and seed it writes the inputs with ``perfbench/gen.py``,
 runs the workload's command as ``perfbench/run.py`` does (same arguments,
 one BLAS thread, no CKQG_* overrides) once per checkout, each in a child
 process that imports ``ckqg`` from that checkout's ``src/``, and requires
@@ -14,8 +14,8 @@ the outputs to be byte-equal:
     train     model.bin, train_log.csv
     generate  hyp.jsonl
 
-It prints one JSON line per seed and exits 1 when a command fails or any
-output differs.
+It prints one JSON line per workload and seed, and exits 1 when a command
+fails or any output differs.
 """
 
 from __future__ import annotations
@@ -76,13 +76,13 @@ def compare_seed(base: Path, workload: str, seed: int) -> tuple[dict, list[str]]
         for side, checkout in (("base", base), ("here", ROOT)):
             failure = run_ckqg(checkout, command(workload, tmp / "inputs", tmp / side))
             if failure:
-                problems.append(f"seed {seed}: {side} command failed, {failure}")
+                problems.append(f"{workload} seed {seed}: {side} command failed, {failure}")
         if not problems:
             for name in OUTPUTS[workload]:
                 here = (tmp / "here" / name).read_bytes()
                 counts[f"{name}_sha256_16"] = hashlib.sha256(here).hexdigest()[:16]
                 if (tmp / "base" / name).read_bytes() != here:
-                    problems.append(f"seed {seed}: {name} differs")
+                    problems.append(f"{workload} seed {seed}: {name} differs")
     counts["equal"] = not problems
     return counts, problems
 
@@ -90,17 +90,18 @@ def compare_seed(base: Path, workload: str, seed: int) -> tuple[dict, list[str]]
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True, help="checkout to compare against")
-    ap.add_argument("--workload", required=True, choices=sorted(OUTPUTS))
+    ap.add_argument("--workload", required=True, nargs="+", choices=sorted(OUTPUTS))
     ap.add_argument("--seeds", type=int, nargs="+", default=[7, 11])
     args = ap.parse_args(argv)
     common.prepare_process()   # the ckqg children inherit the pinned environment
     failed = False
-    for seed in args.seeds:
-        counts, problems = compare_seed(args.base.resolve(), args.workload, seed)
-        print(json.dumps(counts), flush=True)
-        for p in problems:
-            print(f"  {p}")
-        failed |= bool(problems)
+    for workload in args.workload:
+        for seed in args.seeds:
+            counts, problems = compare_seed(args.base.resolve(), workload, seed)
+            print(json.dumps(counts), flush=True)
+            for p in problems:
+                print(f"  {p}")
+            failed |= bool(problems)
     return 1 if failed else 0
 
 

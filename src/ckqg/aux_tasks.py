@@ -26,8 +26,7 @@ SEP_INDEX = N_RELATIONS  # row of the separator in the special embedding table
 
 
 def _encode_rows(params: ParameterSet, prefix: str, head_ids: np.ndarray,
-                 head_lengths: np.ndarray, suffixes: list[list[int]],
-                 drop_rate: float, rng: np.random.Generator | None
+                 head_lengths: np.ndarray, suffixes: list[list[int]]
                  ) -> tuple[Tensor, np.ndarray, Tensor, Tensor]:
     """Pack [head; suffix] rows, pad, embed and run the biLSTM under ``prefix``.
 
@@ -37,30 +36,24 @@ def _encode_rows(params: ParameterSet, prefix: str, head_ids: np.ndarray,
             for i, (n, suffix) in enumerate(zip(head_lengths, suffixes))]
     ids, lengths = pad_rows(rows)
     table = T.concat([params["emb.word"], params["know.special"]], axis=0)
-    out, fw_fin, bw_fin = bilstm(params, prefix, T.embedding(table, ids), lengths,
-                                 drop_rate, rng)
+    out, fw_fin, bw_fin = bilstm(params, prefix, T.embedding(table, ids), lengths)
     return out, length_mask(lengths, out.shape[1]), fw_fin, bw_fin
 
 
 def encode_head_tail(params: ParameterSet, head_ids: np.ndarray,
                      head_lengths: np.ndarray, tail_ids: np.ndarray,
-                     tail_lengths: np.ndarray, *, drop_rate: float = 0.0,
-                     rng: np.random.Generator | None = None
-                     ) -> tuple[Tensor, np.ndarray]:
+                     tail_lengths: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Encode [head; separator; tail] rows; row count is lh + 1 + lt."""
     if np.any(np.asarray(head_lengths) < 1) or np.any(np.asarray(tail_lengths) < 1):
         raise ValidationError("empty concept in head-tail encoder")
     sep = params["emb.word"].shape[0] + SEP_INDEX
     tails = [[sep] + tail_ids[i, :n].tolist() for i, n in enumerate(tail_lengths)]
-    out, mask, _, _ = _encode_rows(params, "ht_enc", head_ids, head_lengths, tails,
-                                   drop_rate, rng)
+    out, mask, _, _ = _encode_rows(params, "ht_enc", head_ids, head_lengths, tails)
     return out, mask
 
 
 def encode_head_relation(params: ParameterSet, head_ids: np.ndarray,
-                         head_lengths: np.ndarray, relation_ids: np.ndarray, *,
-                         drop_rate: float = 0.0,
-                         rng: np.random.Generator | None = None
+                         head_lengths: np.ndarray, relation_ids: np.ndarray
                          ) -> tuple[Tensor, np.ndarray, Tensor]:
     """Encode [head; relation-token] rows; also returns the concatenated
     final states used to seed the tail decoder."""
@@ -72,7 +65,7 @@ def encode_head_relation(params: ParameterSet, head_ids: np.ndarray,
     vocab_size = params["emb.word"].shape[0]
     relations = [[vocab_size + int(r)] for r in relation_ids]
     out, mask, fw_fin, bw_fin = _encode_rows(params, "hr_enc", head_ids, head_lengths,
-                                             relations, drop_rate, rng)
+                                             relations)
     return out, mask, T.concat([fw_fin, bw_fin], axis=-1)
 
 
@@ -87,17 +80,14 @@ class TripleEncoding:
     t_final: Tensor       # [B, 2d] tail-decoder seed
 
 
-def encode_triples(params: ParameterSet, batch, *, drop_rate: float = 0.0,
-                   rng: np.random.Generator | None = None) -> TripleEncoding:
+def encode_triples(params: ParameterSet, batch) -> TripleEncoding:
     if not batch.has_triples:
         raise ValidationError("batch carries no triples")
     r, r_mask = encode_head_tail(params, batch.head_ids, batch.head_lengths,
-                                 batch.tail_ids, batch.tail_lengths,
-                                 drop_rate=drop_rate, rng=rng)
+                                 batch.tail_ids, batch.tail_lengths)
     t, t_mask, t_final = encode_head_relation(params, batch.head_ids,
                                               batch.head_lengths,
-                                              batch.relation_ids,
-                                              drop_rate=drop_rate, rng=rng)
+                                              batch.relation_ids)
     k = T.concat([t, r], axis=1)
     k_mask = np.concatenate([t_mask, r_mask], axis=1)
     return TripleEncoding(r=r, r_mask=r_mask, t=t, t_mask=t_mask,
@@ -171,12 +161,9 @@ def tg_memory(params: ParameterSet, trip: TripleEncoding) -> KnowledgeMemory:
 
 
 def tg_teacher_steps(params: ParameterSet, enc: EncoderOutput,
-                     trip: TripleEncoding, batch, *, drop_rate: float = 0.0,
-                     rng: np.random.Generator | None = None
-                     ) -> list[Tensor]:
+                     trip: TripleEncoding, batch) -> list[Tensor]:
     """Per-step gold probabilities of the tail decoder under teacher forcing."""
     return teacher_forced_steps(params, "tg.dec", enc, tg_memory(params, trip),
                                 batch.tail_gen_ids, batch.tail_gen_lengths,
                                 batch.copy_ids, batch.extended_size,
-                                init_source=trip.t_final, drop_rate=drop_rate,
-                                rng=rng)
+                                init_source=trip.t_final)

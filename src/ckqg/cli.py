@@ -19,7 +19,7 @@ import numpy as np
 from . import kb_extract as kb
 from . import aux_tasks, metrics, qg_model, trainer
 from .assets import KB_CONCEPTNET, KB_WORDNET, MINI_CORPUS, STOPWORDS, asset_path
-from .config import Config, ConfigError, load_config, parse_config_file
+from .config import Config, ConfigError, env_settings, load_config, parse_config_file
 from .corpus import (RESERVED, TagVocab, TrainingSample, ValidationError,
                      Vocabulary, build_tag_vocabs, build_vocab, encode_batch,
                      is_str_list, load_dataset, save_dataset)
@@ -255,16 +255,18 @@ def cmd_evaluate(args) -> int:
 # -- gradcheck ----------------------------------------------------------------
 
 # small enough that central differences over every component finish in
-# seconds, large enough that every parameter tensor exists
+# seconds, large enough that every parameter tensor exists; they replace
+# only the built-in defaults, so the file and CKQG_* variables still win
 _TOY = {"hidden_size": 3, "layers": 1, "emb_dim": 4, "feat_dim": 2,
-        "vocab_size": 200, "dropout": 0.0, "batch_size": 2}
+        "vocab_size": 200, "batch_size": 2}
 
 
 def _gradcheck_config(args) -> Config:
-    file_keys = set(parse_config_file(args.config)) if args.config else set()
+    given = set(parse_config_file(args.config)) if args.config else set()
+    given |= set(env_settings())
     cfg = _load_cfg(args)
     for key, value in _TOY.items():
-        if key not in file_keys:
+        if key not in given:
             setattr(cfg, key, value)
     cfg.validate()
     return cfg

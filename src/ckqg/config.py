@@ -104,18 +104,21 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def env_settings(env: dict[str, str] | None = None) -> dict[str, str]:
+    """The CKQG_<KEY> variables of ``env`` (the process environment by
+    default), keyed by lower-case config key."""
+    env = os.environ if env is None else env
+    return {key[len(ENV_PREFIX):].lower(): value
+            for key, value in env.items() if key.startswith(ENV_PREFIX)}
+
+
 def load_config(path: str | None = None, overrides: dict[str, str] | None = None,
                 env: dict[str, str] | None = None) -> Config:
     cfg = Config()
     layers: list[dict[str, str]] = []
     if path is not None:
         layers.append(parse_config_file(path))
-    env = os.environ if env is None else env
-    env_layer = {}
-    for key, value in env.items():
-        if key.startswith(ENV_PREFIX):
-            env_layer[key[len(ENV_PREFIX):].lower()] = value
-    layers.append(env_layer)
+    layers.append(env_settings(env))
     if overrides:
         layers.append(dict(overrides))
     for layer in layers:

@@ -33,9 +33,10 @@ def grad_check(f, named_params: list[tuple[str, Tensor]], eps: float = 1e-4,
                rng: np.random.Generator | None = None) -> GradCheckReport:
     """Compare analytic gradients of the scalar ``f()`` against central differences.
 
-    ``f`` must be a deterministic re-runnable forward pass (dropout off);
-    every call rebuilds the graph from the current parameter values. For each
-    tensor up to ``samples_per_tensor`` coordinates are sampled.
+    ``f`` must be a deterministic re-runnable forward pass, run outside
+    ``tensor.training()`` so dropout is off; every call rebuilds the graph
+    from the current parameter values. For each tensor up to
+    ``samples_per_tensor`` coordinates are sampled.
     """
     rng = rng or np.random.default_rng(0)
     for _, p in named_params:
@@ -67,5 +68,5 @@ def grad_check(f, named_params: list[tuple[str, Tensor]], eps: float = 1e-4,
             if err > report.max_rel_err:
                 report.max_rel_err = err
                 report.worst_param = name
-                report.worst_index = idx
+                report.worst_index = tuple(int(i) for i in idx)
     return report

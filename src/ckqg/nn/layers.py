@@ -33,14 +33,13 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: Tensor, b: Tensor) -
     return h, c
 
 
-def bilstm(params: ParameterSet, prefix: str, xs: Tensor, lengths: np.ndarray,
-           drop_rate: float = 0.0,
-           rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor, Tensor]:
+def bilstm(params: ParameterSet, prefix: str, xs: Tensor, lengths: np.ndarray
+           ) -> tuple[Tensor, Tensor, Tensor]:
     """Stacked bidirectional LSTM.
 
     Returns (H [B,L,2h], fw_final [B,h], bw_final [B,h]) where the finals come
-    from the top layer of the ``params.layers`` deep stack. With an rng,
-    dropout applies to each layer's output sequence.
+    from the top layer of the ``params.layers`` deep stack. Inside
+    ``T.training()`` dropout applies to each layer's output sequence.
     """
     if xs.shape[1] == 0:
         raise T.ShapeError("bilstm: empty sequence")
@@ -50,7 +49,7 @@ def bilstm(params: ParameterSet, prefix: str, xs: Tensor, lengths: np.ndarray,
                                  params[f"{prefix}.l{layer}.fw.b"])
         bw_out = T.lstm_sequence(cur, lengths, params[f"{prefix}.l{layer}.bw.W"],
                                  params[f"{prefix}.l{layer}.bw.b"], reverse=True)
-        cur = T.dropout(T.concat([fw_out, bw_out], axis=-1), drop_rate, rng)
+        cur = T.dropout(T.concat([fw_out, bw_out], axis=-1))
     # pad steps carry the state, so the last step (forward) and the first
     # (reverse) hold each sample's state after all of its real tokens
     nb, nl, hidden = fw_out.shape
@@ -60,11 +59,11 @@ def bilstm(params: ParameterSet, prefix: str, xs: Tensor, lengths: np.ndarray,
 
 
 def stacked_lstm_step(params: ParameterSet, prefix: str, x: Tensor,
-                      states: list[tuple[Tensor, Tensor]],
-                      drop_rate: float = 0.0, rng: np.random.Generator | None = None
+                      states: list[tuple[Tensor, Tensor]]
                       ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
     """One time step through a stacked unidirectional LSTM (decoder use), one
-    layer per entry of ``states``."""
+    layer per entry of ``states``. Inside ``T.training()`` dropout applies
+    between layers."""
     layers = len(states)
     new_states = []
     cur = x
@@ -74,5 +73,5 @@ def stacked_lstm_step(params: ParameterSet, prefix: str, x: Tensor,
         new_states.append((h, c))
         cur = h
         if layer < layers - 1:
-            cur = T.dropout(cur, drop_rate, rng)
+            cur = T.dropout(cur)
     return cur, new_states

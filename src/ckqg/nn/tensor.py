@@ -12,7 +12,9 @@ its rule has run. Backpropagating through a consumed node again raises
 Every forward op validates that its output is finite; NaN/Inf anywhere
 raises ``NumericsError`` immediately so divergence is caught at the op that
 produced it, not three modules later. Inside ``no_grad()`` ops still check
-their outputs but record no graph, which is how inference runs.
+their outputs but record no graph, which is how inference runs. Dropout is
+on only inside ``training()``, which is how a training step's forward pass
+runs.
 """
 
 from __future__ import annotations
@@ -53,13 +55,14 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 class _Mode(threading.local):
     grad = True          # ops record parents and backward closures
     row_by_row = False   # 2-D matmuls run as one vector-matrix product per row
+    dropout = None       # (rate, rng) inside training(): dropout masks units
 
 
 _mode = _Mode()
 
 
 @contextlib.contextmanager
-def _set_mode(name: str, value: bool):
+def _set_mode(name: str, value):
     prev = getattr(_mode, name)
     setattr(_mode, name, value)
     try:
@@ -83,6 +86,16 @@ def row_by_row():
     Wide products run in cache-sized column blocks, each the same one-row
     BLAS call, so each row still comes out bit for bit as it would alone."""
     return _set_mode("row_by_row", True)
+
+
+def training(rate: float, rng: np.random.Generator):
+    """Within the block (in this thread) ``dropout`` zeroes each unit with
+    probability ``rate``, drawing its masks from ``rng`` in call order.
+    Outside it, and at rate 0, dropout is the identity and draws nothing.
+    Nests, and restores the previous mode on exit."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    return _set_mode("dropout", (rate, rng) if rate > 0.0 else None)
 
 
 class Tensor:
@@ -718,13 +731,13 @@ def lstm_sequence(xs: Tensor, lengths: np.ndarray, w: Tensor, b: Tensor,
     return Tensor._from_op(out, (xs, w, b), backward, "lstm_sequence")
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: scales kept units by 1/(1-rate); identity without an rng."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+def dropout(x: Tensor) -> Tensor:
+    """Inverted dropout at the ``training()`` rate: scales kept units by
+    1/(1-rate); the identity outside ``training()``."""
     x = _coerce(x)
-    if rng is None or rate == 0.0:
+    if _mode.dropout is None:
         return x
+    rate, rng = _mode.dropout
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
 
     def backward(g):

@@ -65,10 +65,9 @@ def self_match(params: ParameterSet, h: Tensor, mask: np.ndarray) -> tuple[Tenso
     return f, g
 
 
-def encode_passage(params: ParameterSet, batch, *, drop_rate: float = 0.0,
-                   rng: np.random.Generator | None = None) -> EncoderOutput:
+def encode_passage(params: ParameterSet, batch) -> EncoderOutput:
     e = embed_source(params, batch)
-    h, _, bw_final = bilstm(params, "enc", e, batch.passage_lengths, drop_rate, rng)
+    h, _, bw_final = bilstm(params, "enc", e, batch.passage_lengths)
     mask = length_mask(batch.passage_lengths, h.shape[1])
     f, g = self_match(params, h, mask)
     h_hat = T.add(T.mul(g, f), T.mul(T.add(T.mul(g, -1.0), 1.0), h))
@@ -145,8 +144,7 @@ def copy_distribution(alpha: Tensor, copy_ids: np.ndarray, extended_size: int) -
 
 def decoder_state_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
                        state: DecoderState, enc: EncoderOutput,
-                       kmem: KnowledgeMemory | None, *, drop_rate: float = 0.0,
-                       rng: np.random.Generator | None = None
+                       kmem: KnowledgeMemory | None
                        ) -> tuple[Tensor, DecoderState]:
     """One decoder step over a batch, up to the output layer: the readout
     ``u`` [B, d] that ``{prefix}.out`` projects onto the vocabulary, and
@@ -159,8 +157,7 @@ def decoder_state_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
     vocab_size = params["emb.word"].shape[0]
     emb = T.embedding(params["emb.word"], clamp_to_vocab(y_prev, vocab_size))
     x = T.concat([emb, state.s_tilde], axis=-1)
-    s, new_states = stacked_lstm_step(params, f"{prefix}.cell", x, state.states,
-                                      drop_rate, rng)
+    s, new_states = stacked_lstm_step(params, f"{prefix}.cell", x, state.states)
     nb, hidden = s.shape
 
     alpha = _attend(enc.proj, s, enc.mask)
@@ -176,7 +173,7 @@ def decoder_state_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
     pre = T.add(pre, T.matmul(s, params[f"{prefix}.blend.s.W"]))
     s_tilde = T.tanh(T.add(pre, params[f"{prefix}.blend.b"]))
 
-    z = T.dropout(T.concat([c, s], axis=-1), drop_rate, rng)
+    z = T.dropout(T.concat([c, s], axis=-1))
     u = T.maxout(T.tanh(linear(params, f"{prefix}.readout", z)))
     p_g = T.sigmoid(linear(params, f"{prefix}.copy", T.concat([c, s, emb], axis=-1)))
     return u, DecoderState(states=new_states, s_tilde=s_tilde, s=s, c=c,
@@ -186,15 +183,12 @@ def decoder_state_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
 def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
                 state: DecoderState, enc: EncoderOutput,
                 kmem: KnowledgeMemory | None, copy_ids: np.ndarray,
-                extended_size: int, *, drop_rate: float = 0.0,
-                rng: np.random.Generator | None = None
-                ) -> tuple[OutputDistribution, DecoderState]:
+                extended_size: int) -> tuple[OutputDistribution, DecoderState]:
     """One decoder step with the full output distribution over the extended
     vocabulary, as decoding needs it: the generate distribution padded with
     zeros past the word vocabulary, mixed with the copy distribution by the
     gate ``p_g``."""
-    u, new_state = decoder_state_step(params, prefix, y_prev, state, enc, kmem,
-                                      drop_rate=drop_rate, rng=rng)
+    u, new_state = decoder_state_step(params, prefix, y_prev, state, enc, kmem)
     nb, vocab_size = u.shape[0], params["emb.word"].shape[0]
     p_g = new_state.p_g
     p_vocab = T.softmax(linear(params, f"{prefix}.out", u), axis=-1)
@@ -214,9 +208,7 @@ def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
 def teacher_forced_steps(params: ParameterSet, prefix: str, enc: EncoderOutput,
                          kmem: KnowledgeMemory | None, target_ids: np.ndarray,
                          target_lengths: np.ndarray, copy_ids: np.ndarray,
-                         extended_size: int, *, init_source: Tensor,
-                         drop_rate: float = 0.0,
-                         rng: np.random.Generator | None = None
+                         extended_size: int, *, init_source: Tensor
                          ) -> list[Tensor]:
     """Run the decoder with gold inputs; step t scores target_ids[:, t+1].
 
@@ -231,8 +223,7 @@ def teacher_forced_steps(params: ParameterSet, prefix: str, enc: EncoderOutput,
     state = init_decoder_state(params, prefix, init_source)
     steps = []
     for t in range(int(np.max(target_lengths)) - 1):
-        u, state = decoder_state_step(params, prefix, target_ids[:, t], state, enc,
-                                      kmem, drop_rate=drop_rate, rng=rng)
+        u, state = decoder_state_step(params, prefix, target_ids[:, t], state, enc, kmem)
         steps.append(T.gold_mixture_prob(u, out_w, out_b, state.alpha, state.p_g,
                                          copy_ids, target_ids[:, t + 1]))
     return steps

@@ -65,18 +65,15 @@ def _bundle(l_q: T.Tensor, l_r: T.Tensor, l_t: T.Tensor) -> LossBundle:
 
 
 def unified_forward(params: ParameterSet, batch: Batch, *,
-                    drop_rate: float = 0.0,
-                    rng: np.random.Generator | None = None,
                     no_rc: bool = False, no_tg: bool = False) -> LossBundle:
     """Forward pass for a triple-equipped batch: question loss with attention
     over the triple memory, plus relation and tail losses unless ablated."""
-    kw = dict(drop_rate=drop_rate, rng=rng)
-    enc = qg_model.encode_passage(params, batch, **kw)
-    trip = aux_tasks.encode_triples(params, batch, **kw)
+    enc = qg_model.encode_passage(params, batch)
+    trip = aux_tasks.encode_triples(params, batch)
     kmem = aux_tasks.unified_memory(params, trip)
     steps = qg_model.teacher_forced_steps(
         params, "dec", enc, kmem, batch.question_ids, batch.question_lengths,
-        batch.copy_ids, batch.extended_size, init_source=enc.bw_final, **kw)
+        batch.copy_ids, batch.extended_size, init_source=enc.bw_final)
     l_q = qg_model.sequence_nll(steps, batch.question_ids, batch.question_lengths)
     if no_rc:
         l_r = _zero()
@@ -86,21 +83,19 @@ def unified_forward(params: ParameterSet, batch: Batch, *,
     if no_tg:
         l_t = _zero()
     else:
-        tg_steps = aux_tasks.tg_teacher_steps(params, enc, trip, batch, **kw)
+        tg_steps = aux_tasks.tg_teacher_steps(params, enc, trip, batch)
         l_t = qg_model.sequence_nll(tg_steps, batch.tail_gen_ids,
                                     batch.tail_gen_lengths)
     return _bundle(l_q, l_r, l_t)
 
 
-def pure_forward(params: ParameterSet, batch: Batch, *, drop_rate: float = 0.0,
-                 rng: np.random.Generator | None = None) -> LossBundle:
+def pure_forward(params: ParameterSet, batch: Batch) -> LossBundle:
     """Question-only forward: no knowledge memory, so no knowledge parameter
     enters the graph and the total equals the question loss exactly."""
-    kw = dict(drop_rate=drop_rate, rng=rng)
-    enc = qg_model.encode_passage(params, batch, **kw)
+    enc = qg_model.encode_passage(params, batch)
     steps = qg_model.teacher_forced_steps(
         params, "dec", enc, None, batch.question_ids, batch.question_lengths,
-        batch.copy_ids, batch.extended_size, init_source=enc.bw_final, **kw)
+        batch.copy_ids, batch.extended_size, init_source=enc.bw_final)
     l_q = qg_model.sequence_nll(steps, batch.question_ids, batch.question_lengths)
     return _bundle(l_q, _zero(), _zero())
 
@@ -404,13 +399,11 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
         for step, phase in enumerate(schedule, start=1):
             batch = next(eq_iter if phase == EQUIPPED else pure_iter)
             try:
-                if phase == EQUIPPED:
-                    bundle = unified_forward(params, batch,
-                                             drop_rate=config.dropout, rng=drop_rng,
-                                             no_rc=no_rc, no_tg=no_tg)
-                else:
-                    bundle = pure_forward(params, batch, drop_rate=config.dropout,
-                                          rng=drop_rng)
+                with T.training(config.dropout, drop_rng):
+                    if phase == EQUIPPED:
+                        bundle = unified_forward(params, batch, no_rc=no_rc, no_tg=no_tg)
+                    else:
+                        bundle = pure_forward(params, batch)
                 l_q, l_r, l_t, total = bundle.values()
                 bundle.l.backward()
             except T.NumericsError as e:

@@ -196,7 +196,7 @@ def reference_beam_search(params, prefix, enc, kmem, copy_ids, extended_size,
 
 def reference_teacher_forced_steps(params, prefix, enc, kmem, target_ids,
                                    target_lengths, copy_ids, extended_size, *,
-                                   init_source, drop_rate=0.0, rng=None):
+                                   init_source):
     """Teacher forcing through the full output distribution: a decode_step
     per target after BOS, then its gold entry picked by ``gather_last``. Each
     step records the mixture over the extended vocabulary that
@@ -206,8 +206,7 @@ def reference_teacher_forced_steps(params, prefix, enc, kmem, target_ids,
     steps = []
     for t in range(int(np.max(target_lengths)) - 1):
         out, state = decode_step(params, prefix, target_ids[:, t], state, enc, kmem,
-                                 copy_ids, extended_size, drop_rate=drop_rate,
-                                 rng=rng)
+                                 copy_ids, extended_size)
         steps.append(T.gather_last(out.p, target_ids[:, t + 1]))
     return steps
 

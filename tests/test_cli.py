@@ -503,6 +503,32 @@ class TestEvaluate:
         assert "hyp.jsonl:3" in err and message in err
 
 
+class TestGradcheck:
+    def test_settings_win_over_the_toy_values(self, tmp_path, monkeypatch):
+        cfg_file = tmp_path / "gradcheck.cfg"
+        cfg_file.write_text("hidden_size = 4\n")
+        monkeypatch.setenv("CKQG_LAYERS", "2")
+        args = cli.build_parser().parse_args(
+            ["--config", str(cfg_file), "--seed", "9", "gradcheck"])
+        cfg = cli._gradcheck_config(args)
+        assert (cfg.hidden_size, cfg.layers, cfg.seed) == (4, 2, 9)
+        assert cfg.emb_dim == cli._TOY["emb_dim"]   # a key nobody set takes the toy value
+
+    def test_mismatch_exits_3_and_still_writes_the_report(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(cli, "GRADCHECK_TOLERANCE", 0.0)
+        out = tmp_path / "gradcheck.json"
+        assert main(["--out", str(out), "gradcheck"]) == 3
+        captured = capsys.readouterr()
+        assert "gradient mismatch" in captured.err
+        assert "FAIL" in captured.out and "np." not in captured.out
+        report = json.loads(out.read_text())
+        assert sorted(report) == ["L", "L_q", "L_r", "L_t"]
+        for entry in report.values():
+            assert sorted(entry) == ["checked", "max_rel_err", "worst_param"]
+            assert entry["checked"] > 0 and entry["worst_param"]
+
+
 class TestTextInputs:
     @pytest.mark.parametrize("raw, argv, code", [
         (b"seed = 3\n# caf\xff\n",

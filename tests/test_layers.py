@@ -1,5 +1,6 @@
 """Recurrent layers, parameter registry, Adam, checkpoint IO, grad checker."""
 
+import re
 import struct
 
 import numpy as np
@@ -295,6 +296,8 @@ def test_lstm_sequence_gradcheck_padded_reverse():
     report = grad_check(loss, [("w", w), ("b", b), ("xs", xs)], eps=1e-5,
                         samples_per_tensor=12)
     assert report.max_rel_err < 1e-4, str(report)
+    # the worst coordinate prints as plain ints, e.g. "at xs(2, 0, 1)"
+    assert re.search(r" at (w|b|xs)\((\d+, )*\d+,?\) \(36 coordinates\)$", str(report))
 
 
 def test_lstm_sequence_overflow_names_op():
@@ -405,9 +408,9 @@ def test_init_lstm_forget_gate_bias():
 
 
 def test_dropout_preserves_mean_and_zero_fraction():
-    rng = np.random.default_rng(37)
     x = Tensor(np.ones(200_000))
-    out = T.dropout(x, 0.3, rng=rng)
+    with T.training(0.3, np.random.default_rng(37)):
+        out = T.dropout(x)
     zero_frac = float(np.mean(out.data == 0.0))
     assert abs(zero_frac - 0.3) < 0.02
     assert abs(float(np.mean(out.data)) - 1.0) < 0.02
@@ -417,9 +420,9 @@ def test_dropout_preserves_mean_and_zero_fraction():
 
 def test_dropout_inference_is_identity():
     x = Tensor(np.array([1.0, 2.0, 3.0]))
-    np.testing.assert_array_equal(T.dropout(x, 0.3).data, x.data)
-    np.testing.assert_array_equal(
-        T.dropout(x, 0.0, rng=np.random.default_rng(0)).data, x.data)
+    np.testing.assert_array_equal(T.dropout(x).data, x.data)
+    with T.training(0.0, np.random.default_rng(0)):
+        np.testing.assert_array_equal(T.dropout(x).data, x.data)
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,12 @@ class TestGradients:
 
     def test_dropout_grad_fixed_mask(self):
         x = rand_tensor(4, 4)
-        fd_check(lambda: scalarize(T.dropout(x, 0.4, np.random.default_rng(11))), [x])
+
+        def f():   # a fresh rng per call, so every call draws the same mask
+            with T.training(0.4, np.random.default_rng(11)):
+                return scalarize(T.dropout(x))
+
+        fd_check(f, [x])
 
     def test_first_gradient_does_not_alias_the_incoming_array(self):
         x = Tensor(np.zeros(3), requires_grad=True)
@@ -411,7 +416,8 @@ class TestProperties:
             rng = np.random.default_rng(42)
             x = Tensor(rng.uniform(-1, 1, (4, 6)), requires_grad=True)
             w = Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
-            loss = T.sum_(T.tanh(T.matmul(T.dropout(x, 0.3, rng), w)))
+            with T.training(0.3, rng):
+                loss = T.sum_(T.tanh(T.matmul(T.dropout(x), w)))
             loss.backward()
             return loss.data.copy(), x.grad.copy(), w.grad.copy()
 
@@ -463,6 +469,35 @@ class TestNoGrad:
             with T.no_grad():
                 raise RuntimeError("boom")
         assert T.mul(w, 2.0).requires_grad
+
+    def test_training_mode_restored_after_nesting_and_exceptions(self):
+        x = Tensor(np.ones(50))
+
+        def dropped() -> bool:
+            return bool((T.dropout(x).data == 0.0).any())
+
+        rng = np.random.default_rng(4)
+        with T.training(0.5, rng):
+            with T.training(0.0, rng):
+                assert not dropped()
+            assert dropped()
+        assert not dropped()
+        with pytest.raises(RuntimeError, match="boom"):
+            with T.training(0.5, rng):
+                raise RuntimeError("boom")
+        assert not dropped()
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5, float("nan")])
+    def test_training_rejects_a_rate_outside_zero_one(self, rate):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            T.training(rate, np.random.default_rng(0))
+
+    def test_training_at_rate_zero_draws_nothing(self):
+        rng = np.random.default_rng(6)
+        before = rng.bit_generator.state
+        with T.training(0.0, rng):
+            T.dropout(rand_tensor(3, 4))
+        assert rng.bit_generator.state == before
 
     def test_nan_inside_still_names_the_op(self):
         with T.no_grad(), np.errstate(invalid="ignore"):

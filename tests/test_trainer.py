@@ -107,15 +107,17 @@ class TestForward:
         assert bundle.l.data == want
         assert bundle.l_q.data >= 0 and bundle.l_r.data >= 0 and bundle.l_t.data >= 0
 
-    def test_dropout_is_active_exactly_when_an_rng_is_passed(self):
+    def test_dropout_is_active_exactly_inside_training(self):
         cfg, params, vocab, tags, eq, _ = build_world()
         batch = encode_batch(eq, vocab, tags)
         plain = TR.unified_forward(params, batch).l.data
-        no_rng = TR.unified_forward(params, batch, drop_rate=0.3).l.data
-        assert no_rng.tobytes() == plain.tobytes()
-        dropped = TR.unified_forward(params, batch, drop_rate=0.3,
-                                     rng=np.random.default_rng(5)).l.data
+        with T.training(0.0, np.random.default_rng(5)):
+            rate_zero = TR.unified_forward(params, batch).l.data
+        assert rate_zero.tobytes() == plain.tobytes()
+        with T.training(0.3, np.random.default_rng(5)):
+            dropped = TR.unified_forward(params, batch).l.data
         assert dropped != plain
+        assert TR.unified_forward(params, batch).l.data.tobytes() == plain.tobytes()
 
     def test_matches_composition_through_module_apis(self):
         cfg, params, vocab, tags, eq, _ = build_world()
@@ -223,7 +225,8 @@ class TestGoldScoring:
             if reference:
                 self.use_reference(monkeypatch)
             params.zero_grads()
-            bundle = forward(params, batch, drop_rate=0.3, rng=np.random.default_rng(9))
+            with T.training(0.3, np.random.default_rng(9)):
+                bundle = forward(params, batch)
             bundle.l.backward()
             grads = {name: None if p.grad is None else p.grad.tobytes()
                      for name, p in params.items()}
@@ -318,8 +321,9 @@ class TestModelSpec:
         digests = []
         for forward, samples in ((TR.unified_forward, eq), (TR.pure_forward, pu)):
             params.zero_grads()
-            forward(params, encode_batch(samples, vocab, tags), drop_rate=0.3,
-                    rng=rng).l.backward()
+            with T.training(0.3, rng):
+                bundle = forward(params, encode_batch(samples, vocab, tags))
+            bundle.l.backward()
             digests.append(gradient_digest(params))
         assert digests == [equipped_digest, pure_digest]
 
@@ -464,6 +468,31 @@ class TestTrainLoop:
         assert a.log_rows == b.log_rows
         for g in ("qg_core", "knowledge"):
             assert a.params.group_hash(g) == b.params.group_hash(g)
+
+    def test_dev_evaluation_runs_with_dropout_off(self, monkeypatch):
+        # the forward passes draw their masks from the rng handed to
+        # training(); dev decoding must neither drop units nor draw from it
+        rngs, evals = [], []
+        training, evaluate_dev = T.training, TR.evaluate_dev
+
+        def recording_training(rate, rng):
+            rngs.append(rng)
+            return training(rate, rng)
+
+        def checked_evaluate_dev(*args):
+            before = rngs[-1].bit_generator.state
+            probe = T.Tensor(np.ones(100))
+            assert T.dropout(probe) is probe
+            score = evaluate_dev(*args)
+            evals.append(rngs[-1].bit_generator.state == before)
+            return score
+
+        monkeypatch.setattr(T, "training", recording_training)
+        monkeypatch.setattr(TR, "evaluate_dev", checked_evaluate_dev)
+        cfg = tiny_config(itf_n=2, itf_cycles=1, dropout=0.3, eval_every=1)
+        TR.train(equipped_samples(), pure_samples(), pure_samples()[:1], cfg)
+        assert len(rngs) == 4 and all(r is rngs[0] for r in rngs)
+        assert evals == [True] * 4
 
     def test_equipped_only_mode_never_enters_pure(self):
         eq = equipped_samples()
