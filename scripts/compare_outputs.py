@@ -2,20 +2,24 @@
 benchmark workloads' generated inputs.
 
     python3 scripts/compare_outputs.py --base OTHER_CHECKOUT \
-        --workload {extract,train,generate} [...] [--seeds 7 11]
+        --workload {extract,train,generate} [...] [--seeds 7 11] \
+        [--blas-threads 1]
 
 For each workload and seed it writes the inputs with ``perfbench/gen.py``,
 runs the workload's command as ``perfbench/run.py`` does (same arguments,
-one BLAS thread, no CKQG_* overrides) once per checkout, each in a child
-process that imports ``ckqg`` from that checkout's ``src/``, and requires
-the outputs to be byte-equal:
+no CKQG_* overrides) once per checkout, each in a child process that
+imports ``ckqg`` from that checkout's ``src/``, and requires the outputs to
+be byte-equal:
 
     extract   annotated.jsonl, partition.json
     train     model.bin, train_log.csv
     generate  hyp.jsonl
 
-It prints one JSON line per workload and seed, and exits 1 when a command
-fails or any output differs.
+The commands run on ``--blas-threads`` BLAS threads, one by default as in
+``perfbench/run.py``; with as many threads as CPUs, ``ckqg generate``
+decodes on one lane, so that setting checks the one-lane path. It prints
+one JSON line per workload and seed, and exits 1 when a command fails or
+any output differs.
 """
 
 from __future__ import annotations
@@ -92,13 +96,19 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--base", type=Path, required=True, help="checkout to compare against")
     ap.add_argument("--workload", required=True, nargs="+", choices=sorted(OUTPUTS))
     ap.add_argument("--seeds", type=int, nargs="+", default=[7, 11])
+    ap.add_argument("--blas-threads", type=int, default=1,
+                    help="BLAS threads of the ckqg commands (default 1)")
     args = ap.parse_args(argv)
+    if args.blas_threads < 1:
+        ap.error("--blas-threads must be at least 1")
     common.prepare_process()   # the ckqg children inherit the pinned environment
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = str(args.blas_threads)
     failed = False
     for workload in args.workload:
         for seed in args.seeds:
             counts, problems = compare_seed(args.base.resolve(), workload, seed)
-            print(json.dumps(counts), flush=True)
+            print(json.dumps({**counts, "blas_threads": args.blas_threads}), flush=True)
             for p in problems:
                 print(f"  {p}")
             failed |= bool(problems)

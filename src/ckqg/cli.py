@@ -126,7 +126,10 @@ def _load_world(model_dir: Path) -> tuple[Config, Vocabulary, dict[str, TagVocab
     raw = read_json(path, ValidationError)
     if not (isinstance(raw, dict) and is_str_list(raw.get("tokens"))):
         raise ValidationError(f'{path}: expected {{"tokens": [string, ...]}}')
-    vocab = Vocabulary(raw["tokens"])
+    try:
+        vocab = Vocabulary(raw["tokens"])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     path = model_dir / "tags.json"
     raw = read_json(path, ValidationError)
     if not (isinstance(raw, dict) and sorted(raw) == ["bio", "ner", "pos"]
@@ -155,13 +158,16 @@ def cmd_train(args) -> int:
 
 def _load_model(model_dir: Path) -> tuple:
     """The saved model, checked by trainer.check_weights against the
-    trainer.model_spec that config.json describes. Nothing is drawn and
-    nothing copied: the parameters adopt the checkpoint's arrays."""
+    trainer.model_spec that config.json, vocab.json and tags.json describe.
+    Nothing is drawn and nothing copied: the parameters adopt the
+    checkpoint's arrays."""
     cfg, vocab, tags = _load_world(model_dir)
     spec = trainer.model_spec(cfg, len(vocab), {k: len(v) for k, v in tags.items()})
     path = model_dir / "model.bin"
+    # a misfit may lie in any of the four files, so the message names them all
+    where = f"{path} (sized by config.json, vocab.json and tags.json in {model_dir})"
     state = trainer.check_weights(load_checkpoint(path),
-                                  {name: shape for name, shape, *_ in spec}, path)
+                                  {name: shape for name, shape, *_ in spec}, where)
     params = ParameterSet(cfg.layers)
     for name, _, group, _ in spec:
         params.add(name, state[name], group)
@@ -173,7 +179,17 @@ def cmd_generate(args) -> int:
     cfg, vocab, tags, params = _load_model(model_dir)
     beam = args.beam if args.beam is not None else cfg.beam
     samples = load_dataset(args.corpus)
-    decoded = trainer.generate(params, samples, vocab, tags, cfg, beam)
+    for i, sample in enumerate(samples):   # name the sample and the tag list
+        try:
+            encode_batch([sample], vocab, tags)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.corpus}: sample {_sample_key(sample, i)}: "
+                                  f"{exc}; the model's tags are in "
+                                  f"{model_dir / 'tags.json'}") from None
+    try:
+        decoded = trainer.generate(params, samples, vocab, tags, cfg, beam)
+    except T.NumericsError as exc:
+        raise T.NumericsError(f"decoding with {model_dir / 'model.bin'}: {exc}") from exc
     lines = [json.dumps({"id": _sample_key(s, i), "question": tokens, "score": score})
              for i, (s, (tokens, score)) in enumerate(zip(samples, decoded))]
     text = "\n".join(lines) + "\n" if lines else ""

@@ -31,6 +31,13 @@ MAGIC = b"CKQG"
 VERSION = 1
 DTYPE_F64 = 1
 
+# Payloads are read into shared chunks of at least this many float64s
+# (16 MiB), each array a view of its chunk. Numpy asks the OS for huge pages
+# for an allocation of 4 MiB or more, so a chunk costs a few page faults
+# where one array each costs thousands; below glibc's 32 MiB mmap ceiling a
+# chunk can still reuse memory the process has freed.
+CHUNK_ITEMS = 1 << 21
+
 
 class CheckpointError(ValueError):
     pass
@@ -70,6 +77,7 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
         size = os.fstat(fh.fileno()).st_size
+        buf, used, total = np.empty(0, dtype="<f8"), 0, 0.0
         out: dict[str, np.ndarray] = {}
         for i in range(1, count + 1):
             (name_len,) = struct.unpack("<H", read(2, "name length"))
@@ -90,8 +98,21 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             if nbytes > left:
                 raise CheckpointError(f"{path}: truncated payload for '{name}': "
                                       f"dims {dims} need {nbytes} bytes, {left} remain")
-            payload = read(nbytes, f"payload for '{name}'")
-            out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+            if used + nbytes // 8 > buf.size:   # no larger than the rest of the file
+                buf, used = np.empty(max(nbytes, min(8 * CHUNK_ITEMS, left)) // 8, "<f8"), 0
+            arr = buf[used:used + nbytes // 8]
+            used += arr.size
+            if fh.readinto(arr) != nbytes:   # read once, straight into place
+                raise CheckpointError(f"{path}: truncated payload for '{name}'")
+            with np.errstate(over="ignore", invalid="ignore"):
+                total += arr.sum()
+            out[name] = arr.reshape(dims)
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after the last entry")
-        return out
+    # exact as a pass test: any NaN or inf entry makes the sum non-finite;
+    # only then (or on overflow) scan the entries, to name the parameter
+    if not math.isfinite(total):
+        for name, arr in out.items():
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: parameter '{name}' holds non-finite values")
+    return out

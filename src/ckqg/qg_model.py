@@ -319,6 +319,7 @@ def beam_search(params: ParameterSet, prefix: str, enc: EncoderOutput,
             for row, (ids, logp) in enumerate(live):
                 for tok in _top_tokens(lp[row], beam):
                     cands.append((logp + float(lp[row, tok]), ids, int(tok), row))
+            del out, lp   # free this step's distributions before the next step's
             cands.sort(key=lambda cand: (-cand[0], cand[1] + (cand[2],)))
             live, rows = [], []
             for total, ids, tok, row in cands[:beam]:

@@ -13,7 +13,9 @@ import contextlib
 import csv
 import logging
 import math
+import os
 import tempfile
+import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -220,7 +222,8 @@ def average_checkpoints(states: Iterable[dict[str, np.ndarray]]
         raise ValueError("no checkpoints to average")
     acc = {name: np.zeros_like(arr, dtype=np.float64) for name, arr in base.items()}
     n = 1
-    for n, st in enumerate(it, start=2):
+    for st in it:   # not enumerate: its reused result tuple keeps st alive
+        n += 1
         for name, first in base.items():
             acc[name] += st[name] - first
         del st  # release it before the next state loads
@@ -277,29 +280,81 @@ def _group_hashes(params: ParameterSet) -> dict[str, str]:
     return {g: params.group_hash(g) for g in GROUPS}
 
 
+def decode_lanes(n_samples: int, beam: int) -> int:
+    """How many samples ``generate`` decodes side by side: the CPUs this
+    process may run on divided by the BLAS threads each product uses, at
+    most one lane per sample and at least one. The BLAS count is
+    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS; unset or not a positive
+    integer, OpenBLAS already runs on every CPU, so there is one lane.
+
+    Greedy decoding (beam 1) runs on one lane: its products are one row
+    each, and at hidden size 128 two greedy lanes took longer than one."""
+    raw = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    try:
+        blas_threads = int(raw)
+    except (TypeError, ValueError):
+        return 1
+    if blas_threads < 1 or beam == 1:
+        return 1
+    return max(1, min(n_samples, len(os.sched_getaffinity(0)) // blas_threads))
+
+
 def generate(params: ParameterSet, samples: list[TrainingSample],
              vocab: Vocabulary, tag_vocabs: dict[str, TagVocab],
              config: Config, beam: int) -> list[tuple[list[str], float]]:
     """Question tokens and length-normalized score per sample, by beam search
     (beam=1 is greedy decoding) over one sample at a time, recording no tape.
 
-    The one decode path behind ``ckqg generate`` and dev BLEU.
+    The one decode path behind ``ckqg generate`` and dev BLEU. Samples run
+    on ``decode_lanes`` lanes: the calling thread and one more thread per
+    further lane each take the next sample index and decode that sample
+    alone. A sample makes the same calls on any lane and the lane count
+    sets no BLAS thread count, so every result is bit for bit what one lane
+    gives. Once a sample fails no new one starts, and the failure of the
+    lowest-index sample is raised, as a sequential loop would raise it.
     """
-    decoded = []
-    with T.no_grad():
-        for sample in samples:
-            batch = encode_batch([sample], vocab, tag_vocabs)
-            enc = qg_model.encode_passage(params, batch)
-            kmem = None
-            if batch.has_triples:
-                trip = aux_tasks.encode_triples(params, batch)
-                kmem = aux_tasks.unified_memory(params, trip)
-            hyp = qg_model.beam_search(params, "dec", enc, kmem, batch.copy_ids,
-                                       batch.extended_size, beam=beam,
-                                       max_len=config.max_len,
-                                       length_penalty=config.length_penalty)
-            decoded.append((vocab.decode_ids(hyp.ids, batch.oov_tokens[0]),
-                            hyp.score))
+    decoded: list[tuple[list[str], float] | None] = [None] * len(samples)
+    failures: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    taken = 0
+
+    def decode(sample: TrainingSample) -> tuple[list[str], float]:
+        batch = encode_batch([sample], vocab, tag_vocabs)
+        enc = qg_model.encode_passage(params, batch)
+        kmem = None
+        if batch.has_triples:
+            trip = aux_tasks.encode_triples(params, batch)
+            kmem = aux_tasks.unified_memory(params, trip)
+        hyp = qg_model.beam_search(params, "dec", enc, kmem, batch.copy_ids,
+                                   batch.extended_size, beam=beam,
+                                   max_len=config.max_len,
+                                   length_penalty=config.length_penalty)
+        return vocab.decode_ids(hyp.ids, batch.oov_tokens[0]), hyp.score
+
+    def lane() -> None:
+        nonlocal taken
+        with T.no_grad():   # tape modes are per thread
+            while True:
+                with lock:
+                    if failures or taken == len(samples):
+                        return
+                    i, taken = taken, taken + 1
+                try:
+                    decoded[i] = decode(samples[i])
+                except BaseException as e:   # an interrupt too; re-raised below
+                    with lock:
+                        failures[i] = e
+                    return
+
+    workers = [threading.Thread(target=lane)
+               for _ in range(decode_lanes(len(samples), beam) - 1)]
+    for worker in workers:
+        worker.start()
+    lane()
+    for worker in workers:
+        worker.join()
+    if failures:
+        raise failures[min(failures)]
     return decoded
 
 

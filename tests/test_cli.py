@@ -1,17 +1,23 @@
 """End-to-end subcommand tests driving the CLI through its main() entry."""
 
+import contextlib
+import io
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ckqg import cli, trainer
+from ckqg import cli, qg_model, trainer
 from ckqg.assets import KB_CONCEPTNET, KB_WORDNET, MINI_CORPUS, asset_path
 from ckqg.cli import main
 from ckqg.config import Config
 from ckqg.corpus import TagVocab, Vocabulary
+from ckqg.nn import tensor as T
 from ckqg.nn.checkpoint import load_checkpoint, save_checkpoint
 
 MINI = str(asset_path(MINI_CORPUS))
@@ -397,6 +403,45 @@ class TestGenerate:
         assert "'emb.word'" in err
         assert str((rows, cfg["emb_dim"])) in err and str((rows, cfg["emb_dim"] + 1)) in err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_is_data_error(self, trained, split_corpora, tmp_path,
+                                             capsys, value):
+        model = tmp_path / "model"
+        shutil.copytree(trained, model)
+        state = load_checkpoint(model / "model.bin")
+        state["dec.out.b"][1] = value
+        save_checkpoint(model / "model.bin", state)
+        err = self._generate_err(model, split_corpora, capsys)
+        assert f"{model / 'model.bin'}: parameter 'dec.out.b' holds non-finite" in err
+
+    def test_tag_the_model_lacks_names_sample_and_tags_file(self, trained, split_corpora,
+                                                            tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(trained, model)
+        tags = json.loads((model / "tags.json").read_text())
+        corpus = [json.loads(line) for line in
+                  Path(split_corpora["dev"]).read_text().splitlines()]
+        corpus[1]["pos"][0] = "zzz"
+        assert "zzz" not in tags["pos"]
+        path = tmp_path / "dev.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in corpus))
+        assert main(["generate", "--model", str(model), "--corpus", str(path)]) == 2
+        err = capsys.readouterr().err
+        key = corpus[1].get("id", "index:1")
+        assert f"{path}: sample {key}: unknown tag 'zzz'" in err
+        assert str(model / "tags.json") in err
+
+    def test_numeric_failure_names_the_model(self, trained, split_corpora, monkeypatch,
+                                             capsys):
+        def overflowing(*args, **kwargs):
+            raise T.NumericsError("non-finite values produced by op 'matmul'")
+
+        monkeypatch.setattr(qg_model, "beam_search", overflowing)
+        assert main(["generate", "--model", str(trained),
+                     "--corpus", split_corpora["dev"]]) == 3
+        err = capsys.readouterr().err
+        assert f"decoding with {trained / 'model.bin'}: " in err and "'matmul'" in err
+
     def test_model_adopts_checkpoint_arrays_without_drawing(self, trained, monkeypatch):
         state = load_checkpoint(trained / "model.bin")
 
@@ -414,6 +459,49 @@ class TestGenerate:
         code = main(["generate", "--model", str(tmp_path / "nope"),
                      "--corpus", split_corpora["dev"]])
         assert code == 2
+
+
+MODEL_FILES = ("config.json", "vocab.json", "tags.json", "model.bin")
+
+
+def mutated(raw: bytes, data) -> bytes:
+    """``raw`` cut short, with one bit flipped, or with one byte inserted."""
+    kind = data.draw(st.sampled_from(["truncate", "flip", "insert"]), label="kind")
+    at = data.draw(st.integers(0, len(raw) - (kind != "insert")), label="at")
+    if kind == "truncate":
+        return raw[:at]
+    if kind == "flip":
+        bit = data.draw(st.integers(0, 7), label="bit")
+        return raw[:at] + bytes([raw[at] ^ 1 << bit]) + raw[at + 1:]
+    return raw[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[at:]
+
+
+class TestModelDirFaults:
+    """A damaged model directory ends ``ckqg generate`` with a documented
+    exit code and no traceback, and a failure names the damaged file. A
+    flipped payload bit can leave a valid weight, so exit 0 is allowed."""
+
+    @pytest.mark.parametrize("name", MODEL_FILES)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_damaged_file_fails_cleanly(self, trained, split_corpora, name, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            model, corpus = Path(tmp) / "model", Path(tmp) / "corpus.jsonl"
+            model.mkdir()
+            for other in MODEL_FILES:
+                shutil.copyfile(trained / other, model / other)
+            (model / name).write_bytes(mutated((trained / name).read_bytes(), data))
+            # equipped and plain samples, so the knowledge weights are read too
+            corpus.write_text("".join(Path(split_corpora[part]).read_text()
+                                      for part in ("dev", "equipped")))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["--out", str(Path(tmp) / "hyp.jsonl"), "generate",
+                             "--model", str(model), "--corpus", str(corpus)])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert name in err.getvalue()
 
 
 class TestEvaluate:

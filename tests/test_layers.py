@@ -8,6 +8,7 @@ import pytest
 
 from ckqg.nn import tensor as T
 from ckqg.nn import layers as L
+from ckqg.nn import checkpoint
 from ckqg.nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from ckqg.nn.gradcheck import grad_check
 from ckqg.nn.optim import Adam
@@ -674,6 +675,41 @@ def test_checkpoint_rejects_corrupt_files(tmp_path):
     with pytest.raises(CheckpointError, match="truncated payload for 'w'") as info:
         load_checkpoint(huge)
     assert str(huge) in str(info.value)
+
+
+@pytest.mark.parametrize("values", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]])
+def test_checkpoint_rejects_non_finite_values(tmp_path, values):
+    path = tmp_path / "bad.ckpt"
+    w = np.ones((2, 3))
+    w[1, :len(values)] = values
+    save_checkpoint(path, {"ok": np.zeros(2), "w": w})
+    with pytest.raises(CheckpointError, match="parameter 'w' holds non-finite") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_checkpoint_loads_finite_values_whose_sum_overflows(tmp_path):
+    # the sum is only the fast pass test; the entries decide
+    path = tmp_path / "big.ckpt"
+    big = np.array([1e308, 1e308, -1e308])
+    save_checkpoint(path, {"w": big})
+    loaded = load_checkpoint(path)["w"]
+    assert loaded.tobytes() == big.tobytes() and loaded.flags.writeable
+
+
+def test_checkpoint_payloads_spanning_chunks_load_intact(tmp_path, monkeypatch):
+    monkeypatch.setattr(checkpoint, "CHUNK_ITEMS", 5)
+    rng = np.random.default_rng(3)
+    want = {f"p{i}": rng.standard_normal(shape) for i, shape in
+            enumerate([(2, 2), (), (0, 3), (7,), (1,), (3, 2), (5,)])}
+    path = tmp_path / "chunks.ckpt"
+    save_checkpoint(path, want)
+    got = load_checkpoint(path)
+    assert list(got) == list(want)
+    for name, arr in want.items():
+        assert got[name].shape == arr.shape and got[name].tobytes() == arr.tobytes()
+    got["p0"][...] = 0.0   # views of a shared chunk, but of disjoint slices
+    assert got["p1"].tobytes() == want["p1"].tobytes()
 
 
 def test_checkpoint_every_proper_prefix_is_rejected(tmp_path):

@@ -5,10 +5,12 @@ computed here, independently of nn.gradcheck. Value oracles: mpmath for
 softmax, closed forms elsewhere.
 """
 
+import itertools
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -542,12 +544,13 @@ class TestNoGrad:
         vocab, tags = build_vocab([sample]), build_tag_vocabs([sample])
         cfg = Config(hidden_size=3, layers=2, emb_dim=4, feat_dim=2, max_len=5)
         params = trainer.build_parameters(cfg, vocab, tags, np.random.default_rng(0))
-        outputs = []
+        outputs, threads = [], set()
 
         def record(fn):
             def wrapped(*args, **kwargs):
                 result = fn(*args, **kwargs)
                 outputs.append(result[0].p if isinstance(result, tuple) else result.proj)
+                threads.add(threading.get_ident())
                 return result
             return wrapped
 
@@ -558,7 +561,21 @@ class TestNoGrad:
         qg_model.beam_search(params, "dec", enc, None, batch.copy_ids,
                              batch.extended_size, beam=3, max_len=5)
         trainer.evaluate_dev(params, [sample], vocab, tags, cfg)
-        assert len(outputs) > 3
+        # beam decoding on two lanes, each holding its first sample until the
+        # other has one, so the worker lane decodes too
+        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        barrier, calls = threading.Barrier(2, timeout=10), itertools.count()
+        beam_search = qg_model.beam_search
+
+        def meet(*args, **kwargs):
+            if next(calls) < 2:
+                barrier.wait()
+            return beam_search(*args, **kwargs)
+
+        monkeypatch.setattr(qg_model, "beam_search", meet)
+        trainer.generate(params, [sample] * 4, vocab, tags, cfg, 2)
+        assert len(outputs) > 3 and len(threads) == 2
         assert all(t._parents == () for t in outputs[1:])
         assert outputs[0].requires_grad  # the caller's own encoding keeps its tape
         assert all(p.grad is None for _, p in params.items())

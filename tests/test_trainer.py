@@ -3,8 +3,13 @@ training loop itself at desk scale."""
 
 import gc
 import hashlib
+import itertools
+import struct
+import sys
 import tempfile
+import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +405,25 @@ class TestAveraging:
             TR.average_checkpoints([])
 
 
+def test_averaging_keeps_one_streamed_state_at_a_time():
+    # the first state stays for the whole average; each later one must be
+    # gone before the next loads, or peak memory grows by a model
+    refs = []
+
+    def tracked(state):
+        refs.append(weakref.ref(state["w"]))
+        return state
+
+    def states():
+        for k in range(4):
+            alive = sum(r() is not None for r in refs)
+            assert alive <= 1, f"{alive} states alive while loading state {k}"
+            yield tracked({"w": np.full(3, float(k))})
+
+    averaged = TR.average_checkpoints(states())
+    np.testing.assert_array_equal(averaged["w"], np.full(3, 1.5))
+
+
 class TestCheckWeights:
     SHAPES = {"a": (2,), "b": (3, 1)}
 
@@ -718,3 +742,162 @@ class TestTrainLoop:
         assert all(isinstance(t, str) for t in toks)
         beam_toks = TR.generate(params, [eq[0]], vocab, tags, short, 3)[0][0]
         assert all(isinstance(t, str) for t in beam_toks)
+
+
+# -- decode lanes ---------------------------------------------------------------
+
+
+def force_lanes(monkeypatch, lanes):
+    """Make decode_lanes give ``lanes``: that many CPUs, one BLAS thread."""
+    monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: set(range(lanes)))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+def meet_at_first_samples(monkeypatch, lanes):
+    """Hold each lane's first sample until every lane has taken one, so
+    every lane decodes at least one sample."""
+    barrier, calls = threading.Barrier(lanes, timeout=10), itertools.count()
+    beam_search = M.beam_search
+
+    def held(*args, **kwargs):
+        if next(calls) < lanes:
+            barrier.wait()
+        return beam_search(*args, **kwargs)
+
+    monkeypatch.setattr(M, "beam_search", held)
+
+
+def numbered_samples(source):
+    """Six samples; sample i holds the first i + 3 tokens of the passage, so
+    its encoder output tells which sample it is."""
+    return [TrainingSample(passage=source.passage[:n], answer_span=(0, 0),
+                           pos_tags=source.pos_tags[:n], ner_tags=source.ner_tags[:n],
+                           question=source.question)
+            for n in range(3, 9)]
+
+
+class TestLanes:
+    @pytest.mark.parametrize("cpus", [2, 4])
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    @pytest.mark.parametrize("setting", [None, "1", "2", "abc", "0"])
+    def test_lane_rule(self, monkeypatch, cpus, var, setting):
+        # unset, zero or not a number: OpenBLAS runs on every CPU already
+        monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        if setting is not None:
+            monkeypatch.setenv(var, setting)
+        assert TR.decode_lanes(100, 10) == {"1": cpus, "2": cpus // 2}.get(setting, 1)
+        assert TR.decode_lanes(1, 10) == 1
+        assert TR.decode_lanes(0, 10) == 1
+
+    def test_greedy_decoding_runs_on_one_lane(self, monkeypatch):
+        force_lanes(monkeypatch, 4)
+        assert TR.decode_lanes(100, 1) == 1
+        assert TR.decode_lanes(100, 2) == 4
+
+    def test_openblas_setting_wins_over_omp(self, monkeypatch):
+        monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: set(range(4)))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert TR.decode_lanes(100, 10) == 2
+
+    @pytest.mark.parametrize("beam", [2, 10])
+    def test_results_are_bitwise_equal_on_any_lane_count(self, monkeypatch, beam):
+        cfg, params, vocab, tags, eq, pu = build_world(seed=3)
+        samples = [eq[0], pu[0], eq[1], pu[1], pu[0], eq[0]]
+        decoded = {}
+        for lanes in (1, 2, 3):
+            with monkeypatch.context() as mp:
+                force_lanes(mp, lanes)
+                meet_at_first_samples(mp, lanes)
+                assert TR.decode_lanes(len(samples), beam) == lanes
+                decoded[lanes] = TR.generate(params, samples, vocab, tags, cfg, beam)
+        for lanes in (2, 3):
+            assert [toks for toks, _ in decoded[lanes]] == [toks for toks, _ in decoded[1]]
+            assert ([struct.pack("<d", s) for _, s in decoded[lanes]]
+                    == [struct.pack("<d", s) for _, s in decoded[1]])
+
+    def test_every_sample_is_decoded_once_under_contention(self, monkeypatch):
+        # more lanes than cores and a short switch interval, so lanes race
+        # for the sample counter; a lost update would decode a sample twice
+        cfg, params, vocab, tags, eq, pu = build_world()
+        short = tiny_config(max_len=3)
+        samples = (eq + pu) * 8
+        one_lane = TR.generate(params, samples, vocab, tags, short, 2)
+        calls, beam_search = [], M.beam_search
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return beam_search(*args, **kwargs)
+
+        force_lanes(monkeypatch, 6)
+        monkeypatch.setattr(M, "beam_search", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            decoded = TR.generate(params, samples, vocab, tags, short, 2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == len(samples)
+        assert decoded == one_lane
+
+    @pytest.mark.parametrize("cpus, beam", [(1, 2), (2, 1)])
+    def test_one_lane_starts_no_thread(self, monkeypatch, cpus, beam):
+        cfg, params, vocab, tags, eq, pu = build_world()
+        force_lanes(monkeypatch, cpus)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("one lane started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert len(TR.generate(params, eq + pu, vocab, tags, cfg, beam)) == 4
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_lowest_index_failure_is_raised(self, monkeypatch, lanes):
+        # sample 1 fails only after sample 3 has: generate still raises 1's
+        # error, and no sample starts after the first failure
+        cfg, params, vocab, tags, eq, pu = build_world()
+        samples = numbered_samples(pu[0])
+        started, failed_3 = [], threading.Event()
+        beam_search = M.beam_search
+
+        def failing(params, prefix, enc, *args, **kwargs):
+            i = enc.mask.shape[1] - 3
+            started.append(i)
+            if i == 1:
+                failed_3.wait(timeout=5 if lanes > 1 else 0)
+                raise T.NumericsError("sample 1")
+            if i == 3:
+                failed_3.set()
+                raise T.NumericsError("sample 3")
+            return beam_search(params, prefix, enc, *args, **kwargs)
+
+        force_lanes(monkeypatch, lanes)
+        monkeypatch.setattr(M, "beam_search", failing)
+        with pytest.raises(T.NumericsError, match="sample 1"):
+            TR.generate(params, samples, vocab, tags, cfg, 2)
+        assert sorted(started) == ([0, 1] if lanes == 1 else [0, 1, 2, 3])
+
+    def test_no_sample_starts_after_a_failure(self, monkeypatch):
+        # sample 0 ends only after sample 1 has failed on the other lane; its
+        # lane must then stop rather than take sample 2
+        cfg, params, vocab, tags, eq, pu = build_world()
+        started, failed_1 = [], threading.Event()
+        beam_search = M.beam_search
+
+        def failing(params, prefix, enc, *args, **kwargs):
+            i = enc.mask.shape[1] - 3
+            started.append(i)
+            if i == 1:
+                failed_1.set()
+                raise T.NumericsError("sample 1")
+            if i == 0:
+                failed_1.wait(timeout=5)
+            return beam_search(params, prefix, enc, *args, **kwargs)
+
+        force_lanes(monkeypatch, 2)
+        monkeypatch.setattr(M, "beam_search", failing)
+        with pytest.raises(T.NumericsError, match="sample 1"):
+            TR.generate(params, numbered_samples(pu[0]), vocab, tags, cfg, 2)
+        assert sorted(started) == [0, 1]
