@@ -20,7 +20,7 @@ from . import kb_extract as kb
 from . import aux_tasks, metrics, qg_model, trainer
 from .assets import KB_CONCEPTNET, KB_WORDNET, MINI_CORPUS, STOPWORDS, asset_path
 from .config import Config, ConfigError, env_settings, load_config, parse_config_file
-from .corpus import (RESERVED, TagVocab, TrainingSample, ValidationError,
+from .corpus import (BIO_TAGS, RESERVED, TagVocab, TrainingSample, ValidationError,
                      Vocabulary, build_tag_vocabs, build_vocab, encode_batch,
                      is_str_list, load_dataset, save_dataset)
 from .nn import tensor as T
@@ -135,6 +135,8 @@ def _load_world(model_dir: Path) -> tuple[Config, Vocabulary, dict[str, TagVocab
     if not (isinstance(raw, dict) and sorted(raw) == ["bio", "ner", "pos"]
             and all(map(is_str_list, raw.values()))):
         raise ValidationError(f"{path}: expected lists of strings under bio, pos and ner")
+    if raw["bio"] != list(BIO_TAGS):
+        raise ValidationError(f"{path}: bio must be {list(BIO_TAGS)}")
     return cfg, vocab, {k: TagVocab(v) for k, v in raw.items()}
 
 
@@ -180,12 +182,12 @@ def cmd_generate(args) -> int:
     beam = args.beam if args.beam is not None else cfg.beam
     samples = load_dataset(args.corpus)
     for i, sample in enumerate(samples):   # name the sample and the tag list
-        try:
-            encode_batch([sample], vocab, tags)
-        except ValidationError as exc:
-            raise ValidationError(f"{args.corpus}: sample {_sample_key(sample, i)}: "
-                                  f"{exc}; the model's tags are in "
-                                  f"{model_dir / 'tags.json'}") from None
+        for kind, seq in (("pos", sample.pos_tags), ("ner", sample.ner_tags)):
+            unknown = [t for t in seq if t not in tags[kind].tag_to_id]
+            if unknown:
+                raise ValidationError(f"{args.corpus}: sample {_sample_key(sample, i)}: "
+                                      f"unknown tag '{unknown[0]}'; the model's tags are "
+                                      f"in {model_dir / 'tags.json'}")
     try:
         decoded = trainer.generate(params, samples, vocab, tags, cfg, beam)
     except T.NumericsError as exc:

@@ -280,23 +280,47 @@ def _group_hashes(params: ParameterSet) -> dict[str, str]:
     return {g: params.group_hash(g) for g in GROUPS}
 
 
-def decode_lanes(n_samples: int, beam: int) -> int:
+# Lanes were timed on two CPUs only. About half of a decode step holds the
+# GIL, so more lanes would add their beam state to peak RSS for a gain that
+# was never measured.
+MAX_LANES = 2
+# Multiply-adds per decode step (decode_step_work) below which a second
+# lane gained little or lost, timed on two CPUs at one BLAS thread: beams
+# 1, 3 and 4 at hidden size 128 (1.1-4.6 M) read 0.85-1.08x one lane; beam
+# 5 there (5.7 M) 0.98-1.21x; 6.1-13 M (greedy at hidden 384 and 600,
+# beams 6-10 at 128, beams 2-3 at 256) 1.17-1.45x.
+LANE_MIN_STEP_WORK = 5_000_000
+
+
+def decode_step_work(params: ParameterSet, beam: int) -> int:
+    """Multiply-adds of one beam-search step, roughly: every beam row meets
+    every decoder weight a step reads (all of ``dec.`` but the ``dec.init``
+    layers, which run once per sample)."""
+    return beam * sum(t.data.size for name, t in params.items()
+                      if name.startswith("dec.") and not name.startswith("dec.init."))
+
+
+def decode_lanes(n_samples: int, step_work: int) -> int:
     """How many samples ``generate`` decodes side by side: the CPUs this
     process may run on divided by the BLAS threads each product uses, at
-    most one lane per sample and at least one. The BLAS count is
-    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS; unset or not a positive
-    integer, OpenBLAS already runs on every CPU, so there is one lane.
-
-    Greedy decoding (beam 1) runs on one lane: its products are one row
-    each, and at hidden size 128 two greedy lanes took longer than one."""
+    most one lane per sample, at most MAX_LANES and at least one. The BLAS
+    count is OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS; unset or not a
+    positive integer, OpenBLAS already runs on every CPU, so there is one
+    lane. There is one lane too when a decode step does fewer than
+    LANE_MIN_STEP_WORK multiply-adds: a second lane then gains little or
+    loses. A CPU quota of the process's cgroup is not seen."""
     raw = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
     try:
         blas_threads = int(raw)
     except (TypeError, ValueError):
         return 1
-    if blas_threads < 1 or beam == 1:
+    if blas_threads < 1 or step_work < LANE_MIN_STEP_WORK:
         return 1
-    return max(1, min(n_samples, len(os.sched_getaffinity(0)) // blas_threads))
+    if hasattr(os, "sched_getaffinity"):   # Linux only
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(n_samples, MAX_LANES, cpus // blas_threads))
 
 
 def generate(params: ParameterSet, samples: list[TrainingSample],
@@ -346,13 +370,20 @@ def generate(params: ParameterSet, samples: list[TrainingSample],
                         failures[i] = e
                     return
 
-    workers = [threading.Thread(target=lane)
-               for _ in range(decode_lanes(len(samples), beam) - 1)]
-    for worker in workers:
-        worker.start()
-    lane()
-    for worker in workers:
-        worker.join()
+    workers: list[threading.Thread] = []
+    try:
+        for _ in range(decode_lanes(len(samples), decode_step_work(params, beam)) - 1):
+            workers.append(threading.Thread(target=lane))
+            workers[-1].start()
+        lane()
+    except BaseException as e:   # an interrupt outside decode(): stop the other lanes
+        with lock:
+            failures[-1] = e
+        raise
+    finally:
+        for worker in workers:
+            if worker.is_alive():
+                worker.join()
     if failures:
         raise failures[min(failures)]
     return decoded

@@ -301,11 +301,12 @@ class TestGenerate:
         ("tags.json", lambda d: {k: v for k, v in d.items() if k != "pos"}),
         ("tags.json", lambda d: list(d.values())),
         ("tags.json", lambda d: {**d, "pos": [[1]]}),
+        ("tags.json", lambda d: {**d, "bio": ["O", "C", "I"]}),
         ("vocab.json", lambda d: {"words": d["tokens"]}),
         ("vocab.json", lambda d: d["tokens"]),
         ("vocab.json", lambda d: {"tokens": d["tokens"] + [7]}),
-    ], ids=["pos-int", "pos-missing", "tags-list", "pos-nested", "no-tokens",
-            "vocab-list", "int-token"])
+    ], ids=["pos-int", "pos-missing", "tags-list", "pos-nested", "bio-renamed",
+            "no-tokens", "vocab-list", "int-token"])
     def test_bad_saved_vocab_or_tags_is_data_error(self, trained, split_corpora,
                                                    tmp_path, capsys, name, change):
         model = tmp_path / "model"

@@ -564,6 +564,7 @@ class TestNoGrad:
         # beam decoding on two lanes, each holding its first sample until the
         # other has one, so the worker lane decodes too
         monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(trainer, "LANE_MIN_STEP_WORK", 0)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         barrier, calls = threading.Barrier(2, timeout=10), itertools.count()
         beam_search = qg_model.beam_search

@@ -748,9 +748,22 @@ class TestTrainLoop:
 
 
 def force_lanes(monkeypatch, lanes):
-    """Make decode_lanes give ``lanes``: that many CPUs, one BLAS thread."""
+    """Make decode_lanes give ``lanes``: that many CPUs, one BLAS thread, a
+    cap of ``lanes`` and no floor on the work per decode step."""
     monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: set(range(lanes)))
+    monkeypatch.setattr(TR, "MAX_LANES", lanes)
+    monkeypatch.setattr(TR, "LANE_MIN_STEP_WORK", 0)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+def zero_params(**settings):
+    """A ParameterSet of zeros at a model shape, for counting weights."""
+    cfg = Config(**settings)
+    params = TR.ParameterSet(cfg.layers)
+    for name, shape, group, _ in TR.model_spec(cfg, cfg.vocab_size,
+                                               {"bio": 4, "pos": 40, "ner": 20}):
+        params.add(name, np.zeros(shape), group)
+    return params
 
 
 def meet_at_first_samples(monkeypatch, lanes):
@@ -781,26 +794,57 @@ class TestLanes:
     @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
     @pytest.mark.parametrize("setting", [None, "1", "2", "abc", "0"])
     def test_lane_rule(self, monkeypatch, cpus, var, setting):
-        # unset, zero or not a number: OpenBLAS runs on every CPU already
+        # unset, zero or not a number: OpenBLAS runs on every CPU already;
+        # never more than MAX_LANES
         monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
         if setting is not None:
             monkeypatch.setenv(var, setting)
-        assert TR.decode_lanes(100, 10) == {"1": cpus, "2": cpus // 2}.get(setting, 1)
-        assert TR.decode_lanes(1, 10) == 1
-        assert TR.decode_lanes(0, 10) == 1
+        work = TR.LANE_MIN_STEP_WORK
+        assert TR.decode_lanes(100, work) == {"1": 2, "2": cpus // 2}.get(setting, 1)
+        assert TR.decode_lanes(1, work) == 1
+        assert TR.decode_lanes(0, work) == 1
 
-    def test_greedy_decoding_runs_on_one_lane(self, monkeypatch):
-        force_lanes(monkeypatch, 4)
-        assert TR.decode_lanes(100, 1) == 1
-        assert TR.decode_lanes(100, 2) == 4
+    def test_lanes_are_capped_at_the_measured_count(self, monkeypatch):
+        monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert TR.MAX_LANES == 2
+        assert TR.decode_lanes(100, TR.LANE_MIN_STEP_WORK) == 2
+
+    @pytest.mark.parametrize("cpu_count, lanes", [(4, 2), (1, 1), (None, 1)])
+    def test_cpu_count_stands_in_where_affinity_is_unknown(self, monkeypatch,
+                                                           cpu_count, lanes):
+        # os.sched_getaffinity exists on Linux only
+        monkeypatch.delattr(TR.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(TR.os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert TR.decode_lanes(100, TR.LANE_MIN_STEP_WORK) == lanes
+
+    def test_small_decode_steps_run_on_one_lane(self, monkeypatch):
+        force_lanes(monkeypatch, 2)
+        monkeypatch.setattr(TR, "LANE_MIN_STEP_WORK", 1000)
+        assert TR.decode_lanes(100, 999) == 1
+        assert TR.decode_lanes(100, 1000) == 2
+
+    def test_decode_step_work_sides(self):
+        # benchmark shape: dev BLEU's greedy steps stay on one lane, beam-10
+        # generate gets lanes; greedy decoding at the default hidden size too
+        shape = dict(hidden_size=128, emb_dim=100, feat_dim=8, layers=2, vocab_size=5000)
+        small = zero_params(**shape)
+        per_row = TR.decode_step_work(small, 1)
+        assert per_row == sum(t.data.size for name, t in small.items()
+                              if name.startswith("dec.") and ".init." not in name)
+        assert TR.decode_step_work(small, 10) == 10 * per_row
+        assert per_row < TR.LANE_MIN_STEP_WORK <= 10 * per_row
+        wide = zero_params(**{**shape, "hidden_size": 600})
+        assert TR.decode_step_work(wide, 1) >= TR.LANE_MIN_STEP_WORK
 
     def test_openblas_setting_wins_over_omp(self, monkeypatch):
-        monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: set(range(4)))
+        monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        assert TR.decode_lanes(100, 10) == 2
+        assert TR.decode_lanes(100, TR.LANE_MIN_STEP_WORK) == 1
 
     @pytest.mark.parametrize("beam", [2, 10])
     def test_results_are_bitwise_equal_on_any_lane_count(self, monkeypatch, beam):
@@ -811,7 +855,8 @@ class TestLanes:
             with monkeypatch.context() as mp:
                 force_lanes(mp, lanes)
                 meet_at_first_samples(mp, lanes)
-                assert TR.decode_lanes(len(samples), beam) == lanes
+                assert TR.decode_lanes(len(samples),
+                                       TR.decode_step_work(params, beam)) == lanes
                 decoded[lanes] = TR.generate(params, samples, vocab, tags, cfg, beam)
         for lanes in (2, 3):
             assert [toks for toks, _ in decoded[lanes]] == [toks for toks, _ in decoded[1]]
@@ -844,8 +889,10 @@ class TestLanes:
 
     @pytest.mark.parametrize("cpus, beam", [(1, 2), (2, 1)])
     def test_one_lane_starts_no_thread(self, monkeypatch, cpus, beam):
+        # one CPU, or a decode step below the work floor
         cfg, params, vocab, tags, eq, pu = build_world()
         force_lanes(monkeypatch, cpus)
+        monkeypatch.setattr(TR, "LANE_MIN_STEP_WORK", TR.decode_step_work(params, 2))
 
         def no_thread(*args, **kwargs):
             raise AssertionError("one lane started a thread")
@@ -901,3 +948,34 @@ class TestLanes:
         with pytest.raises(T.NumericsError, match="sample 1"):
             TR.generate(params, numbered_samples(pu[0]), vocab, tags, cfg, 2)
         assert sorted(started) == [0, 1]
+
+    def test_an_interrupt_outside_a_sample_stops_the_other_lanes(self, monkeypatch):
+        # the caller is interrupted while it starts the third lane; the second
+        # ends its sample, takes no other, and is joined before generate raises
+        cfg, params, vocab, tags, eq, pu = build_world()
+        decoding, workers, joining = [], [], threading.Event()
+        beam_search, start, join = M.beam_search, threading.Thread.start, threading.Thread.join
+
+        def held(*args, **kwargs):
+            decoding.append(threading.get_ident())
+            joining.wait(timeout=10)
+            return beam_search(*args, **kwargs)
+
+        def start_one(thread):
+            if workers:
+                raise KeyboardInterrupt
+            workers.append(thread)
+            start(thread)
+
+        def joined(thread, *args, **kwargs):
+            joining.set()
+            join(thread, *args, **kwargs)
+
+        force_lanes(monkeypatch, 3)
+        monkeypatch.setattr(M, "beam_search", held)
+        monkeypatch.setattr(threading.Thread, "start", start_one)
+        monkeypatch.setattr(threading.Thread, "join", joined)
+        with pytest.raises(KeyboardInterrupt):
+            TR.generate(params, numbered_samples(pu[0]), vocab, tags, cfg, 2)
+        assert decoding == [workers[0].ident]
+        assert not workers[0].is_alive()
