@@ -12,7 +12,7 @@ imports ``ckqg`` from that checkout's ``src/``, and requires the outputs to
 be byte-equal:
 
     extract   annotated.jsonl, partition.json
-    train     model.bin, train_log.csv
+    train     model.bin, train_log.csv, config.json, vocab.json, tags.json
     generate  hyp.jsonl
 
 The commands run on ``--blas-threads`` BLAS threads, one by default as in
@@ -39,7 +39,8 @@ import common  # noqa: E402
 
 BEAM = 10   # perfbench's generate beam
 OUTPUTS = {"extract": ("annotated.jsonl", "partition.json"),
-           "train": ("model.bin", "train_log.csv"),
+           "train": ("model.bin", "train_log.csv", "config.json", "vocab.json",
+                     "tags.json"),
            "generate": ("hyp.jsonl",)}
 
 

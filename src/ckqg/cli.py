@@ -20,7 +20,7 @@ from . import kb_extract as kb
 from . import aux_tasks, metrics, qg_model, trainer
 from .assets import KB_CONCEPTNET, KB_WORDNET, MINI_CORPUS, STOPWORDS, asset_path
 from .config import Config, ConfigError, env_settings, load_config, parse_config_file
-from .corpus import (BIO_TAGS, RESERVED, TagVocab, TrainingSample, ValidationError,
+from .corpus import (BIO_TAGS, TagVocab, TrainingSample, ValidationError,
                      Vocabulary, build_tag_vocabs, build_vocab, encode_batch,
                      is_str_list, load_dataset, save_dataset)
 from .nn import tensor as T
@@ -95,19 +95,6 @@ def cmd_stats(args) -> int:
 # -- train --------------------------------------------------------------------
 
 
-def _save_world(out: Path, cfg: Config, vocab: Vocabulary,
-                tag_vocabs: dict[str, TagVocab]) -> None:
-    (out / "config.json").write_text(
-        json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8")
-    (out / "vocab.json").write_text(
-        json.dumps({"tokens": vocab.id_to_token[len(RESERVED):]}) + "\n",
-        encoding="utf-8")
-    (out / "tags.json").write_text(
-        json.dumps({k: v.id_to_tag[1:] for k, v in tag_vocabs.items()},
-                   sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _load_world(model_dir: Path) -> tuple[Config, Vocabulary, dict[str, TagVocab]]:
     """The config, vocabulary and tag vocabularies that ``ckqg train`` saved.
     Content that does not parse or fit is a ConfigError in ``config.json``
@@ -146,9 +133,8 @@ def cmd_train(args) -> int:
     equipped = load_dataset(args.equipped)
     pure = load_dataset(args.pure) if args.pure else []
     dev = load_dataset(args.dev) if args.dev else []
-    result = trainer.train(equipped, pure, dev, cfg, mode=args.mode,
-                           no_tg=args.no_tg, no_rc=args.no_rc, out_dir=out)
-    _save_world(out, cfg, result.vocab, result.tag_vocabs)
+    result = trainer.train(equipped, pure, dev, cfg, out_dir=out, mode=args.mode,
+                           no_tg=args.no_tg, no_rc=args.no_rc)
     final = result.log_rows[-1]
     print(f"trained {final['step']} steps, final L={final['l']:.4f}, "
           f"best step {result.best_step} -> {out}")
@@ -430,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (trainer.TrainingError, T.NumericsError) as exc:
+    except T.NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:

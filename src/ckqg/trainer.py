@@ -9,12 +9,11 @@ optimizer moments stay frozen, as a plain batch reaches no knowledge weight.
 
 from __future__ import annotations
 
-import contextlib
 import csv
+import json
 import logging
 import math
 import os
-import tempfile
 import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import aux_tasks, metrics, qg_model
 from .config import Config
-from .corpus import (Batch, TagVocab, TrainingSample, ValidationError,
+from .corpus import (RESERVED, Batch, TagVocab, TrainingSample, ValidationError,
                      Vocabulary, build_tag_vocabs, build_vocab, encode_batch)
 from .nn import tensor as T
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -35,10 +34,6 @@ log = logging.getLogger(__name__)
 
 EQUIPPED = "Equipped"
 PURE = "Pure"
-
-
-class TrainingError(RuntimeError):
-    """Optimization cannot continue (non-finite loss or gradient, or bad setup)."""
 
 
 # -- losses -------------------------------------------------------------------
@@ -234,13 +229,6 @@ def average_checkpoints(states: Iterable[dict[str, np.ndarray]]
 
 
 @dataclass
-class CheckpointRecord:
-    step: int
-    path: Path                      # ckpt-NNNNNN.bin, the only copy of the snapshot
-    score: float | None = None
-
-
-@dataclass
 class PhaseSpan:
     phase: str
     start: int                      # first step of the span, 1-based
@@ -252,13 +240,9 @@ class PhaseSpan:
 @dataclass
 class TrainResult:
     params: ParameterSet
-    vocab: Vocabulary
-    tag_vocabs: dict[str, TagVocab]
     log_rows: list[dict]
-    checkpoints: list[CheckpointRecord]
     phase_spans: list[PhaseSpan]
     best_step: int
-    averaged: dict[str, np.ndarray] | None
 
 
 def cycle_batches(samples: list[TrainingSample], vocab: Vocabulary,
@@ -398,47 +382,63 @@ def evaluate_dev(params: ParameterSet, dev: list[TrainingSample],
     return metrics.bleu(hyps, refs, max_n=4)
 
 
-def _save_ring_entry(ring: list[CheckpointRecord], best_step: int,
-                     params: ParameterSet, step: int, score: float | None,
-                     ring_dir: Path, capacity: int) -> None:
-    """Write a snapshot file, evicting the oldest non-best entry past capacity.
+def _save_world(out: Path, cfg: Config, vocab: Vocabulary,
+                tag_vocabs: dict[str, TagVocab]) -> None:
+    (out / "config.json").write_text(
+        json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n",
+        encoding="utf-8")
+    (out / "vocab.json").write_text(
+        json.dumps({"tokens": vocab.id_to_token[len(RESERVED):]}) + "\n",
+        encoding="utf-8")
+    (out / "tags.json").write_text(
+        json.dumps({k: v.id_to_tag[1:] for k, v in tag_vocabs.items()},
+                   sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _ring_path(out_dir: Path, step: int) -> Path:
+    return out_dir / f"ckpt-{step:06d}.bin"
+
+
+def _save_ring_entry(ring: list[int], best_step: int, params: ParameterSet,
+                     step: int, out_dir: Path, capacity: int) -> None:
+    """Write a snapshot file, evicting the oldest non-best step past capacity.
 
     The best-scoring checkpoint is pinned: averaging centers on it, so it
     must survive however much later the run ends."""
-    rec = CheckpointRecord(step, ring_dir / f"ckpt-{step:06d}.bin", score)
-    save_checkpoint(rec.path, {n: t.data for n, t in params.items()})
-    ring.append(rec)
+    save_checkpoint(_ring_path(out_dir, step), {n: t.data for n, t in params.items()})
+    ring.append(step)
     while len(ring) > capacity:
-        victim = next((i for i, r in enumerate(ring) if r.step != best_step), 0)
-        ring.pop(victim).path.unlink(missing_ok=True)
+        victim = next((i for i, s in enumerate(ring) if s != best_step), 0)
+        _ring_path(out_dir, ring.pop(victim)).unlink(missing_ok=True)
 
 
-def _select_for_average(ring: list[CheckpointRecord], best_step: int,
-                        k: int) -> list[CheckpointRecord]:
-    """The best checkpoint plus its nearest neighbors by save order, earlier
+def _select_for_average(ring: list[int], best_step: int, k: int) -> list[int]:
+    """The best step plus its nearest neighbors by save order, earlier
     entries winning distance ties; result in save order."""
-    best_idx = next(i for i, r in enumerate(ring) if r.step == best_step)
+    best_idx = ring.index(best_step)
     order = sorted(range(len(ring)), key=lambda i: (abs(i - best_idx), i))
     return [ring[i] for i in sorted(order[:k])]
 
 
 def train(equipped: list[TrainingSample], pure: list[TrainingSample],
-          dev: list[TrainingSample], config: Config, *, mode: str = "itf",
-          no_tg: bool = False, no_rc: bool = False,
-          out_dir: str | Path | None = None,
+          dev: list[TrainingSample], config: Config, *, out_dir: str | Path,
+          mode: str = "itf", no_tg: bool = False, no_rc: bool = False,
           vocab: Vocabulary | None = None,
           tag_vocabs: dict[str, TagVocab] | None = None,
           stop_below: float | None = None) -> TrainResult:
-    """Run the phase schedule over the two corpora.
+    """Run the phase schedule over the two corpora, writing out_dir.
 
     mode "itf" alternates equipped and plain spans and needs both corpora;
     "equipped-only" trains every step on equipped batches (ablation runs).
     Plain steps update only qg_core by construction: pure_forward gives no
     knowledge parameter a gradient, and Adam skips a parameter without one.
     stop_below ends training early once the question loss drops under the
-    threshold, for quick-convergence checks. The ckpt-NNNNNN.bin ring goes
-    to out_dir or, without one, to a temporary directory that is removed on
-    every exit; each file must pass check_weights to be averaged.
+    threshold, for quick-convergence checks.
+
+    out_dir gets config.json, vocab.json and tags.json before step 1, so a
+    failed run leaves what reads its ring; then the ckpt-NNNNNN.bin ring of
+    dev-evaluated steps (each file must pass check_weights to be averaged)
+    and, once training ends, train_log.csv and model.bin.
     """
     config.validate()
     if mode == "itf":
@@ -464,82 +464,78 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
         except ValidationError as e:
             name = sample.sample_id if sample.sample_id is not None else f"#{i}"
             raise ValidationError(f"dev sample {name}: {e}") from None
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _save_world(out_dir, config, vocab, tag_vocabs)
 
     init_rng = np.random.default_rng(config.seed)
     drop_rng = np.random.default_rng(config.seed + 1)
     params = build_parameters(config, vocab, tag_vocabs, init_rng)
     optimizer = Adam(params, lr=config.lr)
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
 
     eq_iter = cycle_batches(equipped, vocab, tag_vocabs, config.batch_size)
     pure_iter = cycle_batches(pure, vocab, tag_vocabs, config.batch_size)
 
     best_score, best_step = -math.inf, -1
-    ring: list[CheckpointRecord] = []
+    ring: list[int] = []
     rows: list[dict] = []
     spans: list[PhaseSpan] = []
     span_start, span_hashes = 1, _group_hashes(params)
-    with (contextlib.nullcontext(out_dir) if out_dir is not None
-          else tempfile.TemporaryDirectory(prefix="ckqg-ring-")) as ring_dir:
-        for step, phase in enumerate(schedule, start=1):
-            batch = next(eq_iter if phase == EQUIPPED else pure_iter)
-            try:
-                with T.training(config.dropout, drop_rng):
-                    if phase == EQUIPPED:
-                        bundle = unified_forward(params, batch, no_rc=no_rc, no_tg=no_tg)
-                    else:
-                        bundle = pure_forward(params, batch)
-                l_q, l_r, l_t, total = bundle.values()
-                bundle.l.backward()
-            except T.NumericsError as e:
-                raise TrainingError(
-                    f"divergence at step {step} ({phase} phase): {e}") from e
-            norm = params.clip_grads(config.grad_clip)
-            if not math.isfinite(norm):
-                bad = [n for n, t in params.items()
-                       if t.grad is not None and not np.isfinite(t.grad).all()]
-                raise TrainingError(
-                    f"divergence at step {step} ({phase} phase): gradient norm {norm}; "
-                    f"non-finite gradient entries in {', '.join(bad) or 'no parameter'}")
-            optimizer.step()
-            params.zero_grads()
+    for step, phase in enumerate(schedule, start=1):
+        batch = next(eq_iter if phase == EQUIPPED else pure_iter)
+        try:
+            with T.training(config.dropout, drop_rng):
+                if phase == EQUIPPED:
+                    bundle = unified_forward(params, batch, no_rc=no_rc, no_tg=no_tg)
+                else:
+                    bundle = pure_forward(params, batch)
+            l_q, l_r, l_t, total = bundle.values()
+            bundle.l.backward()
+        except T.NumericsError as e:
+            raise T.NumericsError(
+                f"divergence at step {step} ({phase} phase): {e}") from e
+        norm = params.clip_grads(config.grad_clip)
+        if not math.isfinite(norm):
+            bad = [n for n, t in params.items()
+                   if t.grad is not None and not np.isfinite(t.grad).all()]
+            raise T.NumericsError(
+                f"divergence at step {step} ({phase} phase): gradient norm {norm}; "
+                f"non-finite gradient entries in {', '.join(bad) or 'no parameter'}")
+        optimizer.step()
+        params.zero_grads()
 
-            dev_score: float | None = None
-            at_eval = step % config.eval_every == 0 or step == len(schedule)
-            if at_eval and dev:
-                dev_score = evaluate_dev(params, dev, vocab, tag_vocabs, config)
-                if dev_score > best_score:
-                    best_score, best_step = dev_score, step
-                _save_ring_entry(ring, best_step, params, step, dev_score,
-                                 Path(ring_dir), config.ckpt_keep)
-            rows.append({"step": step, "phase": phase, "l_q": l_q, "l_r": l_r,
-                         "l_t": l_t, "l": total, "dev_bleu4": dev_score})
-            stop = stop_below is not None and l_q < stop_below
-            if stop or step == len(schedule) or schedule[step] != phase:
-                spans.append(PhaseSpan(phase=phase, start=span_start, end=step,
-                                       hash_before=span_hashes,
-                                       hash_after=_group_hashes(params)))
-                span_start, span_hashes = step + 1, spans[-1].hash_after
-            if stop:
-                log.info("question loss %.4f under %.4f at step %d, stopping",
-                         l_q, stop_below, step)
-                break
+        dev_score: float | None = None
+        at_eval = step % config.eval_every == 0 or step == len(schedule)
+        if at_eval and dev:
+            dev_score = evaluate_dev(params, dev, vocab, tag_vocabs, config)
+            if dev_score > best_score:
+                best_score, best_step = dev_score, step
+            _save_ring_entry(ring, best_step, params, step, out_dir, config.ckpt_keep)
+        rows.append({"step": step, "phase": phase, "l_q": l_q, "l_r": l_r,
+                     "l_t": l_t, "l": total, "dev_bleu4": dev_score})
+        stop = stop_below is not None and l_q < stop_below
+        if stop or step == len(schedule) or schedule[step] != phase:
+            spans.append(PhaseSpan(phase=phase, start=span_start, end=step,
+                                   hash_before=span_hashes,
+                                   hash_after=_group_hashes(params)))
+            span_start, span_hashes = step + 1, spans[-1].hash_after
+        if stop:
+            log.info("question loss %.4f under %.4f at step %d, stopping",
+                     l_q, stop_below, step)
+            break
 
-        averaged = None
-        if ring and best_step >= 0:
-            chosen = _select_for_average(ring, best_step, config.avg_k)
-            shapes = {n: t.data.shape for n, t in params.items()}
-            averaged = average_checkpoints(
-                check_weights(load_checkpoint(r.path), shapes, r.path) for r in chosen)
+    final = {n: t.data for n, t in params.items()}
+    if ring and best_step >= 0:
+        shapes = {n: t.data.shape for n, t in params.items()}
+        paths = [_ring_path(out_dir, s)
+                 for s in _select_for_average(ring, best_step, config.avg_k)]
+        final = average_checkpoints(
+            check_weights(load_checkpoint(p), shapes, p) for p in paths)
+    write_log_csv(out_dir / "train_log.csv", rows)
+    save_checkpoint(out_dir / "model.bin", final)
     best = best_step if best_step >= 0 else len(rows)
-    if out_dir is not None:
-        write_log_csv(Path(out_dir) / "train_log.csv", rows)
-        final = averaged if averaged is not None else {n: t.data for n, t in params.items()}
-        save_checkpoint(Path(out_dir) / "model.bin", final)
-    return TrainResult(params=params, vocab=vocab, tag_vocabs=tag_vocabs,
-                       log_rows=rows, checkpoints=ring,
-                       phase_spans=spans, best_step=best, averaged=averaged)
+    return TrainResult(params=params, log_rows=rows, phase_spans=spans,
+                       best_step=best)
 
 
 def write_log_csv(path: str | Path, rows: list[dict]) -> None:

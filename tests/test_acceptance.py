@@ -217,7 +217,7 @@ def test_03_extraction_matches_brute_force():
 # 4. alternating-phase training invariants
 
 
-def test_04_alternating_phase_invariants():
+def test_04_alternating_phase_invariants(tmp_path):
     with verdict(4, "phase alternation: schedule honored, knowledge frozen in Pure"):
         eq = overfit_corpus()[:4]
         pure = [TrainingSample(passage=s.passage, answer_span=s.answer_span,
@@ -226,7 +226,7 @@ def test_04_alternating_phase_invariants():
                                sample_id=f"p{s.sample_id}")
                 for s in overfit_corpus()[4:8]]
         cfg = make_config(itf_n=5, itf_cycles=3)
-        result = TR.train(eq, pure, [], cfg, mode="itf")
+        result = TR.train(eq, pure, [], cfg, out_dir=tmp_path, mode="itf")
         want = TR.itf_schedule(5, 3)
         assert [row["phase"] for row in result.log_rows] == want
         assert len(result.phase_spans) == 6
@@ -243,7 +243,7 @@ def test_04_alternating_phase_invariants():
 
 
 @pytest.fixture(scope="module")
-def overfit_run():
+def overfit_run(tmp_path_factory):
     samples = overfit_corpus()
     cfg = make_config(hidden_size=64, emb_dim=32, feat_dim=8, batch_size=10,
                       lr=0.005, itf_n=2000, itf_cycles=1, beam=1, seed=13)
@@ -252,8 +252,9 @@ def overfit_run():
     vocab = Vocabulary(keep)
     tags = build_tag_vocabs(samples)
     started = time.monotonic()
-    result = TR.train(samples, [], [], cfg, mode="equipped-only",
-                      vocab=vocab, tag_vocabs=tags, stop_below=0.05)
+    result = TR.train(samples, [], [], cfg, out_dir=tmp_path_factory.mktemp("overfit"),
+                      mode="equipped-only", vocab=vocab, tag_vocabs=tags,
+                      stop_below=0.05)
     elapsed = time.monotonic() - started
     return dict(samples=samples, cfg=cfg, vocab=vocab, tags=tags,
                 result=result, elapsed=elapsed)

@@ -6,7 +6,6 @@ import hashlib
 import itertools
 import struct
 import sys
-import tempfile
 import threading
 import tracemalloc
 import weakref
@@ -18,6 +17,7 @@ import pytest
 from oracles import reference_teacher_forced_steps
 
 from ckqg import aux_tasks as A
+from ckqg import cli
 from ckqg import qg_model as M
 from ckqg import trainer as TR
 from ckqg.config import Config
@@ -447,10 +447,10 @@ class TestCheckWeights:
 
 
 class TestTrainLoop:
-    def test_phase_spans_follow_schedule_and_freeze_knowledge(self):
+    def test_phase_spans_follow_schedule_and_freeze_knowledge(self, tmp_path):
         eq, pu = equipped_samples(), pure_samples()
         cfg = tiny_config(itf_n=2, itf_cycles=2, lr=0.05)
-        result = TR.train(eq, pu, [], cfg)
+        result = TR.train(eq, pu, [], cfg, out_dir=tmp_path)
         assert [s.phase for s in result.phase_spans] == [
             TR.EQUIPPED, TR.PURE, TR.EQUIPPED, TR.PURE]
         assert [(s.start, s.end) for s in result.phase_spans] == [
@@ -462,38 +462,38 @@ class TestTrainLoop:
                 assert span.hash_before["knowledge"] != span.hash_after["knowledge"]
             assert span.hash_before["qg_core"] != span.hash_after["qg_core"]
 
-    def test_no_parameter_keeps_a_gradient_after_training(self):
+    def test_no_parameter_keeps_a_gradient_after_training(self, tmp_path):
         cfg = tiny_config(itf_n=2, itf_cycles=1)
-        result = TR.train(equipped_samples(), pure_samples(), [], cfg)
+        result = TR.train(equipped_samples(), pure_samples(), [], cfg, out_dir=tmp_path)
         assert [n for n, p in result.params.items() if p.grad is not None] == []
 
-    def test_logged_phases_match_schedule(self):
+    def test_logged_phases_match_schedule(self, tmp_path):
         eq, pu = equipped_samples(), pure_samples()
         cfg = tiny_config(itf_n=1, itf_cycles=2)
-        result = TR.train(eq, pu, [], cfg)
+        result = TR.train(eq, pu, [], cfg, out_dir=tmp_path)
         want = TR.itf_schedule(1, 2)
         assert [r["phase"] for r in result.log_rows] == want
         assert [r["step"] for r in result.log_rows] == [1, 2, 3, 4]
 
-    def test_additivity_holds_for_every_logged_step(self):
+    def test_additivity_holds_for_every_logged_step(self, tmp_path):
         eq, pu = equipped_samples(), pure_samples()
         cfg = tiny_config(itf_n=2, itf_cycles=1)
-        result = TR.train(eq, pu, [], cfg)
+        result = TR.train(eq, pu, [], cfg, out_dir=tmp_path)
         for row in result.log_rows:
             assert row["l"] == (row["l_q"] + row["l_r"]) + row["l_t"]
             if row["phase"] == TR.PURE:
                 assert row["l_r"] == 0.0 and row["l_t"] == 0.0
 
-    def test_determinism_across_runs(self):
+    def test_determinism_across_runs(self, tmp_path):
         eq, pu = equipped_samples(), pure_samples()
         cfg = tiny_config(itf_n=2, itf_cycles=1, dropout=0.2)
-        a = TR.train(eq, pu, [], cfg)
-        b = TR.train(eq, pu, [], cfg)
+        a = TR.train(eq, pu, [], cfg, out_dir=tmp_path / "a")
+        b = TR.train(eq, pu, [], cfg, out_dir=tmp_path / "b")
         assert a.log_rows == b.log_rows
         for g in ("qg_core", "knowledge"):
             assert a.params.group_hash(g) == b.params.group_hash(g)
 
-    def test_dev_evaluation_runs_with_dropout_off(self, monkeypatch):
+    def test_dev_evaluation_runs_with_dropout_off(self, tmp_path, monkeypatch):
         # the forward passes draw their masks from the rng handed to
         # training(); dev decoding must neither drop units nor draw from it
         rngs, evals = [], []
@@ -514,25 +514,27 @@ class TestTrainLoop:
         monkeypatch.setattr(T, "training", recording_training)
         monkeypatch.setattr(TR, "evaluate_dev", checked_evaluate_dev)
         cfg = tiny_config(itf_n=2, itf_cycles=1, dropout=0.3, eval_every=1)
-        TR.train(equipped_samples(), pure_samples(), pure_samples()[:1], cfg)
+        TR.train(equipped_samples(), pure_samples(), pure_samples()[:1], cfg,
+                 out_dir=tmp_path)
         assert len(rngs) == 4 and all(r is rngs[0] for r in rngs)
         assert evals == [True] * 4
 
-    def test_equipped_only_mode_never_enters_pure(self):
+    def test_equipped_only_mode_never_enters_pure(self, tmp_path):
         eq = equipped_samples()
         cfg = tiny_config(itf_n=2, itf_cycles=2)
-        result = TR.train(eq, [], [], cfg, mode="equipped-only")
+        result = TR.train(eq, [], [], cfg, out_dir=tmp_path, mode="equipped-only")
         assert all(r["phase"] == TR.EQUIPPED for r in result.log_rows)
         assert len(result.log_rows) == cfg.itf_n * cfg.itf_cycles
 
-    def test_itf_requires_both_corpora(self):
+    def test_itf_requires_both_corpora(self, tmp_path):
         eq = equipped_samples()
         with pytest.raises(ValidationError):
-            TR.train(eq, [], [], tiny_config())
+            TR.train(eq, [], [], tiny_config(), out_dir=tmp_path)
         with pytest.raises(ValueError, match="mode"):
-            TR.train(eq, pure_samples(), [], tiny_config(), mode="warmup")
+            TR.train(eq, pure_samples(), [], tiny_config(), out_dir=tmp_path,
+                     mode="warmup")
 
-    def test_divergence_aborts_with_diagnostic(self, monkeypatch):
+    def test_divergence_aborts_with_diagnostic(self, tmp_path, monkeypatch):
         # start from blown-up weights: the forward overflows to inf and the
         # loop must stop with a step/phase diagnostic, not march on
         build = TR.build_parameters
@@ -543,10 +545,12 @@ class TestTrainLoop:
             return params
 
         monkeypatch.setattr(TR, "build_parameters", poisoned)
-        with pytest.raises(TR.TrainingError, match=r"step 1 \(Equipped"):
-            TR.train(equipped_samples(), pure_samples(), [], tiny_config(itf_n=3))
+        with pytest.raises(T.NumericsError, match=r"step 1 \(Equipped"):
+            TR.train(equipped_samples(), pure_samples(), [], tiny_config(itf_n=3),
+                     out_dir=tmp_path)
 
-    def test_nan_gradient_stops_before_adam_and_names_the_parameter(self, monkeypatch):
+    def test_nan_gradient_stops_before_adam_and_names_the_parameter(self, tmp_path,
+                                                                   monkeypatch):
         # a NaN in one gradient at step 3 (the first Pure step) must stop the
         # run there, before Adam writes it into the weights
         clip, seen, updates = TR.ParameterSet.clip_grads, [], []
@@ -565,8 +569,9 @@ class TestTrainLoop:
 
         monkeypatch.setattr(TR.ParameterSet, "clip_grads", poisoned)
         monkeypatch.setattr(TR.Adam, "step", counted_step)
-        with pytest.raises(TR.TrainingError) as info:
-            TR.train(equipped_samples(), pure_samples(), [], tiny_config(itf_n=2))
+        with pytest.raises(T.NumericsError) as info:
+            TR.train(equipped_samples(), pure_samples(), [], tiny_config(itf_n=2),
+                     out_dir=tmp_path)
         msg = str(info.value)
         assert "step 3 (Pure phase)" in msg
         assert "gradient norm nan" in msg
@@ -578,20 +583,23 @@ class TestTrainLoop:
         cfg = tiny_config(itf_n=2, itf_cycles=1, eval_every=1, ckpt_keep=2,
                           avg_k=2)
         result = TR.train(eq, pu, pu[:1], cfg, out_dir=tmp_path)
-        assert len(result.checkpoints) == 2  # capacity bound
-        assert all(r.score is not None for r in result.checkpoints)
+        assert all(r["dev_bleu4"] is not None for r in result.log_rows)
         assert result.best_step >= 1
-        assert result.averaged is not None
+        # evicted checkpoint files are removed: the capacity bound holds on
+        # disk, and the pinned best step and the last step survive
+        ring = sorted(int(p.stem.removeprefix("ckpt-"))
+                      for p in tmp_path.glob("ckpt-*.bin"))
+        assert len(ring) == 2 and result.best_step in ring and ring[-1] == 4
+        averaged = TR.average_checkpoints(
+            load_checkpoint(tmp_path / f"ckpt-{s:06d}.bin")
+            for s in TR._select_for_average(ring, result.best_step, cfg.avg_k))
         saved = load_checkpoint(tmp_path / "model.bin")
-        assert set(saved) == set(result.averaged)
+        assert list(saved) == list(averaged)
         for k in saved:
-            assert np.array_equal(saved[k], result.averaged[k])
+            assert saved[k].tobytes() == averaged[k].tobytes(), k
         log_text = (tmp_path / "train_log.csv").read_text().splitlines()
         assert log_text[0] == "step,phase,L_q,L_r,L_t,L,dev_bleu4"
         assert len(log_text) == 1 + len(result.log_rows)
-        # evicted checkpoint files are removed, surviving ones exist
-        on_disk = sorted(p.name for p in tmp_path.glob("ckpt-*.bin"))
-        assert on_disk == [f"ckpt-{r.step:06d}.bin" for r in result.checkpoints]
 
     def test_ring_file_that_misfits_the_model_stops_the_average(self, tmp_path,
                                                                 monkeypatch):
@@ -613,84 +621,76 @@ class TestTrainLoop:
         assert str(info.value).startswith(f"{first}: missing parameter 'rc.out.b'")
         assert not (tmp_path / "model.bin").exists()
 
-    def test_ring_without_out_dir_leaves_no_file(self, tmp_path, monkeypatch):
-        # without out_dir the ring goes to a temporary directory that is
-        # removed on success and on a failed step alike
-        ring_tmp = tmp_path / "tmp"
-        ring_tmp.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(ring_tmp))
+    def test_failed_run_leaves_what_reads_its_ring(self, tmp_path, monkeypatch):
+        # a run that diverges at step 3, after the dev evals of steps 1 and
+        # 2, keeps their ring files next to the config and vocabularies
+        # that read them back, and writes no log or model
         written, save = [], TR.save_checkpoint
         monkeypatch.setattr(TR, "save_checkpoint",
                             lambda path, tensors: (written.append(Path(path)),
                                                    save(path, tensors)))
-        eq, pu = equipped_samples(), pure_samples()
-        cfg = tiny_config(itf_n=2, itf_cycles=1, eval_every=1, ckpt_keep=2,
-                          avg_k=2)
-        result = TR.train(eq, pu, pu[:1], cfg)
-        assert len(written) == 4
-        assert all(p.parent.parent == ring_tmp for p in written)
-        assert list(ring_tmp.iterdir()) == []
-
-        on_disk = TR.train(eq, pu, pu[:1], cfg, out_dir=tmp_path / "out")
-        assert list(result.averaged) == list(on_disk.averaged)
-        for k, arr in result.averaged.items():
-            assert arr.tobytes() == on_disk.averaged[k].tobytes(), k
-
-        written.clear()
         clip = TR.ParameterSet.clip_grads
 
         def poisoned(self, max_norm):
-            if len(written) == 2:   # after the dev evals of steps 1 and 2
+            if len(written) == 2:
                 self["emb.word"].grad.flat[0] = np.nan
             return clip(self, max_norm)
 
         monkeypatch.setattr(TR.ParameterSet, "clip_grads", poisoned)
-        with pytest.raises(TR.TrainingError, match="step 3"):
-            TR.train(eq, pu, pu[:1], cfg)
-        assert len(written) == 2
-        assert list(ring_tmp.iterdir()) == []
+        eq, pu = equipped_samples(), pure_samples()
+        cfg = tiny_config(itf_n=2, itf_cycles=1, eval_every=1, ckpt_keep=2,
+                          avg_k=2)
+        with pytest.raises(T.NumericsError, match="step 3"):
+            TR.train(eq, pu, pu[:1], cfg, out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ckpt-000001.bin", "ckpt-000002.bin", "config.json", "tags.json",
+            "vocab.json"]
+        loaded_cfg, vocab, tags = cli._load_world(tmp_path)
+        assert loaded_cfg == cfg
+        all_samples = eq + pu
+        assert vocab.id_to_token == build_vocab(
+            all_samples, max_size=cfg.vocab_size, min_freq=cfg.min_freq).id_to_token
+        assert {k: v.id_to_tag for k, v in tags.items()} == {
+            k: v.id_to_tag for k, v in build_tag_vocabs(all_samples).items()}
 
     def test_ring_memory_does_not_grow_with_ckpt_keep(self, tmp_path,
                                                       monkeypatch):
         # snapshots live only in their files, so keeping 10 instead of 3
         # must not raise the traced peak by even one snapshot's bytes; every
         # step is Equipped, so the last steps peak as high as the first
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         eq = equipped_samples()
         dev = eq[:1]
         # hidden 12: a snapshot (116 kB) dwarfs the ring records' own bytes
         configs = [tiny_config(itf_n=10, itf_cycles=1, eval_every=1, hidden_size=12,
                                ckpt_keep=keep, avg_k=3) for keep in (3, 10)]
-        TR.train(eq, [], dev, configs[0], mode="equipped-only")  # warm caches
+        TR.train(eq, [], dev, configs[0], out_dir=tmp_path / "warm",
+                 mode="equipped-only")  # warm caches
         peaks = []
         for cfg in configs:
+            out = tmp_path / f"keep{cfg.ckpt_keep}"
             gc.collect()   # leftover cycles freed mid-run would blur the peak
             tracemalloc.start()
             try:
-                result = TR.train(eq, [], dev, cfg, mode="equipped-only")
+                result = TR.train(eq, [], dev, cfg, out_dir=out, mode="equipped-only")
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
             assert sum(r["dev_bleu4"] is not None for r in result.log_rows) == 10
-            assert len(result.checkpoints) == cfg.ckpt_keep
+            assert len(list(out.glob("ckpt-*.bin"))) == cfg.ckpt_keep
         snapshot = sum(t.data.nbytes for _, t in result.params.items())
         assert abs(peaks[1] - peaks[0]) < snapshot, (peaks, snapshot)
 
     def test_averaged_selection_centers_on_best(self):
-        ring = [TR.CheckpointRecord(step=s, path=Path(f"ckpt-{s:06d}.bin"))
-                for s in (10, 20, 30, 40, 50)]
-        picked = TR._select_for_average(ring, best_step=40, k=3)
-        assert [r.step for r in picked] == [30, 40, 50]
-        picked = TR._select_for_average(ring, best_step=10, k=3)
-        assert [r.step for r in picked] == [10, 20, 30]
+        ring = [10, 20, 30, 40, 50]
+        assert TR._select_for_average(ring, best_step=40, k=3) == [30, 40, 50]
+        assert TR._select_for_average(ring, best_step=10, k=3) == [10, 20, 30]
         # distance ties resolve toward the earlier save
-        picked = TR._select_for_average(ring, best_step=30, k=2)
-        assert [r.step for r in picked] == [20, 30]
+        assert TR._select_for_average(ring, best_step=30, k=2) == [20, 30]
 
-    def test_loss_falls_in_short_overfit_run(self):
+    def test_loss_falls_in_short_overfit_run(self, tmp_path):
         eq = equipped_samples()
         cfg = tiny_config(itf_n=40, itf_cycles=1, lr=0.05, hidden_size=4)
-        result = TR.train(eq, [], [], cfg, mode="equipped-only")
+        result = TR.train(eq, [], [], cfg, out_dir=tmp_path, mode="equipped-only")
         first = result.log_rows[0]["l_q"]
         last = result.log_rows[-1]["l_q"]
         assert last < first
@@ -699,17 +699,18 @@ class TestTrainLoop:
         means = [sum(losses[i:i + 5]) / 5 for i in range(0, len(losses), 5)]
         assert all(b <= a for a, b in zip(means, means[1:])), means
 
-    def test_stop_below_ends_early(self):
+    def test_stop_below_ends_early(self, tmp_path):
         eq = equipped_samples()
         cfg = tiny_config(itf_n=500, itf_cycles=1, lr=0.05, hidden_size=4)
-        result = TR.train(eq, [], [], cfg, mode="equipped-only", stop_below=0.5)
+        result = TR.train(eq, [], [], cfg, out_dir=tmp_path, mode="equipped-only",
+                          stop_below=0.5)
         assert result.log_rows[-1]["l_q"] < 0.5
         assert len(result.log_rows) < 500
 
-    def test_early_stop_mid_span_closes_the_span_at_the_stop_step(self):
+    def test_early_stop_mid_span_closes_the_span_at_the_stop_step(self, tmp_path):
         cfg = tiny_config(itf_n=4, itf_cycles=100, lr=0.05, hidden_size=4)
         result = TR.train(equipped_samples(), pure_samples(), [], cfg,
-                          stop_below=2.0)
+                          out_dir=tmp_path, stop_below=2.0)
         stop = result.log_rows[-1]["step"]
         spans = result.phase_spans
         assert result.log_rows[-1]["l_q"] < 2.0
@@ -722,7 +723,7 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("sid, kind, name", [
         ("d1", "pos_tags", "d1"), (None, "ner_tags", "#1")])
-    def test_unknown_dev_tag_fails_before_the_first_step(self, monkeypatch,
+    def test_unknown_dev_tag_fails_before_the_first_step(self, tmp_path, monkeypatch,
                                                          sid, kind, name):
         steps = []
         monkeypatch.setattr(TR.Adam, "step", lambda self: steps.append(self))
@@ -731,7 +732,8 @@ class TestTrainLoop:
         getattr(dev[1], kind)[2] = "zzz"
         with pytest.raises(ValidationError,
                            match=f"dev sample {name}: unknown tag 'zzz'"):
-            TR.train(equipped_samples(), pure_samples(), dev, tiny_config())
+            TR.train(equipped_samples(), pure_samples(), dev, tiny_config(),
+                     out_dir=tmp_path)
         assert steps == []
 
     def test_decode_sample_returns_tokens(self):
