@@ -579,8 +579,9 @@ class TestTrainLoop:
         assert len(updates) == 2
 
     def test_dev_eval_ring_and_averaging(self, tmp_path):
+        # avg_k under ckpt_keep, so model.bin shows which ring files were picked
         eq, pu = equipped_samples(), pure_samples()
-        cfg = tiny_config(itf_n=2, itf_cycles=1, eval_every=1, ckpt_keep=2,
+        cfg = tiny_config(itf_n=2, itf_cycles=1, eval_every=1, ckpt_keep=3,
                           avg_k=2)
         result = TR.train(eq, pu, pu[:1], cfg, out_dir=tmp_path)
         assert all(r["dev_bleu4"] is not None for r in result.log_rows)
@@ -589,7 +590,7 @@ class TestTrainLoop:
         # disk, and the pinned best step and the last step survive
         ring = sorted(int(p.stem.removeprefix("ckpt-"))
                       for p in tmp_path.glob("ckpt-*.bin"))
-        assert len(ring) == 2 and result.best_step in ring and ring[-1] == 4
+        assert len(ring) == 3 and result.best_step in ring and ring[-1] == 4
         averaged = TR.average_checkpoints(
             load_checkpoint(tmp_path / f"ckpt-{s:06d}.bin")
             for s in TR._select_for_average(ring, result.best_step, cfg.avg_k))
