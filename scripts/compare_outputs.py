@@ -3,7 +3,7 @@ benchmark workloads' generated inputs.
 
     python3 scripts/compare_outputs.py --base OTHER_CHECKOUT \
         --workload {extract,train,generate} [...] [--seeds 7 11] \
-        [--blas-threads 1]
+        [--beams 10] [--blas-threads 1]
 
 For each workload and seed it writes the inputs with ``perfbench/gen.py``,
 runs the workload's command as ``perfbench/run.py`` does (same arguments,
@@ -13,12 +13,13 @@ be byte-equal:
 
     extract   annotated.jsonl, partition.json
     train     model.bin, train_log.csv, config.json, vocab.json, tags.json
-    generate  hyp.jsonl
+    generate  hyp.jsonl, once per beam width of ``--beams`` (10 by default,
+              perfbench's; at its model size beams 1 and 3 decode on one lane)
 
 The commands run on ``--blas-threads`` BLAS threads, one by default as in
 ``perfbench/run.py``; with as many threads as CPUs, ``ckqg generate``
 decodes on one lane, so that setting checks the one-lane path. It prints
-one JSON line per workload and seed, and exits 1 when a command fails or
+one JSON line per workload, seed and beam, and exits 1 when a command fails or
 any output differs.
 """
 
@@ -37,15 +38,16 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import common  # noqa: E402
 
-BEAM = 10   # perfbench's generate beam
+BEAM = 10   # perfbench's generate beam, the default of --beams
 OUTPUTS = {"extract": ("annotated.jsonl", "partition.json"),
            "train": ("model.bin", "train_log.csv", "config.json", "vocab.json",
                      "tags.json"),
            "generate": ("hyp.jsonl",)}
 
 
-def command(workload: str, inputs: Path, out: Path) -> list[str]:
-    """The ``ckqg`` arguments perfbench runs for ``workload``."""
+def command(workload: str, inputs: Path, out: Path, beam: int) -> list[str]:
+    """The ``ckqg`` arguments perfbench runs for ``workload``, at ``beam``
+    for generate."""
     m = {k: str(inputs / v) for k, v in
          json.loads((inputs / "manifest.json").read_text()).items()}
     if workload == "extract":
@@ -56,7 +58,7 @@ def command(workload: str, inputs: Path, out: Path) -> list[str]:
                 m["equipped"], "--pure", m["pure"], "--dev", m["dev"]]
     out.mkdir()
     return ["--out", str(out / "hyp.jsonl"), "generate", "--model", m["model"],
-            "--corpus", m["test"], "--beam", str(BEAM)]
+            "--corpus", m["test"], "--beam", str(beam)]
 
 
 def run_ckqg(checkout: Path, argv: list[str]) -> str | None:
@@ -70,8 +72,11 @@ def run_ckqg(checkout: Path, argv: list[str]) -> str | None:
     return f"exit {proc.returncode}: {lines[-1]}"
 
 
-def compare_seed(base: Path, workload: str, seed: int) -> tuple[dict, list[str]]:
+def compare_seed(base: Path, workload: str, seed: int,
+                 beam: int) -> tuple[dict, list[str]]:
     counts: dict = {"workload": workload, "seed": seed}
+    if workload == "generate":
+        counts["beam"] = beam
     problems = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -79,7 +84,7 @@ def compare_seed(base: Path, workload: str, seed: int) -> tuple[dict, list[str]]
                         workload, "--seed", str(seed), "--out", str(tmp / "inputs")],
                        capture_output=True, check=True)
         for side, checkout in (("base", base), ("here", ROOT)):
-            failure = run_ckqg(checkout, command(workload, tmp / "inputs", tmp / side))
+            failure = run_ckqg(checkout, command(workload, tmp / "inputs", tmp / side, beam))
             if failure:
                 problems.append(f"{workload} seed {seed}: {side} command failed, {failure}")
         if not problems:
@@ -87,7 +92,8 @@ def compare_seed(base: Path, workload: str, seed: int) -> tuple[dict, list[str]]
                 here = (tmp / "here" / name).read_bytes()
                 counts[f"{name}_sha256_16"] = hashlib.sha256(here).hexdigest()[:16]
                 if (tmp / "base" / name).read_bytes() != here:
-                    problems.append(f"{workload} seed {seed}: {name} differs")
+                    problems.append(f"{workload} seed {seed}: {name} differs"
+                                    + (f" at beam {beam}" if workload == "generate" else ""))
     counts["equal"] = not problems
     return counts, problems
 
@@ -97,22 +103,27 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--base", type=Path, required=True, help="checkout to compare against")
     ap.add_argument("--workload", required=True, nargs="+", choices=sorted(OUTPUTS))
     ap.add_argument("--seeds", type=int, nargs="+", default=[7, 11])
+    ap.add_argument("--beams", type=int, nargs="+", default=[BEAM],
+                    help=f"beam widths of the generate commands (default {BEAM})")
     ap.add_argument("--blas-threads", type=int, default=1,
                     help="BLAS threads of the ckqg commands (default 1)")
     args = ap.parse_args(argv)
     if args.blas_threads < 1:
         ap.error("--blas-threads must be at least 1")
+    if min(args.beams) < 1:
+        ap.error("--beams must be at least 1")
     common.prepare_process()   # the ckqg children inherit the pinned environment
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(args.blas_threads)
     failed = False
     for workload in args.workload:
         for seed in args.seeds:
-            counts, problems = compare_seed(args.base.resolve(), workload, seed)
-            print(json.dumps({**counts, "blas_threads": args.blas_threads}), flush=True)
-            for p in problems:
-                print(f"  {p}")
-            failed |= bool(problems)
+            for beam in args.beams if workload == "generate" else [BEAM]:
+                counts, problems = compare_seed(args.base.resolve(), workload, seed, beam)
+                print(json.dumps({**counts, "blas_threads": args.blas_threads}), flush=True)
+                for p in problems:
+                    print(f"  {p}")
+                failed |= bool(problems)
     return 1 if failed else 0
 
 

@@ -21,8 +21,8 @@ from . import aux_tasks, metrics, qg_model, trainer
 from .assets import KB_CONCEPTNET, KB_WORDNET, MINI_CORPUS, STOPWORDS, asset_path
 from .config import Config, ConfigError, env_settings, load_config, parse_config_file
 from .corpus import (BIO_TAGS, TagVocab, TrainingSample, ValidationError,
-                     Vocabulary, build_tag_vocabs, build_vocab, encode_batch,
-                     is_str_list, load_dataset, save_dataset)
+                     Vocabulary, build_tag_vocabs, build_vocab, check_tags,
+                     encode_batch, is_str_list, load_dataset, save_dataset)
 from .nn import tensor as T
 from .nn.checkpoint import load_checkpoint
 from .nn.gradcheck import grad_check
@@ -167,13 +167,11 @@ def cmd_generate(args) -> int:
     cfg, vocab, tags, params = _load_model(model_dir)
     beam = args.beam if args.beam is not None else cfg.beam
     samples = load_dataset(args.corpus)
-    for i, sample in enumerate(samples):   # name the sample and the tag list
-        for kind, seq in (("pos", sample.pos_tags), ("ner", sample.ner_tags)):
-            unknown = [t for t in seq if t not in tags[kind].tag_to_id]
-            if unknown:
-                raise ValidationError(f"{args.corpus}: sample {_sample_key(sample, i)}: "
-                                      f"unknown tag '{unknown[0]}'; the model's tags are "
-                                      f"in {model_dir / 'tags.json'}")
+    try:   # name the sample and the tag list
+        check_tags(samples, tags, lambda s, i: f"{args.corpus}: sample {_sample_key(s, i)}")
+    except ValidationError as exc:
+        raise ValidationError(f"{exc}; the model's tags are in "
+                              f"{model_dir / 'tags.json'}") from None
     try:
         decoded = trainer.generate(params, samples, vocab, tags, cfg, beam)
     except T.NumericsError as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -134,6 +135,20 @@ class TagVocab:
 
 
 BIO_TAGS = ("O", "B", "I")
+
+
+def check_tags(samples: list[TrainingSample], tag_vocabs: dict[str, TagVocab],
+               name: Callable[[TrainingSample, int], str]) -> None:
+    """Raise a ValidationError, headed by ``name(sample, index)``, for the
+    first POS or NER tag of ``samples`` that ``tag_vocabs`` lacks. For a
+    sample that load_dataset accepted, this is the one way encode_batch can
+    fail: the sample is valid, its answer tags are ``BIO_TAGS``, and it
+    forms a batch alone."""
+    for i, sample in enumerate(samples):
+        for kind, seq in (("pos", sample.pos_tags), ("ner", sample.ner_tags)):
+            unknown = [t for t in seq if t not in tag_vocabs[kind].tag_to_id]
+            if unknown:
+                raise ValidationError(f"{name(sample, i)}: unknown tag '{unknown[0]}'")
 
 
 def build_vocab(samples: list[TrainingSample], max_size: int = 5000,

@@ -354,11 +354,12 @@ def _softmax(v: np.ndarray, axis: int, mask: np.ndarray | None, op: str) -> np.n
             raise NumericsError(f"{op} row is fully masked")
         v = np.where(mask, v, -np.inf)
     m = np.max(v, axis=axis, keepdims=True)
-    e = np.exp(v - m)
+    e = v - m
+    np.exp(e, out=e)   # in place: one array of v's size besides v
     if mask is not None:
         e = np.where(mask, e, 0.0)
-    s = np.sum(e, axis=axis, keepdims=True)
-    return e / s
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:

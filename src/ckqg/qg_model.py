@@ -23,6 +23,7 @@ from .nn.tensor import Tensor, length_mask
 log = logging.getLogger(__name__)
 
 PROB_FLOOR = 1e-12
+LOG_FLOOR = np.log(PROB_FLOOR)
 
 
 def clamp_to_vocab(ids: np.ndarray, vocab_size: int) -> np.ndarray:
@@ -104,13 +105,6 @@ class DecoderState:
     p_g: Tensor | None = None             # [B, 1] generate-vs-copy gate
 
 
-@dataclass
-class OutputDistribution:
-    p_vocab: Tensor      # [B, V]
-    p_copy: Tensor       # [B, extended]
-    p: Tensor            # [B, extended] mixture
-
-
 def init_decoder_state(params: ParameterSet, prefix: str, source: Tensor) -> DecoderState:
     """Seed the decoder from an encoder summary (one projection per layer);
     cells and the first readout feed start at zero."""
@@ -133,13 +127,27 @@ def _weighted_rows(alpha: Tensor, rows: Tensor) -> Tensor:
     return T.reshape(ctx, (nb, rows.shape[-1]))
 
 
-def copy_distribution(alpha: Tensor, copy_ids: np.ndarray, extended_size: int) -> Tensor:
-    """Aggregate attention mass per extended-vocabulary id.
+def _cell_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
+               state: DecoderState) -> tuple[Tensor, Tensor, list[tuple[Tensor, Tensor]]]:
+    """Embedding of the previous tokens, and the decoder LSTM stack's top
+    hidden state and per-layer states after this step."""
+    vocab_size = params["emb.word"].shape[0]
+    emb = T.embedding(params["emb.word"], clamp_to_vocab(y_prev, vocab_size))
+    x = T.concat([emb, state.s_tilde], axis=-1)
+    s, new_states = stacked_lstm_step(params, f"{prefix}.cell", x, state.states)
+    return emb, s, new_states
 
-    Pad positions carry exactly zero attention, so the pad bucket stays empty.
-    One sample's ``copy_ids`` broadcast against every row of ``alpha``.
-    """
-    return T.scatter_sum(alpha, np.broadcast_to(copy_ids, alpha.shape), extended_size)
+
+def _readout(params: ParameterSet, prefix: str, emb: Tensor, s: Tensor, c: Tensor,
+             pre: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """The next readout feed, the readout ``u`` and the copy gate ``p_g``,
+    given the blend's passage and knowledge terms ``pre``."""
+    pre = T.add(pre, T.matmul(s, params[f"{prefix}.blend.s.W"]))
+    s_tilde = T.tanh(T.add(pre, params[f"{prefix}.blend.b"]))
+    z = T.dropout(T.concat([c, s], axis=-1))
+    u = T.maxout(T.tanh(linear(params, f"{prefix}.readout", z)))
+    p_g = T.sigmoid(linear(params, f"{prefix}.copy", T.concat([c, s, emb], axis=-1)))
+    return s_tilde, u, p_g
 
 
 def decoder_state_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
@@ -154,52 +162,109 @@ def decoder_state_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
     The blend terms are summed in fixed order c, k, s so dropping the k term
     is numerically identical to a zeroed k-slice.
     """
-    vocab_size = params["emb.word"].shape[0]
-    emb = T.embedding(params["emb.word"], clamp_to_vocab(y_prev, vocab_size))
-    x = T.concat([emb, state.s_tilde], axis=-1)
-    s, new_states = stacked_lstm_step(params, f"{prefix}.cell", x, state.states)
+    emb, s, new_states = _cell_step(params, prefix, y_prev, state)
     nb, hidden = s.shape
-
     alpha = _attend(enc.proj, s, enc.mask)
     c = _weighted_rows(alpha, enc.h_hat)
-
     pre = T.matmul(c, params[f"{prefix}.blend.c.W"])
     if kmem is not None:
-        beta = _attend(kmem.proj, s, kmem.mask)
-        k = _weighted_rows(beta, kmem.rows)
+        k = _weighted_rows(_attend(kmem.proj, s, kmem.mask), kmem.rows)
         pre = T.add(pre, T.matmul(k, params[f"{prefix}.blend.k.W"]))
     else:
         k = Tensor(np.zeros((nb, 2 * hidden)))
-    pre = T.add(pre, T.matmul(s, params[f"{prefix}.blend.s.W"]))
-    s_tilde = T.tanh(T.add(pre, params[f"{prefix}.blend.b"]))
-
-    z = T.dropout(T.concat([c, s], axis=-1))
-    u = T.maxout(T.tanh(linear(params, f"{prefix}.readout", z)))
-    p_g = T.sigmoid(linear(params, f"{prefix}.copy", T.concat([c, s, emb], axis=-1)))
+    s_tilde, u, p_g = _readout(params, prefix, emb, s, c, pre)
     return u, DecoderState(states=new_states, s_tilde=s_tilde, s=s, c=c,
                            alpha=alpha, k=k, p_g=p_g)
 
 
+@dataclass
+class DecodeMemory:
+    """What decoding reads of one sample: the passage attention memories,
+    the knowledge memory, the copy ids and the summary that seeds the
+    decoder. The encoder's ``h``, ``f`` and ``g`` are not kept."""
+    h_hat: Tensor                 # [1, Lp, 2d]
+    proj: Tensor                  # [1, Lp, d]
+    mask: np.ndarray              # [1, Lp]
+    kmem: KnowledgeMemory | None
+    copy_ids: np.ndarray          # [1, Lp] extended-vocabulary ids
+    extended_size: int
+    init_source: Tensor           # [1, d] seeds the decoder state
+
+
+def decode_memory(enc: EncoderOutput, kmem: KnowledgeMemory | None,
+                  copy_ids: np.ndarray, extended_size: int) -> DecodeMemory:
+    """The decode memory of a one-sample encoding, seeded by its
+    ``bw_final``."""
+    if enc.mask.shape[0] != 1:
+        raise T.ShapeError("a decode memory holds one sample")
+    return DecodeMemory(h_hat=enc.h_hat, proj=enc.proj, mask=enc.mask, kmem=kmem,
+                        copy_ids=copy_ids, extended_size=extended_size,
+                        init_source=enc.bw_final)
+
+
 def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
-                state: DecoderState, enc: EncoderOutput,
-                kmem: KnowledgeMemory | None, copy_ids: np.ndarray,
-                extended_size: int) -> tuple[OutputDistribution, DecoderState]:
-    """One decoder step with the full output distribution over the extended
-    vocabulary, as decoding needs it: the generate distribution padded with
-    zeros past the word vocabulary, mixed with the copy distribution by the
-    gate ``p_g``."""
-    u, new_state = decoder_state_step(params, prefix, y_prev, state, enc, kmem)
-    nb, vocab_size = u.shape[0], params["emb.word"].shape[0]
-    p_g = new_state.p_g
-    p_vocab = T.softmax(linear(params, f"{prefix}.out", u), axis=-1)
-    p_copy = copy_distribution(new_state.alpha, copy_ids, extended_size)
-    if extended_size > vocab_size:
-        tail = Tensor(np.zeros((nb, extended_size - vocab_size)))
-        p_vocab_ext = T.concat([p_vocab, tail], axis=-1)
-    else:
-        p_vocab_ext = p_vocab
-    p = T.add(T.mul(p_vocab_ext, p_g), T.mul(p_copy, T.add(T.mul(p_g, -1.0), 1.0)))
-    return OutputDistribution(p_vocab=p_vocab, p_copy=p_copy, p=p), new_state
+                state: DecoderState, memories: list[DecodeMemory],
+                rows: list[int]) -> tuple[list[np.ndarray], DecoderState]:
+    """One decoder step over a group of samples, as decoding needs it: the
+    first ``rows[0]`` rows of ``y_prev`` and ``state`` continue
+    ``memories[0]``, the next ``rows[1]`` rows ``memories[1]``, and so on.
+    Returns each sample's ``log(max(p, PROB_FLOOR))`` [rows[i],
+    extended_size], where ``p`` mixes the generate distribution, zero past
+    the word vocabulary, with the copy distribution by the gate ``p_g``,
+    and the new state (per-layer states and readout feed only).
+
+    Run it under ``T.no_grad()`` and ``T.row_by_row()``, as
+    beam_search_group does. Row-wise work runs once over every row of the
+    group: its products are one-row products. Attention, the knowledge
+    term and the copy mass run per sample over its own widths, and the
+    copy term is added only at the ids the sample's passage holds, where
+    the full mixture differs from ``p_vocab * p_g``. So every row's values
+    equal, bit for bit, those of the full mixture (tests/oracles.py,
+    ``reference_decode_step``) over that row alone.
+    """
+    emb, s, new_states = _cell_step(params, prefix, y_prev, state)
+    contexts, knowledge, k_rows, alphas = [], [], [], []
+    lo = 0
+    for mem, n in zip(memories, rows):
+        s_i = Tensor(s.data[lo:lo + n])
+        alpha = _attend(mem.proj, s_i, mem.mask)
+        contexts.append(_weighted_rows(alpha, mem.h_hat))
+        alphas.append(alpha.data)
+        if mem.kmem is not None:
+            beta = _attend(mem.kmem.proj, s_i, mem.kmem.mask)
+            knowledge.append(_weighted_rows(beta, mem.kmem.rows))
+            k_rows.extend(range(lo, lo + n))
+        lo += n
+    c = T.concat(contexts, axis=0)
+    pre = T.matmul(c, params[f"{prefix}.blend.c.W"])
+    if knowledge:   # on equipped samples' rows only, as each adds it alone
+        k_term = T.matmul(T.concat(knowledge, axis=0), params[f"{prefix}.blend.k.W"])
+        pre.data[k_rows] += k_term.data
+    s_tilde, u, p_g = _readout(params, prefix, emb, s, c, pre)
+    # p_vocab * p_g, the mixture off the copied ids, turned in place into
+    # log probabilities sample by sample, after its copied ids are read
+    generate = T.softmax(linear(params, f"{prefix}.out", u), axis=-1).data
+    generate *= p_g.data
+    keep = 1.0 - p_g.data   # the copy share
+    vocab_size = generate.shape[1]
+    out, lo = [], 0
+    for mem, alpha, n in zip(memories, alphas, rows):
+        g = generate[lo:lo + n]
+        # copy mass per distinct id, summed in passage order from 0.0
+        ids, bucket = np.unique(mem.copy_ids, return_inverse=True)
+        mass = np.zeros((n, ids.size))
+        np.add.at(mass, (np.arange(n)[:, None], bucket.reshape(1, -1)), alpha)
+        p = mass * keep[lo:lo + n]
+        in_vocab = ids < vocab_size
+        p[:, in_vocab] += g[:, ids[in_vocab]]
+        np.maximum(g, PROB_FLOOR, out=g)
+        np.log(g, out=g)
+        lp = g if mem.extended_size == vocab_size else np.concatenate(
+            [g, np.full((n, mem.extended_size - vocab_size), LOG_FLOOR)], axis=1)
+        lp[:, ids] = np.log(np.maximum(p, PROB_FLOOR))
+        out.append(lp)
+        lo += n
+    return out, DecoderState(states=new_states, s_tilde=s_tilde)
 
 
 # -- teacher forcing and loss -------------------------------------------------
@@ -270,67 +335,97 @@ def _reorder_state(state: DecoderState, rows: list[int]) -> DecoderState:
                         s_tilde=take(state.s_tilde))
 
 
-def _top_tokens(lp: np.ndarray, beam: int) -> np.ndarray:
-    """``np.argsort(-lp, kind="stable")[:beam]`` without sorting the whole row:
-    every value above the beam-th largest is in, and ties at it go to the
-    lowest ids."""
-    n = lp.shape[0]
-    if beam >= n:
-        return np.argsort(-lp, kind="stable")
-    threshold = np.partition(lp, n - beam)[n - beam]
-    idx = np.flatnonzero(lp >= threshold)
-    return idx[np.argsort(-lp[idx], kind="stable")][:beam]
+def _best_candidates(lp: np.ndarray, logp: np.ndarray, rank: np.ndarray,
+                     beam: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, tokens and totals of the ``beam`` best continuations of one
+    sample's live hypotheses, best first. Row r's total for token t is
+    ``logp[r] + lp[r, t]``; higher totals come first, then the lower
+    ``rank[r]``, then the lower token.
+
+    With ``rank`` the order of the hypotheses' ids, this is the order of the
+    key ``(-total, ids + (t,))``: live hypotheses are distinct and of equal
+    length. Each of the first ``beam`` is also among its row's ``beam``
+    best, so the result equals taking each row's best by a stable argsort
+    and sorting those candidates by that key."""
+    total = (logp[:, None] + lp).ravel()
+    if beam < total.size:
+        kth = total.size - beam
+        idx = np.flatnonzero(total >= np.partition(total, kth)[kth])
+    else:
+        idx = np.arange(total.size)
+    rows, toks = np.divmod(idx, lp.shape[1])
+    order = np.lexsort((toks, rank[rows], -total[idx]))[:beam]
+    return rows[order], toks[order], total[idx[order]]
+
+
+def beam_search_group(params: ParameterSet, prefix: str, memories: list[DecodeMemory],
+                      *, beam: int, max_len: int, length_penalty: float = 0.7
+                      ) -> list[BeamHypothesis]:
+    """Beam search for each sample of a group, one hypothesis per sample.
+
+    The live hypotheses of every sample are the rows of one decoder batch,
+    sample by sample, reordered by back-pointer after each step; a sample
+    whose hypotheses have all finished leaves the batch. Nothing is
+    recorded for backward. Each row is computed exactly as a batch of one
+    would compute it (see decode_step), so every sample's result equals
+    decoding each of its hypotheses on its own, bit for bit, whatever else
+    shares the group.
+
+    Scores are summed log probabilities normalized by length**length_penalty
+    at finishing time; candidate ordering breaks ties toward lower token ids,
+    which makes beam=1 reproduce greedy decoding exactly.
+    """
+    if beam < 1:
+        raise ValueError(f"beam must be >= 1, got {beam}")
+    # per sample: live (ids, log probability) pairs and finished
+    # (score, logp, ids) triples
+    live: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in memories]
+    done: list[list[tuple[float, float, tuple[int, ...]]]] = [[] for _ in memories]
+    with T.no_grad(), T.row_by_row():
+        state = init_decoder_state(params, prefix,
+                                   T.concat([m.init_source for m in memories], axis=0))
+        for _ in range(max_len):
+            active = [i for i, hyps in enumerate(live) if hyps]
+            if not active:
+                break
+            y = np.array([ids[-1] if ids else BOS for i in active for ids, _ in live[i]])
+            lps, state = decode_step(params, prefix, y, state,
+                                     [memories[i] for i in active],
+                                     [len(live[i]) for i in active])
+            kept, lo = [], 0
+            for i, lp in zip(active, lps):
+                hyps = live[i]
+                logp = np.array([total for _, total in hyps])
+                rank = np.empty(len(hyps), dtype=np.intp)
+                rank[sorted(range(len(hyps)), key=lambda r: hyps[r][0])] = range(len(hyps))
+                live[i] = []
+                for row, tok, total in zip(*(a.tolist() for a in
+                                             _best_candidates(lp, logp, rank, beam))):
+                    ids = hyps[row][0]
+                    if tok == EOS:
+                        done[i].append((total / (len(ids) + 1) ** length_penalty, total, ids))
+                    else:
+                        live[i].append((ids + (tok,), total))
+                        kept.append(lo + row)
+                lo += len(hyps)
+            del lps, lp   # free this step's log probabilities before the next step's
+            state = _reorder_state(state, kept)
+    results = []
+    for hyps, finished in zip(live, done):
+        for ids, logp in hyps:
+            finished.append((logp / max(len(ids), 1) ** length_penalty, logp, ids))
+        norm, raw, ids = max(finished, key=lambda d: (d[0], tuple(-i for i in d[2])))
+        results.append(BeamHypothesis(ids=list(ids), score=norm, logprob=raw))
+    return results
 
 
 def beam_search(params: ParameterSet, prefix: str, enc: EncoderOutput,
                 kmem: KnowledgeMemory | None, copy_ids: np.ndarray,
                 extended_size: int, *, beam: int, max_len: int,
                 length_penalty: float = 0.7) -> BeamHypothesis:
-    """Beam search for a single sample.
-
-    The live hypotheses are the rows of one decoder batch, reordered by
-    back-pointer after each step, and nothing is recorded for backward. The
-    sample's encoder output, knowledge memory and copy ids are read by
-    broadcasting, so only the decoder state has a row per hypothesis. Each
-    row is computed exactly as a batch of one would compute it (see
-    nn.tensor.row_by_row), so the result equals decoding each hypothesis on
-    its own, bit for bit.
-
-    Scores are summed log probabilities normalized by length**length_penalty
-    at finishing time; candidate ordering breaks ties toward lower token ids,
-    which makes beam=1 reproduce greedy decoding exactly.
-    """
-    if enc.mask.shape[0] != 1:
-        raise T.ShapeError("beam_search runs one sample at a time")
-    if beam < 1:
-        raise ValueError(f"beam must be >= 1, got {beam}")
-    live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
-    done: list[tuple[float, float, tuple[int, ...]]] = []
-    with T.no_grad(), T.row_by_row():
-        state = init_decoder_state(params, prefix, enc.bw_final)
-        for _ in range(max_len):
-            if not live:
-                break
-            y = np.array([ids[-1] if ids else BOS for ids, _ in live])
-            out, state = decode_step(params, prefix, y, state, enc, kmem,
-                                     copy_ids, extended_size)
-            lp = np.log(np.maximum(out.p.data, PROB_FLOOR))
-            cands = []
-            for row, (ids, logp) in enumerate(live):
-                for tok in _top_tokens(lp[row], beam):
-                    cands.append((logp + float(lp[row, tok]), ids, int(tok), row))
-            del out, lp   # free this step's distributions before the next step's
-            cands.sort(key=lambda cand: (-cand[0], cand[1] + (cand[2],)))
-            live, rows = [], []
-            for total, ids, tok, row in cands[:beam]:
-                if tok == EOS:
-                    norm = total / (len(ids) + 1) ** length_penalty
-                    done.append((norm, total, ids))
-                else:
-                    live.append((ids + (tok,), total))
-                    rows.append(row)
-            state = _reorder_state(state, rows)
-    for ids, logp in live:
-        done.append((logp / max(len(ids), 1) ** length_penalty, logp, ids))
-    norm, raw, ids = max(done, key=lambda d: (d[0], tuple(-i for i in d[2])))
-    return BeamHypothesis(ids=list(ids), score=norm, logprob=raw)
+    """Beam search for a single sample: beam_search_group over its decode
+    memory alone."""
+    return beam_search_group(params, prefix,
+                             [decode_memory(enc, kmem, copy_ids, extended_size)],
+                             beam=beam, max_len=max_len,
+                             length_penalty=length_penalty)[0]

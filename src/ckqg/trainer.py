@@ -24,7 +24,8 @@ import numpy as np
 from . import aux_tasks, metrics, qg_model
 from .config import Config
 from .corpus import (RESERVED, Batch, TagVocab, TrainingSample, ValidationError,
-                     Vocabulary, build_tag_vocabs, build_vocab, encode_batch)
+                     Vocabulary, build_tag_vocabs, build_vocab, check_tags,
+                     encode_batch)
 from .nn import tensor as T
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .nn.optim import Adam
@@ -307,60 +308,90 @@ def decode_lanes(n_samples: int, step_work: int) -> int:
     return max(1, min(n_samples, MAX_LANES, cpus // blas_threads))
 
 
+# Samples per decoder group, at most: a group's beam state and per-step
+# arrays grow with it, so a large corpus keeps bounded memory.
+MAX_GROUP = 8
+
+
 def generate(params: ParameterSet, samples: list[TrainingSample],
              vocab: Vocabulary, tag_vocabs: dict[str, TagVocab],
              config: Config, beam: int) -> list[tuple[list[str], float]]:
     """Question tokens and length-normalized score per sample, by beam search
-    (beam=1 is greedy decoding) over one sample at a time, recording no tape.
+    (beam=1 is greedy decoding), recording no tape.
 
-    The one decode path behind ``ckqg generate`` and dev BLEU. Samples run
-    on ``decode_lanes`` lanes: the calling thread and one more thread per
-    further lane each take the next sample index and decode that sample
-    alone. A sample makes the same calls on any lane and the lane count
-    sets no BLAS thread count, so every result is bit for bit what one lane
-    gives. Once a sample fails no new one starts, and the failure of the
-    lowest-index sample is raised, as a sequential loop would raise it.
+    The one decode path behind ``ckqg generate`` and dev BLEU. The samples
+    split into groups of consecutive samples, as many per group as spreads
+    them evenly over the ``decode_lanes`` lanes but at most MAX_GROUP. The
+    calling thread and one more thread per further lane each take the next
+    group, encode its samples one at a time and beam-search them as one
+    decoder batch (qg_model.beam_search_group), keeping of each encoding
+    only what decoding reads. Every result is bit for bit what the sample
+    gives decoded alone, on any lane: the lane count sets no BLAS thread
+    count. A group that raises an error is decoded again one sample at a
+    time, to find the sample that fails. Once a sample fails no new group
+    starts, and the failure of the lowest-index sample is raised, as a
+    sequential loop would raise it.
     """
     decoded: list[tuple[list[str], float] | None] = [None] * len(samples)
     failures: dict[int, BaseException] = {}
     lock = threading.Lock()
+    lanes = decode_lanes(len(samples), decode_step_work(params, beam))
+    size = max(1, min(MAX_GROUP, -(-len(samples) // lanes)))
+    groups = [range(lo, min(lo + size, len(samples)))
+              for lo in range(0, len(samples), size)]
     taken = 0
 
-    def decode(sample: TrainingSample) -> tuple[list[str], float]:
+    def encode(sample: TrainingSample) -> tuple[qg_model.DecodeMemory, list[str]]:
         batch = encode_batch([sample], vocab, tag_vocabs)
         enc = qg_model.encode_passage(params, batch)
         kmem = None
         if batch.has_triples:
             trip = aux_tasks.encode_triples(params, batch)
             kmem = aux_tasks.unified_memory(params, trip)
-        hyp = qg_model.beam_search(params, "dec", enc, kmem, batch.copy_ids,
-                                   batch.extended_size, beam=beam,
-                                   max_len=config.max_len,
-                                   length_penalty=config.length_penalty)
-        return vocab.decode_ids(hyp.ids, batch.oov_tokens[0]), hyp.score
+        memory = qg_model.decode_memory(enc, kmem, batch.copy_ids, batch.extended_size)
+        return memory, batch.oov_tokens[0]
+
+    def search(memories: list[qg_model.DecodeMemory]) -> list[qg_model.BeamHypothesis]:
+        return qg_model.beam_search_group(params, "dec", memories, beam=beam,
+                                          max_len=config.max_len,
+                                          length_penalty=config.length_penalty)
 
     def lane() -> None:
         nonlocal taken
         with T.no_grad():   # tape modes are per thread
             while True:
                 with lock:
-                    if failures or taken == len(samples):
+                    if failures or taken == len(groups):
                         return
-                    i, taken = taken, taken + 1
+                    group, taken = groups[taken], taken + 1
+                at = group.start   # the sample a failure is charged to
                 try:
-                    decoded[i] = decode(samples[i])
+                    memories, oovs = [], []
+                    for at in group:
+                        memory, oov = encode(samples[at])
+                        memories.append(memory)
+                        oovs.append(oov)
+                    at = group.start
+                    try:
+                        hyps = search(memories)
+                    except Exception:   # not an interrupt: find the sample that fails
+                        hyps = []
+                        for at, memory in zip(group, memories):
+                            hyps += search([memory])
+                    for at, hyp, oov in zip(group, hyps, oovs):
+                        decoded[at] = vocab.decode_ids(hyp.ids, oov), hyp.score
                 except BaseException as e:   # an interrupt too; re-raised below
                     with lock:
-                        failures[i] = e
+                        failures[at] = e
                     return
 
     workers: list[threading.Thread] = []
     try:
-        for _ in range(decode_lanes(len(samples), decode_step_work(params, beam)) - 1):
+        for _ in range(lanes - 1):
             workers.append(threading.Thread(target=lane))
             workers[-1].start()
         lane()
-    except BaseException as e:   # an interrupt outside decode(): stop the other lanes
+    except BaseException as e:   # an interrupt outside a group: stop the other lanes
         with lock:
             failures[-1] = e
         raise
@@ -458,12 +489,8 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
                             min_freq=config.min_freq)
     if tag_vocabs is None:
         tag_vocabs = build_tag_vocabs(all_samples)
-    for i, sample in enumerate(dev):   # fail now, not at the first dev eval
-        try:
-            encode_batch([sample], vocab, tag_vocabs)
-        except ValidationError as e:
-            name = sample.sample_id if sample.sample_id is not None else f"#{i}"
-            raise ValidationError(f"dev sample {name}: {e}") from None
+    check_tags(dev, tag_vocabs,   # fail now, not at the first dev eval
+               lambda s, i: f"dev sample {s.sample_id if s.sample_id is not None else f'#{i}'}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _save_world(out_dir, config, vocab, tag_vocabs)

@@ -6,6 +6,7 @@ arithmetic instead of floats) so agreement is meaningful.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -13,9 +14,9 @@ import numpy as np
 from ckqg.corpus import BOS, EOS
 from ckqg.kb_extract import concept_tokens
 from ckqg.nn import tensor as T
-from ckqg.nn.layers import lstm_cell
+from ckqg.nn.layers import linear, lstm_cell
 from ckqg.nn.tensor import Tensor, length_mask
-from ckqg.qg_model import (PROB_FLOOR, BeamHypothesis, decode_step,
+from ckqg.qg_model import (PROB_FLOOR, BeamHypothesis, decoder_state_step,
                            init_decoder_state)
 
 
@@ -145,16 +146,54 @@ def reference_rouge_l(references, hypotheses, beta=1.2):
     return 100.0 * total / len(references)
 
 
+@dataclass
+class OutputDistribution:
+    p_vocab: Tensor      # [B, V]
+    p_copy: Tensor       # [B, extended]
+    p: Tensor            # [B, extended] mixture
+
+
+def copy_distribution(alpha, copy_ids, extended_size):
+    """Aggregate attention mass per extended-vocabulary id, densely.
+
+    Pad positions carry exactly zero attention, so the pad bucket stays empty.
+    One sample's ``copy_ids`` broadcast against every row of ``alpha``.
+    """
+    return T.scatter_sum(alpha, np.broadcast_to(copy_ids, alpha.shape), extended_size)
+
+
+def reference_decode_step(params, prefix, y_prev, state, enc, kmem, copy_ids,
+                          extended_size):
+    """One decoder step with the full output distribution over the extended
+    vocabulary, as a taped composition: ``decoder_state_step``, the softmax
+    over the vocabulary padded with zeros past it, a dense scatter of the
+    copy attention, and the mixture of the two by the gate ``p_g``. The
+    reference for ``qg_model.decode_step``, whose log probabilities are
+    ``log(max(p, PROB_FLOOR))`` of this ``p``."""
+    u, new_state = decoder_state_step(params, prefix, y_prev, state, enc, kmem)
+    nb, vocab_size = u.shape[0], params["emb.word"].shape[0]
+    p_g = new_state.p_g
+    p_vocab = T.softmax(linear(params, f"{prefix}.out", u), axis=-1)
+    p_copy = copy_distribution(new_state.alpha, copy_ids, extended_size)
+    if extended_size > vocab_size:
+        tail = Tensor(np.zeros((nb, extended_size - vocab_size)))
+        p_vocab_ext = T.concat([p_vocab, tail], axis=-1)
+    else:
+        p_vocab_ext = p_vocab
+    p = T.add(T.mul(p_vocab_ext, p_g), T.mul(p_copy, T.add(T.mul(p_g, -1.0), 1.0)))
+    return OutputDistribution(p_vocab=p_vocab, p_copy=p_copy, p=p), new_state
+
+
 def reference_greedy_decode(params, prefix, enc, kmem, copy_ids, extended_size,
                             *, max_len):
-    """Argmax decoding for a single sample, one batch-1 decode_step per
-    token; stops at EOS or max_len tokens."""
+    """Argmax decoding for a single sample, one batch-1
+    reference_decode_step per token; stops at EOS or max_len tokens."""
     state = init_decoder_state(params, prefix, enc.bw_final)
     y = np.array([BOS])
     ids = []
     for _ in range(max_len):
-        out, state = decode_step(params, prefix, y, state, enc, kmem,
-                                 copy_ids, extended_size)
+        out, state = reference_decode_step(params, prefix, y, state, enc, kmem,
+                                           copy_ids, extended_size)
         tok = int(np.argmax(out.p.data[0]))
         if tok == EOS:
             break
@@ -165,8 +204,9 @@ def reference_greedy_decode(params, prefix, enc, kmem, copy_ids, extended_size,
 
 def reference_beam_search(params, prefix, enc, kmem, copy_ids, extended_size,
                           *, beam, max_len, length_penalty=0.7):
-    """Beam search one hypothesis at a time: a batch-1 decode_step per live
-    hypothesis and a full stable argsort of its extended-vocabulary row."""
+    """Beam search one hypothesis at a time: a batch-1 reference_decode_step
+    per live hypothesis and a full stable argsort of its extended-vocabulary
+    row."""
     live = [((), 0.0, init_decoder_state(params, prefix, enc.bw_final))]
     done = []
     for _ in range(max_len):
@@ -175,8 +215,8 @@ def reference_beam_search(params, prefix, enc, kmem, copy_ids, extended_size,
         cands = []
         for ids, logp, state in live:
             y = np.array([ids[-1] if ids else BOS])
-            out, nstate = decode_step(params, prefix, y, state, enc, kmem,
-                                      copy_ids, extended_size)
+            out, nstate = reference_decode_step(params, prefix, y, state, enc,
+                                                kmem, copy_ids, extended_size)
             lp = np.log(np.maximum(out.p.data[0], PROB_FLOOR))
             for tok in np.argsort(-lp, kind="stable")[:beam]:
                 cands.append((logp + float(lp[tok]), ids, int(tok), nstate))
@@ -197,16 +237,16 @@ def reference_beam_search(params, prefix, enc, kmem, copy_ids, extended_size,
 def reference_teacher_forced_steps(params, prefix, enc, kmem, target_ids,
                                    target_lengths, copy_ids, extended_size, *,
                                    init_source):
-    """Teacher forcing through the full output distribution: a decode_step
-    per target after BOS, then its gold entry picked by ``gather_last``. Each
+    """Teacher forcing through the full output distribution: a
+    reference_decode_step per target after BOS, then its gold entry picked by ``gather_last``. Each
     step records the mixture over the extended vocabulary that
     ``gold_mixture_prob`` fuses away; the signature and the result are
     ``qg_model.teacher_forced_steps``'."""
     state = init_decoder_state(params, prefix, init_source)
     steps = []
     for t in range(int(np.max(target_lengths)) - 1):
-        out, state = decode_step(params, prefix, target_ids[:, t], state, enc, kmem,
-                                 copy_ids, extended_size)
+        out, state = reference_decode_step(params, prefix, target_ids[:, t], state,
+                                           enc, kmem, copy_ids, extended_size)
         steps.append(T.gather_last(out.p, target_ids[:, t + 1]))
     return steps
 

@@ -8,8 +8,10 @@ benchmark-level output quality.
 """
 
 import csv
+import struct
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from ckqg.corpus import (TrainingSample, Vocabulary, build_tag_vocabs,
 from ckqg.kb_extract import RELATIONS, AlignedTriple, KnowledgeTriple
 from ckqg.nn.gradcheck import grad_check
 
-from oracles import (brute_force_extract, reference_bleu,
+from oracles import (brute_force_extract, reference_bleu, reference_decode_step,
                      reference_greedy_decode)
 
 
@@ -302,14 +304,52 @@ def test_06_copy_mechanism(overfit_run):
         target = list(gold[1:]).index(kraken_ext)
         out = None
         for step in range(target + 1):
-            out, state = QG.decode_step(params, "dec", gold[step:step + 1],
-                                        state, enc, kmem, batch.copy_ids,
-                                        batch.extended_size)
+            out, state = reference_decode_step(params, "dec", gold[step:step + 1],
+                                               state, enc, kmem, batch.copy_ids,
+                                               batch.extended_size)
         gate = float(state.p_g.data[0, 0])
         assert 0.0 < gate < 1.0
         assert float(out.p_copy.data[0, kraken_ext]) > 0.0
         assert out.p_vocab.shape[1] == len(vocab)  # no generate route to it
         assert int(np.argmax(out.p.data[0])) == kraken_ext
+
+
+@pytest.mark.parametrize("beam", [1, 3, 5])
+def test_generate_groups_equal_samples_decoded_alone(overfit_run, monkeypatch, beam):
+    # the trained model's questions end at different steps; the first group
+    # of eight mixes equipped samples with pure copies, passages of 7 and 8
+    # tokens and the sample whose question copies the OOV "kraken"
+    run = overfit_run
+    vocab, tags, cfg = run["vocab"], run["tags"], run["cfg"]
+    params = run["result"].params
+    equipped = run["samples"]
+    samples = [s for i in [9, *range(9)]
+               for s in (replace(equipped[i], triples=[]), equipped[i])]
+    assert "kraken" in samples[1].question and not samples[0].triples
+    groups, beam_search_group = [], QG.beam_search_group
+
+    def recorded(params, prefix, memories, **kwargs):
+        groups.append([m.kmem is not None for m in memories])
+        return beam_search_group(params, prefix, memories, **kwargs)
+
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)   # one lane
+    monkeypatch.setattr(QG, "beam_search_group", recorded)
+    decoded = TR.generate(params, samples, vocab, tags, cfg, beam)
+    assert [len(g) for g in groups] == [8, 8, 4] and set(groups[0]) == {True, False}
+    assert len({len(s.passage) for s in samples[:8]}) > 1
+    assert len({len(toks) for toks, _ in decoded[:8]}) > 1
+    for sample, (toks, score) in zip(samples, decoded):
+        batch = encode_batch([sample], vocab, tags)
+        enc = QG.encode_passage(params, batch)
+        kmem = (AX.unified_memory(params, AX.encode_triples(params, batch))
+                if sample.triples else None)
+        hyp = QG.beam_search(params, "dec", enc, kmem, batch.copy_ids,
+                             batch.extended_size, beam=beam, max_len=cfg.max_len,
+                             length_penalty=cfg.length_penalty)
+        assert toks == vocab.decode_ids(hyp.ids, batch.oov_tokens[0])
+        assert struct.pack("<d", score) == struct.pack("<d", hyp.score)
+    assert "kraken" in decoded[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +440,9 @@ def test_09_distribution_hygiene():
             state = QG.init_decoder_state(params, "dec", enc.bw_final)
             for _ in range(20):
                 y_prev = rng.integers(0, batch.extended_size, size=2)
-                out, state = QG.decode_step(params, "dec", y_prev, state, enc,
-                                            kmem, batch.copy_ids,
-                                            batch.extended_size)
+                out, state = reference_decode_step(params, "dec", y_prev, state, enc,
+                                                   kmem, batch.copy_ids,
+                                                   batch.extended_size)
                 for dist in (out.p, out.p_vocab, out.p_copy):
                     sums = dist.data.sum(axis=-1)
                     assert np.all(np.abs(sums - 1.0) <= 1e-9), sums

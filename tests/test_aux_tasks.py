@@ -18,6 +18,8 @@ from ckqg.nn import tensor as T
 from ckqg.nn.gradcheck import grad_check
 from ckqg.nn.tensor import Tensor
 
+from oracles import reference_decode_step
+
 
 def make_sample(text, question, span, sid, triple=None):
     toks = text.split()
@@ -275,9 +277,9 @@ def test_rc_gradients_against_finite_differences():
 def tg_first_distribution(params, enc, trip, batch):
     """The tail decoder's full output distribution at its first step."""
     state = M.init_decoder_state(params, "tg.dec", trip.t_final)
-    out, _ = M.decode_step(params, "tg.dec", batch.tail_gen_ids[:, 0], state, enc,
-                           A.tg_memory(params, trip), batch.copy_ids,
-                           batch.extended_size)
+    out, _ = reference_decode_step(params, "tg.dec", batch.tail_gen_ids[:, 0], state,
+                                   enc, A.tg_memory(params, trip), batch.copy_ids,
+                                   batch.extended_size)
     return out
 
 
@@ -306,8 +308,8 @@ def test_single_row_memory_context_is_that_row():
     kmem = M.KnowledgeMemory(rows=rows, mask=np.ones((2, 1), dtype=bool),
                              proj=Tensor(rng.normal(size=(2, 1, 3))))
     state = M.init_decoder_state(params, "tg.dec", Tensor(rng.normal(size=(2, 6))))
-    _, state = M.decode_step(params, "tg.dec", batch.tail_gen_ids[:, 0], state,
-                             enc, kmem, batch.copy_ids, batch.extended_size)
+    _, state = M.decoder_state_step(params, "tg.dec", batch.tail_gen_ids[:, 0], state,
+                                    enc, kmem)
     assert np.allclose(state.k.data, rows.data[:, 0, :], atol=1e-15)
 
 

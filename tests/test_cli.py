@@ -437,7 +437,7 @@ class TestGenerate:
         def overflowing(*args, **kwargs):
             raise T.NumericsError("non-finite values produced by op 'matmul'")
 
-        monkeypatch.setattr(qg_model, "beam_search", overflowing)
+        monkeypatch.setattr(qg_model, "beam_search_group", overflowing)
         assert main(["generate", "--model", str(trained),
                      "--corpus", split_corpora["dev"]]) == 3
         err = capsys.readouterr().err

@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import reference_beam_search, reference_greedy_decode
+from oracles import (copy_distribution, reference_beam_search, reference_decode_step,
+                     reference_greedy_decode)
 
 from ckqg import aux_tasks as A
 from ckqg import qg_model as M
@@ -159,7 +160,7 @@ def test_hoisted_projection_matches_direct():
 def test_copy_distribution_aggregates_duplicates():
     alpha = Tensor(np.array([[0.2, 0.5, 0.3]]))
     ids = np.array([[7, 5, 7]])
-    p = M.copy_distribution(alpha, ids, 9)
+    p = copy_distribution(alpha, ids, 9)
     assert p.data[0, 7] == pytest.approx(0.5)
     assert p.data[0, 5] == pytest.approx(0.5)
     assert p.data.sum() == pytest.approx(1.0, abs=1e-9)
@@ -167,7 +168,7 @@ def test_copy_distribution_aggregates_duplicates():
 
 def test_copy_distribution_point_mass():
     alpha = Tensor(np.array([[0.0, 1.0, 0.0]]))
-    p = M.copy_distribution(alpha, np.array([[4, 6, 4]]), 8)
+    p = copy_distribution(alpha, np.array([[4, 6, 4]]), 8)
     assert p.data[0, 6] == 1.0
     assert p.data.sum() == 1.0
 
@@ -176,10 +177,12 @@ def test_copy_distribution_point_mass():
 
 
 def first_step(params, batch, kmem=None):
+    """The first step's full output distribution, by the reference
+    composition that decode_step's log probabilities are checked against."""
     enc = M.encode_passage(params, batch)
     state = M.init_decoder_state(params, "dec", enc.bw_final)
-    out, state = M.decode_step(params, "dec", batch.question_ids[:, 0], state,
-                               enc, kmem, batch.copy_ids, batch.extended_size)
+    out, state = reference_decode_step(params, "dec", batch.question_ids[:, 0], state,
+                                       enc, kmem, batch.copy_ids, batch.extended_size)
     return enc, out, state
 
 
@@ -468,15 +471,22 @@ def test_batched_beam_forced_ties_go_to_lowest_ids():
     for beam in (2, 5):
         assert_beam_matches_reference(params, plain, None, beam)
     enc = M.encode_passage(params, plain)
-    out, _ = M.decode_step(params, "dec", np.array([BOS]),
-                           M.init_decoder_state(params, "dec", enc.bw_final),
-                           enc, None, plain.copy_ids, plain.extended_size)
-    lp = np.log(out.p.data[0])
+    out, _ = reference_decode_step(params, "dec", np.array([BOS]),
+                                   M.init_decoder_state(params, "dec", enc.bw_final),
+                                   enc, None, plain.copy_ids, plain.extended_size)
+    lp = np.log(out.p.data)   # one row
     copied = set(plain.copy_ids[0].tolist())
     free = [i for i in range(plain.extended_size) if i not in copied]
-    assert np.all(lp[free] == lp[free[0]])
-    top = M._top_tokens(lp, len(copied) + 4).tolist()
+    assert np.all(lp[0, free] == lp[0, free[0]])
+    _, top, _ = M._best_candidates(lp, np.zeros(1), np.zeros(1, dtype=np.intp),
+                                   len(copied) + 4)
+    top = top.tolist()
     assert set(top[:len(copied)]) == copied and top[len(copied):] == free[:4]
+    # with the copy gate shut every candidate of every step ties, so from
+    # the second step on only the order of the hypotheses' ids ranks them
+    params["dec.copy.b"].data[...] = 1e9
+    for beam in (2, 5):
+        assert_beam_matches_reference(params, plain, None, beam, max_len=4)
 
 
 def test_batched_beam_wider_than_extended_vocabulary():
@@ -511,32 +521,43 @@ def repeat_rows(enc, kmem, copy_ids, k: int):
     return enc_k, kmem_k, np.repeat(copy_ids, k, axis=0)
 
 
+def rows_of(state: M.DecoderState, lo: int, hi: int) -> M.DecoderState:
+    return M._reorder_state(state, list(range(lo, hi)))
+
+
 def state_tensors(state: M.DecoderState) -> list[Tensor]:
-    return ([t for pair in state.states for t in pair]
-            + [state.s_tilde, state.s, state.c, state.alpha, state.k, state.p_g])
+    return [t for pair in state.states for t in pair] + [state.s_tilde]
 
 
 @pytest.mark.parametrize("k", [1, 3, 10])
 def test_decode_step_broadcasts_one_sample_inputs_over_state_rows(k):
-    params, (_, equipped) = oracle_world(k, hidden=4)
-    enc = M.encode_passage(params, equipped)
-    full_kmem = A.unified_memory(params, A.encode_triples(params, equipped))
+    # a group of three samples: pure, equipped with a knowledge memory, and
+    # the equipped one without it; widths 8, 10 and 10, the last two with
+    # copy ids past the word vocabulary. Each sample's rows equal the
+    # reference over that sample's inputs copied as k rows, bit for bit
+    params, (plain, equipped) = oracle_world(k, hidden=4)
+    vocab_size = params["emb.word"].shape[0]
+    assert equipped.extended_size > plain.extended_size == vocab_size
     rng = np.random.default_rng(k)
-    y = rng.integers(0, equipped.extended_size, size=k)
-    for kmem in (None, full_kmem):
-        state = k_row_state(params, k, rng)
-        got, got_state = M.decode_step(params, "dec", y, state, enc, kmem,
-                                       equipped.copy_ids, equipped.extended_size)
-        enc_k, kmem_k, copy_k = repeat_rows(enc, kmem, equipped.copy_ids, k)
-        want, want_state = M.decode_step(params, "dec", y, state, enc_k, kmem_k,
-                                         copy_k, equipped.extended_size)
-        for name in ("p", "p_vocab", "p_copy"):
-            assert getattr(got, name).shape[0] == k
-            assert np.array_equal(getattr(got, name).data,
-                                  getattr(want, name).data), name
-        for g, w in zip(state_tensors(got_state), state_tensors(want_state),
-                        strict=True):
-            assert g.shape[0] == k and np.array_equal(g.data, w.data)
+    with T.no_grad(), T.row_by_row():
+        encs = [M.encode_passage(params, b) for b in (plain, equipped, equipped)]
+        kmems = [None, A.unified_memory(params, A.encode_triples(params, equipped)), None]
+        batches = (plain, equipped, equipped)
+        memories = [M.decode_memory(enc, kmem, b.copy_ids, b.extended_size)
+                    for enc, kmem, b in zip(encs, kmems, batches)]
+        y = rng.integers(0, plain.extended_size, size=3 * k)
+        state = k_row_state(params, 3 * k, rng)
+        lps, got_state = M.decode_step(params, "dec", y, state, memories, [k] * 3)
+        for i, (enc, kmem, b, lp) in enumerate(zip(encs, kmems, batches, lps)):
+            enc_k, kmem_k, copy_k = repeat_rows(enc, kmem, b.copy_ids, k)
+            want, want_state = reference_decode_step(
+                params, "dec", y[i * k:(i + 1) * k], rows_of(state, i * k, (i + 1) * k),
+                enc_k, kmem_k, copy_k, b.extended_size)
+            assert lp.shape == (k, b.extended_size)
+            assert lp.tobytes() == np.log(np.maximum(want.p.data, M.PROB_FLOOR)).tobytes()
+            for g, w in zip(state_tensors(rows_of(got_state, i * k, (i + 1) * k)),
+                            state_tensors(want_state), strict=True):
+                assert g.data.tobytes() == w.data.tobytes()
 
 
 @pytest.mark.parametrize("k", [3, 10])
@@ -558,19 +579,20 @@ def test_decode_step_rows_equal_one_row_calls_when_the_output_splits(k):
     batch = encode_batch([s], vocab, tags)
     enc = M.encode_passage(params, batch)
     rng = np.random.default_rng(k)
-    y = rng.integers(0, batch.extended_size, size=k)
-    state = k_row_state(params, k, rng)
+    y = rng.integers(0, batch.extended_size, size=2 * k)
+    state = k_row_state(params, 2 * k, rng)
     with T.no_grad(), T.row_by_row():
         full_kmem = A.unified_memory(params, A.encode_triples(params, batch))
-        for kmem in (None, full_kmem):
-            got, _ = M.decode_step(params, "dec", y, state, enc, kmem,
-                                   batch.copy_ids, batch.extended_size)
-            for i in range(k):
-                one, _ = M.decode_step(params, "dec", y[i:i + 1],
-                                       M._reorder_state(state, [i]), enc, kmem,
-                                       batch.copy_ids, batch.extended_size)
-                assert got.p.data[i].tobytes() == one.p.data[0].tobytes()
-                assert got.p_vocab.data[i].tobytes() == one.p_vocab.data[0].tobytes()
+        memories = [M.decode_memory(enc, kmem, batch.copy_ids, batch.extended_size)
+                    for kmem in (None, full_kmem)]
+        got, got_state = M.decode_step(params, "dec", y, state, memories, [k, k])
+        for i in range(2 * k):
+            mem = memories[i // k]
+            one, one_state = M.decode_step(params, "dec", y[i:i + 1],
+                                           rows_of(state, i, i + 1), [mem], [1])
+            assert got[i // k][i % k].tobytes() == one[0][0].tobytes()
+            assert (got_state.s_tilde.data[i].tobytes()
+                    == one_state.s_tilde.data[0].tobytes())
 
 
 def test_beam_passes_the_callers_own_inputs_to_every_step(monkeypatch):
@@ -590,17 +612,39 @@ def test_beam_passes_the_callers_own_inputs_to_every_step(monkeypatch):
         calls.clear()
         M.beam_search(params, "dec", enc, kmem, equipped.copy_ids,
                       equipped.extended_size, beam=10, max_len=6)
-        assert max(len(c["y_prev"]) for c in calls) > 1
+        assert max(c["rows"][0] for c in calls) > 1
         for c in calls:
-            assert c["enc"] is enc and c["kmem"] is kmem
-            assert c["copy_ids"] is equipped.copy_ids
+            [mem] = c["memories"]
+            assert mem.h_hat is enc.h_hat and mem.proj is enc.proj
+            assert mem.mask is enc.mask and mem.kmem is kmem
+            assert mem.copy_ids is equipped.copy_ids
+
+
+def reference_selection(lp, logp, ids, beam):
+    """Each row's best tokens by a full stable argsort, then every candidate
+    sorted by (-total, ids + (token,)), as beam search ranked them."""
+    cands = []
+    for row in range(lp.shape[0]):
+        for tok in np.argsort(-lp[row], kind="stable")[:beam]:
+            cands.append((float(logp[row]) + float(lp[row, tok]), ids[row], int(tok), row))
+    cands.sort(key=lambda cand: (-cand[0], cand[1] + (cand[2],)))
+    return [(row, tok, total) for total, _, tok, row in cands[:beam]]
 
 
 def test_top_tokens_equal_full_stable_argsort():
+    # few distinct values, so ties are everywhere, at the beam threshold too;
+    # beams up to past every candidate of the sample
     rng = np.random.default_rng(0)
-    for n in (1, 2, 7, 40):
-        for _ in range(20):
-            lp = -rng.integers(0, 4, size=n).astype(np.float64)
-            for beam in range(1, n + 3):
-                want = np.argsort(-lp, kind="stable")[:beam]
-                assert M._top_tokens(lp, beam).tolist() == want.tolist()
+    for n_rows in (1, 2, 5):
+        for ext in (1, 2, 7, 40):
+            for _ in range(10):
+                lp = -rng.integers(0, 4, size=(n_rows, ext)).astype(np.float64)
+                logp = -rng.integers(0, 3, size=n_rows).astype(np.float64)
+                ids = rng.permutation(3 ** 3)[:n_rows]   # distinct ids, 3 tokens each
+                ids = [tuple(int(d) for d in np.base_repr(i, 3).zfill(3)) for i in ids]
+                rank = np.empty(n_rows, dtype=np.intp)
+                rank[sorted(range(n_rows), key=lambda r: ids[r])] = np.arange(n_rows)
+                for beam in range(1, n_rows * ext + 3):
+                    rows, toks, totals = M._best_candidates(lp, logp, rank, beam)
+                    got = list(zip(rows.tolist(), toks.tolist(), totals.tolist()))
+                    assert got == reference_selection(lp, logp, ids, beam)

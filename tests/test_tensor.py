@@ -549,7 +549,8 @@ class TestNoGrad:
         def record(fn):
             def wrapped(*args, **kwargs):
                 result = fn(*args, **kwargs)
-                outputs.append(result[0].p if isinstance(result, tuple) else result.proj)
+                outputs.append(result[1].s_tilde if isinstance(result, tuple)
+                               else result.proj)
                 threads.add(threading.get_ident())
                 return result
             return wrapped
@@ -561,20 +562,20 @@ class TestNoGrad:
         qg_model.beam_search(params, "dec", enc, None, batch.copy_ids,
                              batch.extended_size, beam=3, max_len=5)
         trainer.evaluate_dev(params, [sample], vocab, tags, cfg)
-        # beam decoding on two lanes, each holding its first sample until the
+        # beam decoding on two lanes, each holding its first group until the
         # other has one, so the worker lane decodes too
         monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(trainer, "LANE_MIN_STEP_WORK", 0)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         barrier, calls = threading.Barrier(2, timeout=10), itertools.count()
-        beam_search = qg_model.beam_search
+        beam_search_group = qg_model.beam_search_group
 
         def meet(*args, **kwargs):
             if next(calls) < 2:
                 barrier.wait()
-            return beam_search(*args, **kwargs)
+            return beam_search_group(*args, **kwargs)
 
-        monkeypatch.setattr(qg_model, "beam_search", meet)
+        monkeypatch.setattr(qg_model, "beam_search_group", meet)
         trainer.generate(params, [sample] * 4, vocab, tags, cfg, 2)
         assert len(outputs) > 3 and len(threads) == 2
         assert all(t._parents == () for t in outputs[1:])

@@ -769,27 +769,32 @@ def zero_params(**settings):
     return params
 
 
-def meet_at_first_samples(monkeypatch, lanes):
-    """Hold each lane's first sample until every lane has taken one, so
-    every lane decodes at least one sample."""
+def meet_at_first_groups(monkeypatch, lanes):
+    """Hold each lane's first group until every lane has taken one, so
+    every lane decodes at least one group."""
     barrier, calls = threading.Barrier(lanes, timeout=10), itertools.count()
-    beam_search = M.beam_search
+    beam_search_group = M.beam_search_group
 
     def held(*args, **kwargs):
         if next(calls) < lanes:
             barrier.wait()
-        return beam_search(*args, **kwargs)
+        return beam_search_group(*args, **kwargs)
 
-    monkeypatch.setattr(M, "beam_search", held)
+    monkeypatch.setattr(M, "beam_search_group", held)
 
 
 def numbered_samples(source):
     """Six samples; sample i holds the first i + 3 tokens of the passage, so
-    its encoder output tells which sample it is."""
+    its decode memory tells which sample it is."""
     return [TrainingSample(passage=source.passage[:n], answer_span=(0, 0),
                            pos_tags=source.pos_tags[:n], ner_tags=source.ner_tags[:n],
                            question=source.question)
             for n in range(3, 9)]
+
+
+def sample_numbers(memories) -> tuple[int, ...]:
+    """The numbered_samples indices of a group's decode memories."""
+    return tuple(mem.mask.shape[1] - 3 for mem in memories)
 
 
 class TestLanes:
@@ -852,7 +857,7 @@ class TestLanes:
         for lanes in (1, 2, 3):
             with monkeypatch.context() as mp:
                 force_lanes(mp, lanes)
-                meet_at_first_samples(mp, lanes)
+                meet_at_first_groups(mp, lanes)
                 assert TR.decode_lanes(len(samples),
                                        TR.decode_step_work(params, beam)) == lanes
                 decoded[lanes] = TR.generate(params, samples, vocab, tags, cfg, beam)
@@ -868,22 +873,46 @@ class TestLanes:
         short = tiny_config(max_len=3)
         samples = (eq + pu) * 8
         one_lane = TR.generate(params, samples, vocab, tags, short, 2)
-        calls, beam_search = [], M.beam_search
+        calls, beam_search_group = [], M.beam_search_group
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return beam_search(*args, **kwargs)
+        def counted(params, prefix, memories, **kwargs):
+            calls.append(len(memories))
+            return beam_search_group(params, prefix, memories, **kwargs)
 
         force_lanes(monkeypatch, 6)
-        monkeypatch.setattr(M, "beam_search", counted)
+        monkeypatch.setattr(M, "beam_search_group", counted)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             decoded = TR.generate(params, samples, vocab, tags, short, 2)
         finally:
             sys.setswitchinterval(interval)
-        assert len(calls) == len(samples)
+        assert sorted(calls) == [2] + [6] * 5   # 32 samples over 6 lanes
         assert decoded == one_lane
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_decode_steps_stay_within_the_group_cap(self, monkeypatch, lanes):
+        # 20 samples make groups of MAX_GROUP, MAX_GROUP and 4 on one lane
+        # or two; a step never carries more than MAX_GROUP x beam rows
+        cfg, params, vocab, tags, eq, pu = build_world()
+        beam, sizes, steps = 3, [], []
+        decode_step, beam_search_group = M.decode_step, M.beam_search_group
+
+        def grouped(params, prefix, memories, **kwargs):
+            sizes.append(len(memories))
+            return beam_search_group(params, prefix, memories, **kwargs)
+
+        def step(params, prefix, y_prev, state, memories, rows):
+            steps.append((len(y_prev), sum(rows)))
+            return decode_step(params, prefix, y_prev, state, memories, rows)
+
+        force_lanes(monkeypatch, lanes)
+        monkeypatch.setattr(M, "beam_search_group", grouped)
+        monkeypatch.setattr(M, "decode_step", step)
+        TR.generate(params, (eq + pu) * 5, vocab, tags, tiny_config(max_len=4), beam)
+        assert sorted(sizes) == [4, TR.MAX_GROUP, TR.MAX_GROUP]
+        assert all(n == total for n, total in steps)
+        assert max(n for n, _ in steps) == TR.MAX_GROUP * beam
 
     @pytest.mark.parametrize("cpus, beam", [(1, 2), (2, 1)])
     def test_one_lane_starts_no_thread(self, monkeypatch, cpus, beam):
@@ -900,64 +929,91 @@ class TestLanes:
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_lowest_index_failure_is_raised(self, monkeypatch, lanes):
-        # sample 1 fails only after sample 3 has: generate still raises 1's
-        # error, and no sample starts after the first failure
+        # groups of two; sample 1 fails only after sample 3 has: each failing
+        # group is decoded again one sample at a time up to its failing
+        # sample, generate still raises 1's error, and no group starts after
+        # the first failure
         cfg, params, vocab, tags, eq, pu = build_world()
         samples = numbered_samples(pu[0])
         started, failed_3 = [], threading.Event()
-        beam_search = M.beam_search
+        beam_search_group = M.beam_search_group
 
-        def failing(params, prefix, enc, *args, **kwargs):
-            i = enc.mask.shape[1] - 3
-            started.append(i)
-            if i == 1:
+        def failing(params, prefix, memories, **kwargs):
+            numbers = sample_numbers(memories)
+            started.append(numbers)
+            if 1 in numbers:
                 failed_3.wait(timeout=5 if lanes > 1 else 0)
                 raise T.NumericsError("sample 1")
-            if i == 3:
+            if 3 in numbers:
                 failed_3.set()
                 raise T.NumericsError("sample 3")
-            return beam_search(params, prefix, enc, *args, **kwargs)
+            return beam_search_group(params, prefix, memories, **kwargs)
 
         force_lanes(monkeypatch, lanes)
-        monkeypatch.setattr(M, "beam_search", failing)
+        monkeypatch.setattr(TR, "MAX_GROUP", 2)
+        monkeypatch.setattr(M, "beam_search_group", failing)
         with pytest.raises(T.NumericsError, match="sample 1"):
             TR.generate(params, samples, vocab, tags, cfg, 2)
-        assert sorted(started) == ([0, 1] if lanes == 1 else [0, 1, 2, 3])
+        want = [(0, 1), (0,), (1,)]
+        if lanes > 1:
+            want += [(2, 3), (2,), (3,)]
+        assert sorted(started) == sorted(want)
+
+    def test_an_error_in_a_group_is_decoded_alone(self, monkeypatch):
+        # a group fails once as a whole; its samples, decoded one at a time,
+        # give what the group would have given
+        cfg, params, vocab, tags, eq, pu = build_world(seed=3)
+        samples = [eq[0], pu[0], eq[1], pu[1]]
+        want = TR.generate(params, samples, vocab, tags, cfg, 3)
+        calls, beam_search_group = [], M.beam_search_group
+
+        def failing_once(params, prefix, memories, **kwargs):
+            calls.append(len(memories))
+            if len(calls) == 1:
+                raise T.NumericsError("the whole group")
+            return beam_search_group(params, prefix, memories, **kwargs)
+
+        monkeypatch.setattr(M, "beam_search_group", failing_once)
+        assert TR.generate(params, samples, vocab, tags, cfg, 3) == want
+        assert calls == [4, 1, 1, 1, 1]
 
     def test_no_sample_starts_after_a_failure(self, monkeypatch):
-        # sample 0 ends only after sample 1 has failed on the other lane; its
-        # lane must then stop rather than take sample 2
+        # groups of two; group (0, 1) ends only after sample 2 has failed on
+        # the other lane; its lane must then stop rather than take (4, 5),
+        # and the failing group stops at its failing sample
         cfg, params, vocab, tags, eq, pu = build_world()
-        started, failed_1 = [], threading.Event()
-        beam_search = M.beam_search
+        started, failed_2 = [], threading.Event()
+        beam_search_group = M.beam_search_group
 
-        def failing(params, prefix, enc, *args, **kwargs):
-            i = enc.mask.shape[1] - 3
-            started.append(i)
-            if i == 1:
-                failed_1.set()
-                raise T.NumericsError("sample 1")
-            if i == 0:
-                failed_1.wait(timeout=5)
-            return beam_search(params, prefix, enc, *args, **kwargs)
+        def failing(params, prefix, memories, **kwargs):
+            numbers = sample_numbers(memories)
+            started.append(numbers)
+            if 2 in numbers:
+                failed_2.set()
+                raise T.NumericsError("sample 2")
+            if 0 in numbers:
+                failed_2.wait(timeout=5)
+            return beam_search_group(params, prefix, memories, **kwargs)
 
         force_lanes(monkeypatch, 2)
-        monkeypatch.setattr(M, "beam_search", failing)
-        with pytest.raises(T.NumericsError, match="sample 1"):
+        monkeypatch.setattr(TR, "MAX_GROUP", 2)
+        monkeypatch.setattr(M, "beam_search_group", failing)
+        with pytest.raises(T.NumericsError, match="sample 2"):
             TR.generate(params, numbered_samples(pu[0]), vocab, tags, cfg, 2)
-        assert sorted(started) == [0, 1]
+        assert sorted(started) == [(0, 1), (2,), (2, 3)]
 
     def test_an_interrupt_outside_a_sample_stops_the_other_lanes(self, monkeypatch):
         # the caller is interrupted while it starts the third lane; the second
-        # ends its sample, takes no other, and is joined before generate raises
+        # ends its group, takes no other, and is joined before generate raises
         cfg, params, vocab, tags, eq, pu = build_world()
         decoding, workers, joining = [], [], threading.Event()
-        beam_search, start, join = M.beam_search, threading.Thread.start, threading.Thread.join
+        beam_search_group = M.beam_search_group
+        start, join = threading.Thread.start, threading.Thread.join
 
         def held(*args, **kwargs):
             decoding.append(threading.get_ident())
             joining.wait(timeout=10)
-            return beam_search(*args, **kwargs)
+            return beam_search_group(*args, **kwargs)
 
         def start_one(thread):
             if workers:
@@ -970,7 +1026,7 @@ class TestLanes:
             join(thread, *args, **kwargs)
 
         force_lanes(monkeypatch, 3)
-        monkeypatch.setattr(M, "beam_search", held)
+        monkeypatch.setattr(M, "beam_search_group", held)
         monkeypatch.setattr(threading.Thread, "start", start_one)
         monkeypatch.setattr(threading.Thread, "join", joined)
         with pytest.raises(KeyboardInterrupt):
