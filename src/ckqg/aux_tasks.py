@@ -18,8 +18,8 @@ from .nn import tensor as T
 from .nn.layers import bilstm, linear
 from .nn.params import ParameterSet
 from .nn.tensor import Tensor, length_mask
-from .qg_model import (PROB_FLOOR, EncoderOutput, KnowledgeMemory, make_memory,
-                       teacher_forced_steps)
+from .qg_model import (PROB_FLOOR, DecodeMemory, EncoderOutput, KnowledgeMemory,
+                       make_memory, teacher_forced_steps)
 
 N_RELATIONS = len(RELATIONS)
 SEP_INDEX = N_RELATIONS  # row of the separator in the special embedding table
@@ -163,7 +163,7 @@ def tg_memory(params: ParameterSet, trip: TripleEncoding) -> KnowledgeMemory:
 def tg_teacher_steps(params: ParameterSet, enc: EncoderOutput,
                      trip: TripleEncoding, batch) -> list[Tensor]:
     """Per-step gold probabilities of the tail decoder under teacher forcing."""
-    return teacher_forced_steps(params, "tg.dec", enc, tg_memory(params, trip),
-                                batch.tail_gen_ids, batch.tail_gen_lengths,
-                                batch.copy_ids, batch.extended_size,
-                                init_source=trip.t_final)
+    memory = DecodeMemory(enc, tg_memory(params, trip), batch.copy_ids,
+                          batch.extended_size, trip.t_final)
+    return teacher_forced_steps(params, "tg.dec", memory, batch.tail_gen_ids,
+                                batch.tail_gen_lengths)

@@ -534,29 +534,6 @@ def gather_last(x: Tensor, idx: np.ndarray) -> Tensor:
     return Tensor._from_op(data, (x,), backward, "gather_last")
 
 
-def scatter_sum(weights: Tensor, ids: np.ndarray, size: int) -> Tensor:
-    """Sum ``weights[b, l]`` into output bucket ``ids[b, l]`` per batch row.
-
-    The copy-distribution primitive: attention mass on positions holding the
-    same extended-vocabulary id aggregates.
-    """
-    w = _coerce(weights)
-    ids = np.asarray(ids, dtype=np.intp)
-    if ids.shape != w.shape:
-        raise ShapeError(f"scatter_sum: ids shape {ids.shape} vs weights {w.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= size):
-        raise ShapeError(f"scatter_sum: id out of range for size {size}")
-    nb = w.shape[0]
-    data = np.zeros((nb, size), dtype=np.float64)
-    rows = np.arange(nb)[:, None]
-    np.add.at(data, (rows, ids), w.data)
-
-    def backward(g):
-        w._accumulate(g[rows, ids])
-
-    return Tensor._from_op(data, (w,), backward, "scatter_sum")
-
-
 def gold_mixture_prob(u: Tensor, w: Tensor, b: Tensor, alpha: Tensor, p_g: Tensor,
                       copy_ids: np.ndarray, gold: np.ndarray) -> Tensor:
     """The pointer-generator probability of each row's gold id, as one node.
@@ -570,10 +547,10 @@ def gold_mixture_prob(u: Tensor, w: Tensor, b: Tensor, alpha: Tensor, p_g: Tenso
     is kept for backward.
 
     Values and gradients equal, bit for bit, those of the composition
-    ``softmax(linear)``, ``scatter_sum``, the zero-padded mix and
-    ``gather_last``: the copy mass is summed in position order from 0.0, as
-    np.add.at sums it, and each gradient is formed by the expressions of the
-    ops it replaces.
+    ``softmax(linear)``, a dense scatter of ``alpha`` over the extended
+    vocabulary by np.add.at, the zero-padded mix and ``gather_last``: the
+    copy mass is summed in position order from 0.0, as np.add.at sums it,
+    and each gradient is formed by the expressions of the ops it replaces.
     """
     u, w, b, alpha, p_g = (_coerce(t) for t in (u, w, b, alpha, p_g))
     gold = np.asarray(gold, dtype=np.intp)

@@ -5,6 +5,9 @@ an attentional LSTM decoder with maxout readout, and a pointer-style copy
 path over an extended per-batch vocabulary. The decoder is parametrized by
 a name prefix so the tail-generation head can reuse the same step function
 with its own weights.
+
+Every decoder entry point reads a DecodeMemory: a batch's for teacher
+forcing, one sample's for beam search. DecoderState holds the recurrence.
 """
 
 from __future__ import annotations
@@ -37,10 +40,7 @@ def clamp_to_vocab(ids: np.ndarray, vocab_size: int) -> np.ndarray:
 
 @dataclass
 class EncoderOutput:
-    h: Tensor            # [B, Lp, 2d] contextual states
     h_hat: Tensor        # [B, Lp, 2d] gated self-matched states
-    f: Tensor            # [B, Lp, 2d] self-match summaries (diagnostic)
-    g: Tensor            # [B, Lp, 1] gate values (diagnostic)
     mask: np.ndarray     # [B, Lp] bool, False on pads
     proj: Tensor         # [B, Lp, d] h_hat through the attention projection
     bw_final: Tensor     # [B, d] top-layer backward final state
@@ -73,8 +73,7 @@ def encode_passage(params: ParameterSet, batch) -> EncoderOutput:
     f, g = self_match(params, h, mask)
     h_hat = T.add(T.mul(g, f), T.mul(T.add(T.mul(g, -1.0), 1.0), h))
     proj = T.matmul(h_hat, params["attn.Wh"])
-    return EncoderOutput(h=h, h_hat=h_hat, f=f, g=g, mask=mask, proj=proj,
-                         bw_final=bw_final)
+    return EncoderOutput(h_hat=h_hat, mask=mask, proj=proj, bw_final=bw_final)
 
 
 # -- decoder ----------------------------------------------------------------
@@ -95,14 +94,21 @@ def make_memory(params: ParameterSet, proj_name: str, rows: Tensor,
 
 
 @dataclass
+class DecodeMemory:
+    """What the decoder reads besides its state: the passage encoding, the
+    knowledge memory, the copy ids and the summary that seeds the decoder;
+    of a batch in teacher forcing, of one sample in beam search."""
+    enc: EncoderOutput
+    kmem: KnowledgeMemory | None
+    copy_ids: np.ndarray          # [B, Lp] extended-vocabulary ids
+    extended_size: int
+    init_source: Tensor           # [B, d] seeds the decoder state
+
+
+@dataclass
 class DecoderState:
     states: list[tuple[Tensor, Tensor]]   # per-layer (h, c)
     s_tilde: Tensor                       # [B, d] readout feed for the next step
-    s: Tensor | None = None               # top hidden after the last step
-    c: Tensor | None = None               # passage context
-    alpha: Tensor | None = None           # [B, Lp] passage attention
-    k: Tensor | None = None               # knowledge context, zeros when absent
-    p_g: Tensor | None = None             # [B, 1] generate-vs-copy gate
 
 
 def init_decoder_state(params: ParameterSet, prefix: str, source: Tensor) -> DecoderState:
@@ -115,16 +121,25 @@ def init_decoder_state(params: ParameterSet, prefix: str, source: Tensor) -> Dec
     return DecoderState(states=states, s_tilde=Tensor(np.zeros(h0.shape)))
 
 
-def _attend(proj: Tensor, query: Tensor, mask: np.ndarray) -> Tensor:
-    nb, width, d = query.shape[0], *proj.shape[1:]
-    scores = T.matmul(proj, T.reshape(query, (nb, d, 1)))
-    return T.softmax(T.reshape(scores, (nb, width)), axis=-1, mask=mask)
-
-
-def _weighted_rows(alpha: Tensor, rows: Tensor) -> Tensor:
-    nb, width = alpha.shape
+def _read(s: Tensor, proj: Tensor, rows: Tensor, mask: np.ndarray
+          ) -> tuple[Tensor, Tensor]:
+    """Attention of the queries ``s`` over ``rows``, scored through their
+    projection ``proj``, and the attention-weighted sum of the rows."""
+    nb, width, d = s.shape[0], *proj.shape[1:]
+    scores = T.matmul(proj, T.reshape(s, (nb, d, 1)))
+    alpha = T.softmax(T.reshape(scores, (nb, width)), axis=-1, mask=mask)
     ctx = T.matmul(T.reshape(alpha, (nb, 1, width)), rows)
-    return T.reshape(ctx, (nb, rows.shape[-1]))
+    return alpha, T.reshape(ctx, (nb, rows.shape[-1]))
+
+
+def attention(s: Tensor, memory: DecodeMemory) -> tuple[Tensor, Tensor, Tensor | None]:
+    """The passage attention [B, Lp], the passage context and the knowledge
+    context (None without a knowledge memory) of the top hidden states
+    ``s`` over ``memory``."""
+    alpha, c = _read(s, memory.enc.proj, memory.enc.h_hat, memory.enc.mask)
+    kmem = memory.kmem
+    k = None if kmem is None else _read(s, kmem.proj, kmem.rows, kmem.mask)[1]
+    return alpha, c, k
 
 
 def _cell_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
@@ -151,55 +166,23 @@ def _readout(params: ParameterSet, prefix: str, emb: Tensor, s: Tensor, c: Tenso
 
 
 def decoder_state_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
-                       state: DecoderState, enc: EncoderOutput,
-                       kmem: KnowledgeMemory | None
-                       ) -> tuple[Tensor, DecoderState]:
+                       state: DecoderState, memory: DecodeMemory
+                       ) -> tuple[Tensor, Tensor, Tensor, DecoderState]:
     """One decoder step over a batch, up to the output layer: the readout
-    ``u`` [B, d] that ``{prefix}.out`` projects onto the vocabulary, and
-    the new state, whose ``alpha`` and ``p_g`` are the copy attention and
-    gate of this step's output distribution.
+    ``u`` [B, d] that ``{prefix}.out`` projects onto the vocabulary, the
+    passage attention ``alpha`` and copy gate ``p_g`` of this step's output
+    distribution, and the new state.
 
     The blend terms are summed in fixed order c, k, s so dropping the k term
     is numerically identical to a zeroed k-slice.
     """
     emb, s, new_states = _cell_step(params, prefix, y_prev, state)
-    nb, hidden = s.shape
-    alpha = _attend(enc.proj, s, enc.mask)
-    c = _weighted_rows(alpha, enc.h_hat)
+    alpha, c, k = attention(s, memory)
     pre = T.matmul(c, params[f"{prefix}.blend.c.W"])
-    if kmem is not None:
-        k = _weighted_rows(_attend(kmem.proj, s, kmem.mask), kmem.rows)
+    if k is not None:
         pre = T.add(pre, T.matmul(k, params[f"{prefix}.blend.k.W"]))
-    else:
-        k = Tensor(np.zeros((nb, 2 * hidden)))
     s_tilde, u, p_g = _readout(params, prefix, emb, s, c, pre)
-    return u, DecoderState(states=new_states, s_tilde=s_tilde, s=s, c=c,
-                           alpha=alpha, k=k, p_g=p_g)
-
-
-@dataclass
-class DecodeMemory:
-    """What decoding reads of one sample: the passage attention memories,
-    the knowledge memory, the copy ids and the summary that seeds the
-    decoder. The encoder's ``h``, ``f`` and ``g`` are not kept."""
-    h_hat: Tensor                 # [1, Lp, 2d]
-    proj: Tensor                  # [1, Lp, d]
-    mask: np.ndarray              # [1, Lp]
-    kmem: KnowledgeMemory | None
-    copy_ids: np.ndarray          # [1, Lp] extended-vocabulary ids
-    extended_size: int
-    init_source: Tensor           # [1, d] seeds the decoder state
-
-
-def decode_memory(enc: EncoderOutput, kmem: KnowledgeMemory | None,
-                  copy_ids: np.ndarray, extended_size: int) -> DecodeMemory:
-    """The decode memory of a one-sample encoding, seeded by its
-    ``bw_final``."""
-    if enc.mask.shape[0] != 1:
-        raise T.ShapeError("a decode memory holds one sample")
-    return DecodeMemory(h_hat=enc.h_hat, proj=enc.proj, mask=enc.mask, kmem=kmem,
-                        copy_ids=copy_ids, extended_size=extended_size,
-                        init_source=enc.bw_final)
+    return u, alpha, p_g, DecoderState(states=new_states, s_tilde=s_tilde)
 
 
 def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
@@ -211,7 +194,7 @@ def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
     Returns each sample's ``log(max(p, PROB_FLOOR))`` [rows[i],
     extended_size], where ``p`` mixes the generate distribution, zero past
     the word vocabulary, with the copy distribution by the gate ``p_g``,
-    and the new state (per-layer states and readout feed only).
+    and the new state.
 
     Run it under ``T.no_grad()`` and ``T.row_by_row()``, as
     beam_search_group does. Row-wise work runs once over every row of the
@@ -226,13 +209,11 @@ def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
     contexts, knowledge, k_rows, alphas = [], [], [], []
     lo = 0
     for mem, n in zip(memories, rows):
-        s_i = Tensor(s.data[lo:lo + n])
-        alpha = _attend(mem.proj, s_i, mem.mask)
-        contexts.append(_weighted_rows(alpha, mem.h_hat))
+        alpha, c, k = attention(Tensor(s.data[lo:lo + n]), mem)
+        contexts.append(c)
         alphas.append(alpha.data)
-        if mem.kmem is not None:
-            beta = _attend(mem.kmem.proj, s_i, mem.kmem.mask)
-            knowledge.append(_weighted_rows(beta, mem.kmem.rows))
+        if k is not None:
+            knowledge.append(k)
             k_rows.extend(range(lo, lo + n))
         lo += n
     c = T.concat(contexts, axis=0)
@@ -270,10 +251,8 @@ def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
 # -- teacher forcing and loss -------------------------------------------------
 
 
-def teacher_forced_steps(params: ParameterSet, prefix: str, enc: EncoderOutput,
-                         kmem: KnowledgeMemory | None, target_ids: np.ndarray,
-                         target_lengths: np.ndarray, copy_ids: np.ndarray,
-                         extended_size: int, *, init_source: Tensor
+def teacher_forced_steps(params: ParameterSet, prefix: str, memory: DecodeMemory,
+                         target_ids: np.ndarray, target_lengths: np.ndarray
                          ) -> list[Tensor]:
     """Run the decoder with gold inputs; step t scores target_ids[:, t+1].
 
@@ -281,16 +260,17 @@ def teacher_forced_steps(params: ParameterSet, prefix: str, enc: EncoderOutput,
     decode_step mixture, which nn.tensor.gold_mixture_prob computes without
     building the distribution over the extended vocabulary."""
     target_ids = np.asarray(target_ids)
-    if target_ids.size and target_ids.max() >= extended_size:
+    if target_ids.size and target_ids.max() >= memory.extended_size:
         raise T.ShapeError(f"target id {target_ids.max()} is outside the "
-                           f"extended vocabulary of {extended_size}")
+                           f"extended vocabulary of {memory.extended_size}")
     out_w, out_b = params[f"{prefix}.out.W"], params[f"{prefix}.out.b"]
-    state = init_decoder_state(params, prefix, init_source)
+    state = init_decoder_state(params, prefix, memory.init_source)
     steps = []
     for t in range(int(np.max(target_lengths)) - 1):
-        u, state = decoder_state_step(params, prefix, target_ids[:, t], state, enc, kmem)
-        steps.append(T.gold_mixture_prob(u, out_w, out_b, state.alpha, state.p_g,
-                                         copy_ids, target_ids[:, t + 1]))
+        u, alpha, p_g, state = decoder_state_step(params, prefix, target_ids[:, t],
+                                                  state, memory)
+        steps.append(T.gold_mixture_prob(u, out_w, out_b, alpha, p_g,
+                                         memory.copy_ids, target_ids[:, t + 1]))
     return steps
 
 
@@ -377,6 +357,8 @@ def beam_search_group(params: ParameterSet, prefix: str, memories: list[DecodeMe
     """
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
+    if any(m.enc.mask.shape[0] != 1 for m in memories):
+        raise T.ShapeError("a decode memory holds one sample")
     # per sample: live (ids, log probability) pairs and finished
     # (score, logp, ids) triples
     live: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in memories]
@@ -419,13 +401,9 @@ def beam_search_group(params: ParameterSet, prefix: str, memories: list[DecodeMe
     return results
 
 
-def beam_search(params: ParameterSet, prefix: str, enc: EncoderOutput,
-                kmem: KnowledgeMemory | None, copy_ids: np.ndarray,
-                extended_size: int, *, beam: int, max_len: int,
-                length_penalty: float = 0.7) -> BeamHypothesis:
-    """Beam search for a single sample: beam_search_group over its decode
-    memory alone."""
-    return beam_search_group(params, prefix,
-                             [decode_memory(enc, kmem, copy_ids, extended_size)],
-                             beam=beam, max_len=max_len,
+def beam_search(params: ParameterSet, prefix: str, memory: DecodeMemory, *,
+                beam: int, max_len: int, length_penalty: float = 0.7) -> BeamHypothesis:
+    """Beam search for a single sample: beam_search_group over its memory
+    alone."""
+    return beam_search_group(params, prefix, [memory], beam=beam, max_len=max_len,
                              length_penalty=length_penalty)[0]

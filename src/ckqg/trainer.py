@@ -68,10 +68,10 @@ def unified_forward(params: ParameterSet, batch: Batch, *,
     over the triple memory, plus relation and tail losses unless ablated."""
     enc = qg_model.encode_passage(params, batch)
     trip = aux_tasks.encode_triples(params, batch)
-    kmem = aux_tasks.unified_memory(params, trip)
-    steps = qg_model.teacher_forced_steps(
-        params, "dec", enc, kmem, batch.question_ids, batch.question_lengths,
-        batch.copy_ids, batch.extended_size, init_source=enc.bw_final)
+    memory = qg_model.DecodeMemory(enc, aux_tasks.unified_memory(params, trip),
+                                   batch.copy_ids, batch.extended_size, enc.bw_final)
+    steps = qg_model.teacher_forced_steps(params, "dec", memory, batch.question_ids,
+                                          batch.question_lengths)
     l_q = qg_model.sequence_nll(steps, batch.question_ids, batch.question_lengths)
     if no_rc:
         l_r = _zero()
@@ -91,9 +91,10 @@ def pure_forward(params: ParameterSet, batch: Batch) -> LossBundle:
     """Question-only forward: no knowledge memory, so no knowledge parameter
     enters the graph and the total equals the question loss exactly."""
     enc = qg_model.encode_passage(params, batch)
-    steps = qg_model.teacher_forced_steps(
-        params, "dec", enc, None, batch.question_ids, batch.question_lengths,
-        batch.copy_ids, batch.extended_size, init_source=enc.bw_final)
+    memory = qg_model.DecodeMemory(enc, None, batch.copy_ids, batch.extended_size,
+                                   enc.bw_final)
+    steps = qg_model.teacher_forced_steps(params, "dec", memory, batch.question_ids,
+                                          batch.question_lengths)
     l_q = qg_model.sequence_nll(steps, batch.question_ids, batch.question_lengths)
     return _bundle(l_q, _zero(), _zero())
 
@@ -269,31 +270,37 @@ def _group_hashes(params: ParameterSet) -> dict[str, str]:
 # GIL, so more lanes would add their beam state to peak RSS for a gain that
 # was never measured.
 MAX_LANES = 2
-# Multiply-adds per decode step (decode_step_work) below which a second
-# lane gained little or lost, timed on two CPUs at one BLAS thread: beams
-# 1, 3 and 4 at hidden size 128 (1.1-4.6 M) read 0.85-1.08x one lane; beam
-# 5 there (5.7 M) 0.98-1.21x; 6.1-13 M (greedy at hidden 384 and 600,
-# beams 6-10 at 128, beams 2-3 at 256) 1.17-1.45x.
+# One sample's multiply-adds per beam step (decode_step_work) below which a
+# second lane gained little or lost, timed on two CPUs at one BLAS thread
+# when a step still carried one sample: beams 1, 3 and 4 at hidden size 128
+# (1.1-4.6 M) read 0.85-1.08x one lane; beam 5 there (5.7 M) 0.98-1.21x;
+# 6.1-13 M (greedy at hidden 384 and 600, beams 6-10 at 128, beams 2-3 at
+# 256) 1.17-1.45x. A step now carries a group, but counting the group's rows
+# would put greedy decoding (dev BLEU) on two lanes, measured slower: 0.324 s
+# against 0.270 s on one, for 8 samples at hidden 128.
 LANE_MIN_STEP_WORK = 5_000_000
 
 
 def decode_step_work(params: ParameterSet, beam: int) -> int:
-    """Multiply-adds of one beam-search step, roughly: every beam row meets
-    every decoder weight a step reads (all of ``dec.`` but the ``dec.init``
-    layers, which run once per sample)."""
+    """One sample's multiply-adds in one beam-search step, roughly: each of
+    its beam rows meets every decoder weight a step reads (all of ``dec.``
+    but the ``dec.init`` layers, which run once per sample). A decode step
+    carries a group of samples, so this is not a step's work but the
+    measure LANE_MIN_STEP_WORK was timed in."""
     return beam * sum(t.data.size for name, t in params.items()
                       if name.startswith("dec.") and not name.startswith("dec.init."))
 
 
 def decode_lanes(n_samples: int, step_work: int) -> int:
-    """How many samples ``generate`` decodes side by side: the CPUs this
+    """How many lanes ``generate`` decodes on side by side: the CPUs this
     process may run on divided by the BLAS threads each product uses, at
     most one lane per sample, at most MAX_LANES and at least one. The BLAS
     count is OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS; unset or not a
     positive integer, OpenBLAS already runs on every CPU, so there is one
-    lane. There is one lane too when a decode step does fewer than
-    LANE_MIN_STEP_WORK multiply-adds: a second lane then gains little or
-    loses. A CPU quota of the process's cgroup is not seen."""
+    lane. There is one lane too when one sample's beam rows do fewer than
+    LANE_MIN_STEP_WORK multiply-adds per step (``step_work``, from
+    decode_step_work): a second lane then gained little or lost. A CPU
+    quota of the process's cgroup is not seen."""
     raw = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
     try:
         blas_threads = int(raw)
@@ -346,10 +353,9 @@ def generate(params: ParameterSet, samples: list[TrainingSample],
         enc = qg_model.encode_passage(params, batch)
         kmem = None
         if batch.has_triples:
-            trip = aux_tasks.encode_triples(params, batch)
-            kmem = aux_tasks.unified_memory(params, trip)
-        memory = qg_model.decode_memory(enc, kmem, batch.copy_ids, batch.extended_size)
-        return memory, batch.oov_tokens[0]
+            kmem = aux_tasks.unified_memory(params, aux_tasks.encode_triples(params, batch))
+        return (qg_model.DecodeMemory(enc, kmem, batch.copy_ids, batch.extended_size,
+                                      enc.bw_final), batch.oov_tokens[0])
 
     def search(memories: list[qg_model.DecodeMemory]) -> list[qg_model.BeamHypothesis]:
         return qg_model.beam_search_group(params, "dec", memories, beam=beam,

@@ -151,6 +151,29 @@ class OutputDistribution:
     p_vocab: Tensor      # [B, V]
     p_copy: Tensor       # [B, extended]
     p: Tensor            # [B, extended] mixture
+    alpha: Tensor        # [B, Lp] passage attention, the copy weights
+    p_g: Tensor          # [B, 1] generate-vs-copy gate
+
+
+def scatter_sum(weights: Tensor, ids: np.ndarray, size: int) -> Tensor:
+    """Sum ``weights[b, l]`` into output bucket ``ids[b, l]`` per batch row,
+    as a taped op: attention mass on positions holding the same
+    extended-vocabulary id aggregates."""
+    w = weights if isinstance(weights, Tensor) else Tensor(weights)
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.shape != w.shape:
+        raise T.ShapeError(f"scatter_sum: ids shape {ids.shape} vs weights {w.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        raise T.ShapeError(f"scatter_sum: id out of range for size {size}")
+    nb = w.shape[0]
+    data = np.zeros((nb, size), dtype=np.float64)
+    rows = np.arange(nb)[:, None]
+    np.add.at(data, (rows, ids), w.data)
+
+    def backward(g):
+        w._accumulate(g[rows, ids])
+
+    return Tensor._from_op(data, (w,), backward, "scatter_sum")
 
 
 def copy_distribution(alpha, copy_ids, extended_size):
@@ -159,41 +182,39 @@ def copy_distribution(alpha, copy_ids, extended_size):
     Pad positions carry exactly zero attention, so the pad bucket stays empty.
     One sample's ``copy_ids`` broadcast against every row of ``alpha``.
     """
-    return T.scatter_sum(alpha, np.broadcast_to(copy_ids, alpha.shape), extended_size)
+    return scatter_sum(alpha, np.broadcast_to(copy_ids, alpha.shape), extended_size)
 
 
-def reference_decode_step(params, prefix, y_prev, state, enc, kmem, copy_ids,
-                          extended_size):
+def reference_decode_step(params, prefix, y_prev, state, memory):
     """One decoder step with the full output distribution over the extended
     vocabulary, as a taped composition: ``decoder_state_step``, the softmax
     over the vocabulary padded with zeros past it, a dense scatter of the
     copy attention, and the mixture of the two by the gate ``p_g``. The
     reference for ``qg_model.decode_step``, whose log probabilities are
     ``log(max(p, PROB_FLOOR))`` of this ``p``."""
-    u, new_state = decoder_state_step(params, prefix, y_prev, state, enc, kmem)
+    u, alpha, p_g, new_state = decoder_state_step(params, prefix, y_prev, state, memory)
     nb, vocab_size = u.shape[0], params["emb.word"].shape[0]
-    p_g = new_state.p_g
+    extended_size = memory.extended_size
     p_vocab = T.softmax(linear(params, f"{prefix}.out", u), axis=-1)
-    p_copy = copy_distribution(new_state.alpha, copy_ids, extended_size)
+    p_copy = copy_distribution(alpha, memory.copy_ids, extended_size)
     if extended_size > vocab_size:
         tail = Tensor(np.zeros((nb, extended_size - vocab_size)))
         p_vocab_ext = T.concat([p_vocab, tail], axis=-1)
     else:
         p_vocab_ext = p_vocab
     p = T.add(T.mul(p_vocab_ext, p_g), T.mul(p_copy, T.add(T.mul(p_g, -1.0), 1.0)))
-    return OutputDistribution(p_vocab=p_vocab, p_copy=p_copy, p=p), new_state
+    return OutputDistribution(p_vocab=p_vocab, p_copy=p_copy, p=p, alpha=alpha,
+                              p_g=p_g), new_state
 
 
-def reference_greedy_decode(params, prefix, enc, kmem, copy_ids, extended_size,
-                            *, max_len):
+def reference_greedy_decode(params, prefix, memory, *, max_len):
     """Argmax decoding for a single sample, one batch-1
     reference_decode_step per token; stops at EOS or max_len tokens."""
-    state = init_decoder_state(params, prefix, enc.bw_final)
+    state = init_decoder_state(params, prefix, memory.init_source)
     y = np.array([BOS])
     ids = []
     for _ in range(max_len):
-        out, state = reference_decode_step(params, prefix, y, state, enc, kmem,
-                                           copy_ids, extended_size)
+        out, state = reference_decode_step(params, prefix, y, state, memory)
         tok = int(np.argmax(out.p.data[0]))
         if tok == EOS:
             break
@@ -202,12 +223,11 @@ def reference_greedy_decode(params, prefix, enc, kmem, copy_ids, extended_size,
     return ids
 
 
-def reference_beam_search(params, prefix, enc, kmem, copy_ids, extended_size,
-                          *, beam, max_len, length_penalty=0.7):
+def reference_beam_search(params, prefix, memory, *, beam, max_len, length_penalty=0.7):
     """Beam search one hypothesis at a time: a batch-1 reference_decode_step
     per live hypothesis and a full stable argsort of its extended-vocabulary
     row."""
-    live = [((), 0.0, init_decoder_state(params, prefix, enc.bw_final))]
+    live = [((), 0.0, init_decoder_state(params, prefix, memory.init_source))]
     done = []
     for _ in range(max_len):
         if not live:
@@ -215,8 +235,7 @@ def reference_beam_search(params, prefix, enc, kmem, copy_ids, extended_size,
         cands = []
         for ids, logp, state in live:
             y = np.array([ids[-1] if ids else BOS])
-            out, nstate = reference_decode_step(params, prefix, y, state, enc,
-                                                kmem, copy_ids, extended_size)
+            out, nstate = reference_decode_step(params, prefix, y, state, memory)
             lp = np.log(np.maximum(out.p.data[0], PROB_FLOOR))
             for tok in np.argsort(-lp, kind="stable")[:beam]:
                 cands.append((logp + float(lp[tok]), ids, int(tok), nstate))
@@ -234,19 +253,16 @@ def reference_beam_search(params, prefix, enc, kmem, copy_ids, extended_size,
     return BeamHypothesis(ids=list(ids), score=norm, logprob=raw)
 
 
-def reference_teacher_forced_steps(params, prefix, enc, kmem, target_ids,
-                                   target_lengths, copy_ids, extended_size, *,
-                                   init_source):
+def reference_teacher_forced_steps(params, prefix, memory, target_ids, target_lengths):
     """Teacher forcing through the full output distribution: a
-    reference_decode_step per target after BOS, then its gold entry picked by ``gather_last``. Each
-    step records the mixture over the extended vocabulary that
-    ``gold_mixture_prob`` fuses away; the signature and the result are
-    ``qg_model.teacher_forced_steps``'."""
-    state = init_decoder_state(params, prefix, init_source)
+    reference_decode_step per target after BOS, then its gold entry picked
+    by ``gather_last``. Each step records the mixture over the extended
+    vocabulary that ``gold_mixture_prob`` fuses away; the signature and the
+    result are ``qg_model.teacher_forced_steps``'."""
+    state = init_decoder_state(params, prefix, memory.init_source)
     steps = []
     for t in range(int(np.max(target_lengths)) - 1):
-        out, state = reference_decode_step(params, prefix, target_ids[:, t], state,
-                                           enc, kmem, copy_ids, extended_size)
+        out, state = reference_decode_step(params, prefix, target_ids[:, t], state, memory)
         steps.append(T.gather_last(out.p, target_ids[:, t + 1]))
     return steps
 

@@ -290,11 +290,10 @@ def test_06_copy_mechanism(overfit_run):
         kraken_ext = len(vocab) + batch.oov_tokens[0].index("kraken")
         enc = QG.encode_passage(params, batch)
         trip = AX.encode_triples(params, batch)
-        kmem = AX.unified_memory(params, trip)
+        memory = QG.DecodeMemory(enc, AX.unified_memory(params, trip), batch.copy_ids,
+                                 batch.extended_size, enc.bw_final)
 
-        ids = QG.beam_search(params, "dec", enc, kmem, batch.copy_ids,
-                             batch.extended_size, beam=1,
-                             max_len=run["cfg"].max_len).ids
+        ids = QG.beam_search(params, "dec", memory, beam=1, max_len=run["cfg"].max_len).ids
         assert vocab.decode_ids(ids, batch.oov_tokens[0]) == sample.question
         assert kraken_ext in ids  # came out as an extended id, i.e. a copy
 
@@ -305,9 +304,8 @@ def test_06_copy_mechanism(overfit_run):
         out = None
         for step in range(target + 1):
             out, state = reference_decode_step(params, "dec", gold[step:step + 1],
-                                               state, enc, kmem, batch.copy_ids,
-                                               batch.extended_size)
-        gate = float(state.p_g.data[0, 0])
+                                               state, memory)
+        gate = float(out.p_g.data[0, 0])
         assert 0.0 < gate < 1.0
         assert float(out.p_copy.data[0, kraken_ext]) > 0.0
         assert out.p_vocab.shape[1] == len(vocab)  # no generate route to it
@@ -344,8 +342,9 @@ def test_generate_groups_equal_samples_decoded_alone(overfit_run, monkeypatch, b
         enc = QG.encode_passage(params, batch)
         kmem = (AX.unified_memory(params, AX.encode_triples(params, batch))
                 if sample.triples else None)
-        hyp = QG.beam_search(params, "dec", enc, kmem, batch.copy_ids,
-                             batch.extended_size, beam=beam, max_len=cfg.max_len,
+        memory = QG.DecodeMemory(enc, kmem, batch.copy_ids, batch.extended_size,
+                                 enc.bw_final)
+        hyp = QG.beam_search(params, "dec", memory, beam=beam, max_len=cfg.max_len,
                              length_penalty=cfg.length_penalty)
         assert toks == vocab.decode_ids(hyp.ids, batch.oov_tokens[0])
         assert struct.pack("<d", score) == struct.pack("<d", hyp.score)
@@ -437,17 +436,17 @@ def test_09_distribution_hygiene():
             kmem = None
             if b % 2 == 0:
                 kmem = AX.unified_memory(params, AX.encode_triples(params, batch))
+            memory = QG.DecodeMemory(enc, kmem, batch.copy_ids, batch.extended_size,
+                                     enc.bw_final)
             state = QG.init_decoder_state(params, "dec", enc.bw_final)
             for _ in range(20):
                 y_prev = rng.integers(0, batch.extended_size, size=2)
-                out, state = reference_decode_step(params, "dec", y_prev, state, enc,
-                                                   kmem, batch.copy_ids,
-                                                   batch.extended_size)
+                out, state = reference_decode_step(params, "dec", y_prev, state, memory)
                 for dist in (out.p, out.p_vocab, out.p_copy):
                     sums = dist.data.sum(axis=-1)
                     assert np.all(np.abs(sums - 1.0) <= 1e-9), sums
                 assert np.all(out.p.data >= 0.0)
-                alpha = state.alpha.data
+                alpha = out.alpha.data
                 for i, ln in enumerate(batch.passage_lengths):
                     assert np.all(alpha[i, ln:] == 0.0)
                 steps_done += 1
@@ -459,11 +458,10 @@ def test_09_distribution_hygiene():
             kmem = None
             if i % 2 == 0:
                 kmem = AX.unified_memory(params, AX.encode_triples(params, batch))
-            greedy = reference_greedy_decode(params, "dec", enc, kmem,
-                                             batch.copy_ids, batch.extended_size,
-                                             max_len=10)
-            beam1 = QG.beam_search(params, "dec", enc, kmem, batch.copy_ids,
-                                   batch.extended_size, beam=1, max_len=10).ids
+            memory = QG.DecodeMemory(enc, kmem, batch.copy_ids, batch.extended_size,
+                                     enc.bw_final)
+            greedy = reference_greedy_decode(params, "dec", memory, max_len=10)
+            beam1 = QG.beam_search(params, "dec", memory, beam=1, max_len=10).ids
             assert beam1 == greedy, i
 
 

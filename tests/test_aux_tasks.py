@@ -276,10 +276,11 @@ def test_rc_gradients_against_finite_differences():
 
 def tg_first_distribution(params, enc, trip, batch):
     """The tail decoder's full output distribution at its first step."""
-    state = M.init_decoder_state(params, "tg.dec", trip.t_final)
+    memory = M.DecodeMemory(enc, A.tg_memory(params, trip), batch.copy_ids,
+                            batch.extended_size, trip.t_final)
+    state = M.init_decoder_state(params, "tg.dec", memory.init_source)
     out, _ = reference_decode_step(params, "tg.dec", batch.tail_gen_ids[:, 0], state,
-                                   enc, A.tg_memory(params, trip), batch.copy_ids,
-                                   batch.extended_size)
+                                   memory)
     return out
 
 
@@ -307,10 +308,12 @@ def test_single_row_memory_context_is_that_row():
     rows = Tensor(rng.normal(size=(2, 1, 6)))
     kmem = M.KnowledgeMemory(rows=rows, mask=np.ones((2, 1), dtype=bool),
                              proj=Tensor(rng.normal(size=(2, 1, 3))))
-    state = M.init_decoder_state(params, "tg.dec", Tensor(rng.normal(size=(2, 6))))
-    _, state = M.decoder_state_step(params, "tg.dec", batch.tail_gen_ids[:, 0], state,
-                                    enc, kmem)
-    assert np.allclose(state.k.data, rows.data[:, 0, :], atol=1e-15)
+    memory = M.DecodeMemory(enc, kmem, batch.copy_ids, batch.extended_size,
+                            Tensor(rng.normal(size=(2, 6))))
+    state = M.init_decoder_state(params, "tg.dec", memory.init_source)
+    _, s, _ = M._cell_step(params, "tg.dec", batch.tail_gen_ids[:, 0], state)
+    _, _, k = M.attention(s, memory)
+    assert np.allclose(k.data, rows.data[:, 0, :], atol=1e-15)
 
 
 def test_tg_forced_copy_emits_passage_tokens_only():

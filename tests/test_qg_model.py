@@ -20,8 +20,9 @@ from ckqg.corpus import (BOS, EOS, UNK, TrainingSample, Vocabulary,
 from ckqg.kb_extract import AlignedTriple, KnowledgeTriple
 from ckqg.nn import tensor as T
 from ckqg.nn.gradcheck import grad_check
+from ckqg.nn.layers import bilstm
 from ckqg.nn.params import ParameterSet, initial_value
-from ckqg.nn.tensor import ShapeError, Tensor
+from ckqg.nn.tensor import ShapeError, Tensor, length_mask
 
 
 def make_sample(text: str, question: str, span: tuple[int, int],
@@ -50,6 +51,11 @@ def build_setup(seed: int = 0, hidden: int = 3, layers: int = 2):
         if group == "qg_core":
             params.add(name, initial_value(init, shape, rng), group)
     return params, vocab, tags, batch
+
+
+def memory_of(enc, batch, kmem=None) -> M.DecodeMemory:
+    """The question decoder's memory of an encoded batch."""
+    return M.DecodeMemory(enc, kmem, batch.copy_ids, batch.extended_size, enc.bw_final)
 
 
 def single_setup(seed: int = 0):
@@ -112,21 +118,31 @@ def test_gate_strictly_inside_unit_interval():
     assert np.all(g.data > 0.0) and np.all(g.data < 1.0)
 
 
+def encoder_parts(params, batch) -> tuple[Tensor, Tensor, Tensor]:
+    """The contextual states ``h``, self-match summaries ``f`` and gate ``g``
+    that encode_passage blends into ``h_hat``, recomputed."""
+    h, _, _ = bilstm(params, "enc", M.embed_source(params, batch), batch.passage_lengths)
+    f, g = M.self_match(params, h, length_mask(batch.passage_lengths, h.shape[1]))
+    return h, f, g
+
+
 def test_encode_shapes_and_mask():
     params, _, _, batch = build_setup()
     enc = M.encode_passage(params, batch)
+    h, _, g = encoder_parts(params, batch)
     nb, lp = batch.passage_ids.shape
-    assert enc.h.shape == (nb, lp, 6)
+    assert h.shape == (nb, lp, 6)
     assert enc.h_hat.shape == (nb, lp, 6)
     assert enc.proj.shape == (nb, lp, 3)
-    assert enc.g.shape == (nb, lp, 1)
+    assert g.shape == (nb, lp, 1)
     assert np.array_equal(enc.mask.sum(axis=1), batch.passage_lengths)
 
 
 def test_blend_identity_exact():
     params, _, _, batch = build_setup()
     enc = M.encode_passage(params, batch)
-    recomputed = enc.g.data * enc.f.data + (1.0 - enc.g.data) * enc.h.data
+    h, f, g = encoder_parts(params, batch)
+    recomputed = g.data * f.data + (1.0 - g.data) * h.data
     assert np.array_equal(enc.h_hat.data, recomputed)
 
 
@@ -135,16 +151,18 @@ def test_single_position_passage_blend_is_identity():
     s = make_sample("fox", "what ?", (0, 0), "one")
     batch = encode_batch([s], vocab, tags)
     enc = M.encode_passage(params, batch)
-    assert np.array_equal(enc.f.data, enc.h.data)
-    assert np.allclose(enc.h_hat.data, enc.h.data, atol=1e-14)
+    h, f, _ = encoder_parts(params, batch)
+    assert np.array_equal(f.data, h.data)
+    assert np.allclose(enc.h_hat.data, h.data, atol=1e-14)
 
 
 def test_gate_bias_hook_disables_blend():
     params, _, _, batch = build_setup()
     params["gate.b"].data[:] = -1e9
     enc = M.encode_passage(params, batch)
-    assert np.all(enc.g.data == 0.0)
-    assert np.array_equal(enc.h_hat.data, enc.h.data)
+    h, _, g = encoder_parts(params, batch)
+    assert np.all(g.data == 0.0)
+    assert np.array_equal(enc.h_hat.data, h.data)
 
 
 def test_hoisted_projection_matches_direct():
@@ -182,33 +200,33 @@ def first_step(params, batch, kmem=None):
     enc = M.encode_passage(params, batch)
     state = M.init_decoder_state(params, "dec", enc.bw_final)
     out, state = reference_decode_step(params, "dec", batch.question_ids[:, 0], state,
-                                       enc, kmem, batch.copy_ids, batch.extended_size)
+                                       memory_of(enc, batch, kmem))
     return enc, out, state
 
 
 def test_decode_distributions_normalized():
     params, _, _, batch = build_setup()
-    enc, out, state = first_step(params, batch)
+    enc, out, _ = first_step(params, batch)
     for dist in (out.p_vocab, out.p_copy, out.p):
         assert np.allclose(dist.data.sum(axis=-1), 1.0, atol=1e-9)
-    assert np.all(state.alpha.data[~enc.mask] == 0.0)
-    assert np.all((state.p_g.data > 0.0) & (state.p_g.data < 1.0))
+    assert np.all(out.alpha.data[~enc.mask] == 0.0)
+    assert np.all((out.p_g.data > 0.0) & (out.p_g.data < 1.0))
 
 
 def test_mixture_identity_recomputed():
     params, vocab, _, batch = build_setup()
-    _, out, state = first_step(params, batch)
+    _, out, _ = first_step(params, batch)
     pad = batch.extended_size - len(vocab)
     p_vocab_ext = np.concatenate([out.p_vocab.data, np.zeros((batch.size, pad))], axis=-1)
-    want = state.p_g.data * p_vocab_ext + (1.0 - state.p_g.data) * out.p_copy.data
+    want = out.p_g.data * p_vocab_ext + (1.0 - out.p_g.data) * out.p_copy.data
     assert np.array_equal(out.p.data, want)
 
 
 def test_forced_generate_gate_one():
     params, vocab, _, batch = build_setup()
     params["dec.copy.b"].data[:] = 1e9
-    _, out, state = first_step(params, batch)
-    assert np.all(state.p_g.data == 1.0)
+    _, out, _ = first_step(params, batch)
+    assert np.all(out.p_g.data == 1.0)
     assert np.array_equal(out.p.data[:, :len(vocab)], out.p_vocab.data)
     assert np.all(out.p.data[:, len(vocab):] == 0.0)
 
@@ -216,8 +234,8 @@ def test_forced_generate_gate_one():
 def test_forced_copy_gate_zero():
     params, _, _, batch = build_setup()
     params["dec.copy.b"].data[:] = -1e9
-    _, out, state = first_step(params, batch)
-    assert np.all(state.p_g.data == 0.0)
+    _, out, _ = first_step(params, batch)
+    assert np.all(out.p_g.data == 0.0)
     for b in range(batch.size):
         source = set(batch.copy_ids[b, :batch.passage_lengths[b]].tolist())
         nonzero = set(np.nonzero(out.p.data[b])[0].tolist())
@@ -234,13 +252,6 @@ def test_memory_absent_equals_zero_rows():
     _, out_none, _ = first_step(params, batch)
     _, out_mem, _ = first_step(params, batch, kmem=zero_mem)
     assert np.max(np.abs(out_none.p.data - out_mem.p.data)) < 1e-12
-
-
-def test_knowledge_context_zeros_without_memory():
-    params, _, _, batch = build_setup()
-    _, _, state = first_step(params, batch)
-    assert state.k.shape == (batch.size, 6)
-    assert np.all(state.k.data == 0.0)
 
 
 def test_decoder_init_state():
@@ -320,27 +331,25 @@ def test_steps_must_fit_the_targets():
                        np.array([3]))
     params, _, _, batch = build_setup()
     enc = M.encode_passage(params, batch)
+    memory = replace(memory_of(enc, batch), extended_size=int(batch.question_ids.max()))
     with pytest.raises(ShapeError, match="outside the extended vocabulary"):
-        M.teacher_forced_steps(params, "dec", enc, None, batch.question_ids,
-                               batch.question_lengths, batch.copy_ids,
-                               int(batch.question_ids.max()), init_source=enc.bw_final)
+        M.teacher_forced_steps(params, "dec", memory, batch.question_ids,
+                               batch.question_lengths)
 
 
 def test_teacher_forcing_step_count():
     params, _, _, batch = build_setup()
     enc = M.encode_passage(params, batch)
-    steps = M.teacher_forced_steps(params, "dec", enc, None, batch.question_ids,
-                                   batch.question_lengths, batch.copy_ids,
-                                   batch.extended_size, init_source=enc.bw_final)
+    steps = M.teacher_forced_steps(params, "dec", memory_of(enc, batch),
+                                   batch.question_ids, batch.question_lengths)
     assert len(steps) == int(batch.question_lengths.max()) - 1
 
 
 def test_oov_question_token_reachable_through_copy():
     params, vocab, _, batch = build_setup()
     enc = M.encode_passage(params, batch)
-    steps = M.teacher_forced_steps(params, "dec", enc, None, batch.question_ids,
-                                   batch.question_lengths, batch.copy_ids,
-                                   batch.extended_size, init_source=enc.bw_final)
+    steps = M.teacher_forced_steps(params, "dec", memory_of(enc, batch),
+                                   batch.question_ids, batch.question_lengths)
     qid = batch.question_ids[1]
     ext_positions = np.nonzero(qid >= len(vocab))[0]
     assert ext_positions.size > 0  # "kraken" is copy-only
@@ -353,10 +362,8 @@ def test_loss_gradients_against_finite_differences():
 
     def loss_fn():
         enc = M.encode_passage(params, batch)
-        steps = M.teacher_forced_steps(params, "dec", enc, None,
-                                       batch.question_ids, batch.question_lengths,
-                                       batch.copy_ids, batch.extended_size,
-                                       init_source=enc.bw_final)
+        steps = M.teacher_forced_steps(params, "dec", memory_of(enc, batch),
+                                       batch.question_ids, batch.question_lengths)
         return M.sequence_nll(steps, batch.question_ids, batch.question_lengths)
 
     report = grad_check(loss_fn, params.items(), eps=1e-6, samples_per_tensor=3,
@@ -369,29 +376,24 @@ def test_loss_gradients_against_finite_differences():
 
 def test_beam_one_equals_greedy():
     params, batch = single_setup(seed=2)
-    enc = M.encode_passage(params, batch)
-    greedy = reference_greedy_decode(params, "dec", enc, None, batch.copy_ids,
-                                     batch.extended_size, max_len=8)
-    hyp = M.beam_search(params, "dec", enc, None, batch.copy_ids,
-                        batch.extended_size, beam=1, max_len=8)
+    memory = memory_of(M.encode_passage(params, batch), batch)
+    greedy = reference_greedy_decode(params, "dec", memory, max_len=8)
+    hyp = M.beam_search(params, "dec", memory, beam=1, max_len=8)
     assert hyp.ids == greedy
 
 
 def test_beam_deterministic():
     params, batch = single_setup(seed=4)
-    enc = M.encode_passage(params, batch)
-    runs = [M.beam_search(params, "dec", enc, None, batch.copy_ids,
-                          batch.extended_size, beam=4, max_len=8)
-            for _ in range(2)]
+    memory = memory_of(M.encode_passage(params, batch), batch)
+    runs = [M.beam_search(params, "dec", memory, beam=4, max_len=8) for _ in range(2)]
     assert runs[0].ids == runs[1].ids
     assert runs[0].score == runs[1].score
 
 
 def test_beam_output_well_formed():
     params, batch = single_setup(seed=6)
-    enc = M.encode_passage(params, batch)
-    hyp = M.beam_search(params, "dec", enc, None, batch.copy_ids,
-                        batch.extended_size, beam=3, max_len=8)
+    memory = memory_of(M.encode_passage(params, batch), batch)
+    hyp = M.beam_search(params, "dec", memory, beam=3, max_len=8)
     assert len(hyp.ids) <= 8
     assert all(0 <= i < batch.extended_size for i in hyp.ids)
     assert EOS not in hyp.ids
@@ -400,18 +402,16 @@ def test_beam_output_well_formed():
 
 def test_generation_rejects_multi_sample_batches():
     params, _, _, batch = build_setup()
-    enc = M.encode_passage(params, batch)
-    with pytest.raises(ShapeError):
-        M.beam_search(params, "dec", enc, None, batch.copy_ids,
-                      batch.extended_size, beam=2, max_len=4)
+    memory = memory_of(M.encode_passage(params, batch), batch)
+    with pytest.raises(ShapeError, match="a decode memory holds one sample"):
+        M.beam_search(params, "dec", memory, beam=2, max_len=4)
 
 
 def test_beam_rejects_nonpositive_width():
     params, batch = single_setup()
-    enc = M.encode_passage(params, batch)
+    memory = memory_of(M.encode_passage(params, batch), batch)
     with pytest.raises(ValueError):
-        M.beam_search(params, "dec", enc, None, batch.copy_ids,
-                      batch.extended_size, beam=0, max_len=4)
+        M.beam_search(params, "dec", memory, beam=0, max_len=4)
 
 
 # -- batched beam search against the per-hypothesis reference -------------------
@@ -440,8 +440,7 @@ def oracle_world(seed: int, hidden: int, scale: float = 1.0):
 
 
 def assert_beam_matches_reference(params, batch, kmem, beam, max_len=8):
-    enc = M.encode_passage(params, batch)
-    args = (params, "dec", enc, kmem, batch.copy_ids, batch.extended_size)
+    args = (params, "dec", memory_of(M.encode_passage(params, batch), batch, kmem))
     got = M.beam_search(*args, beam=beam, max_len=max_len, length_penalty=0.9)
     want = reference_beam_search(*args, beam=beam, max_len=max_len,
                                  length_penalty=0.9)
@@ -473,7 +472,7 @@ def test_batched_beam_forced_ties_go_to_lowest_ids():
     enc = M.encode_passage(params, plain)
     out, _ = reference_decode_step(params, "dec", np.array([BOS]),
                                    M.init_decoder_state(params, "dec", enc.bw_final),
-                                   enc, None, plain.copy_ids, plain.extended_size)
+                                   memory_of(enc, plain))
     lp = np.log(out.p.data)   # one row
     copied = set(plain.copy_ids[0].tolist())
     free = [i for i in range(plain.extended_size) if i not in copied]
@@ -508,17 +507,19 @@ def k_row_state(params, k: int, rng) -> M.DecoderState:
                           s_tilde=rows())
 
 
-def repeat_rows(enc, kmem, copy_ids, k: int):
-    """The one-sample decoder inputs copied as k rows."""
+def repeat_rows(memory: M.DecodeMemory, k: int) -> M.DecodeMemory:
+    """A one-sample decoder memory copied as k rows."""
     def rows(t: Tensor) -> Tensor:
         return Tensor(np.repeat(t.data, k, axis=0))
 
+    enc, kmem = memory.enc, memory.kmem
     enc_k = replace(enc, h_hat=rows(enc.h_hat), proj=rows(enc.proj),
-                    mask=np.repeat(enc.mask, k, axis=0))
+                    mask=np.repeat(enc.mask, k, axis=0), bw_final=rows(enc.bw_final))
     kmem_k = None if kmem is None else M.KnowledgeMemory(
         rows=rows(kmem.rows), mask=np.repeat(kmem.mask, k, axis=0),
         proj=rows(kmem.proj))
-    return enc_k, kmem_k, np.repeat(copy_ids, k, axis=0)
+    return M.DecodeMemory(enc_k, kmem_k, np.repeat(memory.copy_ids, k, axis=0),
+                          memory.extended_size, rows(memory.init_source))
 
 
 def rows_of(state: M.DecoderState, lo: int, hi: int) -> M.DecoderState:
@@ -540,51 +541,52 @@ def test_decode_step_broadcasts_one_sample_inputs_over_state_rows(k):
     assert equipped.extended_size > plain.extended_size == vocab_size
     rng = np.random.default_rng(k)
     with T.no_grad(), T.row_by_row():
-        encs = [M.encode_passage(params, b) for b in (plain, equipped, equipped)]
-        kmems = [None, A.unified_memory(params, A.encode_triples(params, equipped)), None]
         batches = (plain, equipped, equipped)
-        memories = [M.decode_memory(enc, kmem, b.copy_ids, b.extended_size)
-                    for enc, kmem, b in zip(encs, kmems, batches)]
+        kmems = [None, A.unified_memory(params, A.encode_triples(params, equipped)), None]
+        memories = [memory_of(M.encode_passage(params, b), b, kmem)
+                    for b, kmem in zip(batches, kmems)]
         y = rng.integers(0, plain.extended_size, size=3 * k)
         state = k_row_state(params, 3 * k, rng)
         lps, got_state = M.decode_step(params, "dec", y, state, memories, [k] * 3)
-        for i, (enc, kmem, b, lp) in enumerate(zip(encs, kmems, batches, lps)):
-            enc_k, kmem_k, copy_k = repeat_rows(enc, kmem, b.copy_ids, k)
+        for i, (memory, lp) in enumerate(zip(memories, lps)):
             want, want_state = reference_decode_step(
                 params, "dec", y[i * k:(i + 1) * k], rows_of(state, i * k, (i + 1) * k),
-                enc_k, kmem_k, copy_k, b.extended_size)
-            assert lp.shape == (k, b.extended_size)
+                repeat_rows(memory, k))
+            assert lp.shape == (k, memory.extended_size)
             assert lp.tobytes() == np.log(np.maximum(want.p.data, M.PROB_FLOOR)).tobytes()
             for g, w in zip(state_tensors(rows_of(got_state, i * k, (i + 1) * k)),
                             state_tensors(want_state), strict=True):
                 assert g.data.tobytes() == w.data.tobytes()
 
 
-@pytest.mark.parametrize("k", [3, 10])
-def test_decode_step_rows_equal_one_row_calls_when_the_output_splits(k):
-    s = make_sample("a kraken rose from the deep sea near the dog",
-                    "what did the kraken rise from ?", (5, 6), "b")
+def split_output_world(seed: int, question: str = "what did the kraken rise from ?"):
+    """A one-sample batch with a triple, and parameters at hidden 64 whose
+    ``dec.out.W`` spans two column blocks and a remainder: a block is
+    worked out from T.BLOCK_BYTES as _product does (2,048 columns at hidden
+    64). The vocabulary holds the passage's first five tokens only."""
+    s = make_sample("a kraken rose from the deep sea near the dog", question, (5, 6), "b")
     s.triples.append(AlignedTriple(
         triple=KnowledgeTriple("sea", "RelatedTo", "kraken", "ConceptNet"),
         head_positions=(6,), tail_positions=(3,)))
-    # a column block of dec.out.W, worked out from T.BLOCK_BYTES as
-    # _product does (2,048 columns at hidden 64); the vocabulary spans two
-    # blocks and a remainder
     block = max(1, T.BLOCK_BYTES // (64 * 64 * 8)) * 64
     vocab = Vocabulary([f"w{i}" for i in range(2 * block)] + s.passage[:5])
     tags = build_tag_vocabs([s])
     cfg = Config(emb_dim=5, feat_dim=2, hidden_size=64, layers=2)
-    params = TR.build_parameters(cfg, vocab, tags, np.random.default_rng(k))
+    params = TR.build_parameters(cfg, vocab, tags, np.random.default_rng(seed))
     assert params["dec.out.W"].shape == (64, len(vocab)) and len(vocab) > 2 * block
-    batch = encode_batch([s], vocab, tags)
+    return params, vocab, encode_batch([s], vocab, tags)
+
+
+@pytest.mark.parametrize("k", [3, 10])
+def test_decode_step_rows_equal_one_row_calls_when_the_output_splits(k):
+    params, _, batch = split_output_world(k)
     enc = M.encode_passage(params, batch)
     rng = np.random.default_rng(k)
     y = rng.integers(0, batch.extended_size, size=2 * k)
     state = k_row_state(params, 2 * k, rng)
     with T.no_grad(), T.row_by_row():
         full_kmem = A.unified_memory(params, A.encode_triples(params, batch))
-        memories = [M.decode_memory(enc, kmem, batch.copy_ids, batch.extended_size)
-                    for kmem in (None, full_kmem)]
+        memories = [memory_of(enc, batch, kmem) for kmem in (None, full_kmem)]
         got, got_state = M.decode_step(params, "dec", y, state, memories, [k, k])
         for i in range(2 * k):
             mem = memories[i // k]
@@ -593,6 +595,32 @@ def test_decode_step_rows_equal_one_row_calls_when_the_output_splits(k):
             assert got[i // k][i % k].tobytes() == one[0][0].tobytes()
             assert (got_state.s_tilde.data[i].tobytes()
                     == one_state.s_tilde.data[0].tobytes())
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", ["equipped", "pure", "oov_copy"])
+def test_teacher_forcing_and_decode_step_agree_bitwise(case, seed):
+    # the two production step paths over one memory, on the gold prefix:
+    # teacher forcing's output product runs as one product, decode_step's
+    # in column blocks; the oov_copy target copies "deep sea" from the
+    # passage, past the word vocabulary
+    question = ("what rose from the deep sea ?" if case == "oov_copy"
+                else "what did the kraken rise from ?")
+    params, vocab, batch = split_output_world(seed, question)
+    ids = batch.question_ids[0, :batch.question_lengths[0]]
+    assert (ids.max() >= len(vocab)) == (case == "oov_copy")
+    kmem = (A.unified_memory(params, A.encode_triples(params, batch))
+            if case == "equipped" else None)
+    memory = memory_of(M.encode_passage(params, batch), batch, kmem)
+    steps = M.teacher_forced_steps(params, "dec", memory, batch.question_ids,
+                                   batch.question_lengths)
+    assert len(steps) == len(ids) - 1
+    with T.no_grad(), T.row_by_row():
+        state = M.init_decoder_state(params, "dec", memory.init_source)
+        for t, step in enumerate(steps):
+            [lp], state = M.decode_step(params, "dec", ids[t:t + 1], state, [memory], [1])
+            want = np.log(np.maximum(step.data, M.PROB_FLOOR))
+            assert lp[0, ids[t + 1]].tobytes() == want[0].tobytes(), t
 
 
 def test_beam_passes_the_callers_own_inputs_to_every_step(monkeypatch):
@@ -610,13 +638,12 @@ def test_beam_passes_the_callers_own_inputs_to_every_step(monkeypatch):
     monkeypatch.setattr(M, "decode_step", spy)
     for kmem in (None, full_kmem):
         calls.clear()
-        M.beam_search(params, "dec", enc, kmem, equipped.copy_ids,
-                      equipped.extended_size, beam=10, max_len=6)
+        M.beam_search(params, "dec", memory_of(enc, equipped, kmem), beam=10, max_len=6)
         assert max(c["rows"][0] for c in calls) > 1
         for c in calls:
             [mem] = c["memories"]
-            assert mem.h_hat is enc.h_hat and mem.proj is enc.proj
-            assert mem.mask is enc.mask and mem.kmem is kmem
+            assert mem.enc.h_hat is enc.h_hat and mem.enc.proj is enc.proj
+            assert mem.enc.mask is enc.mask and mem.kmem is kmem
             assert mem.copy_ids is equipped.copy_ids
 
 

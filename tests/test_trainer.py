@@ -131,11 +131,10 @@ class TestForward:
 
         enc = M.encode_passage(params, batch)
         trip = A.encode_triples(params, batch)
-        kmem = A.unified_memory(params, trip)
-        steps = M.teacher_forced_steps(
-            params, "dec", enc, kmem, batch.question_ids,
-            batch.question_lengths, batch.copy_ids, batch.extended_size,
-            init_source=enc.bw_final)
+        memory = M.DecodeMemory(enc, A.unified_memory(params, trip), batch.copy_ids,
+                                batch.extended_size, enc.bw_final)
+        steps = M.teacher_forced_steps(params, "dec", memory, batch.question_ids,
+                                       batch.question_lengths)
         l_q = M.sequence_nll(steps, batch.question_ids, batch.question_lengths)
         _, pred = A.rc_forward(params, enc, trip)
         l_r = A.rc_loss(pred, batch.relation_ids)
@@ -172,10 +171,10 @@ class TestForward:
         rows = T.Tensor(np.zeros((batch.size, 3, 2 * cfg.hidden_size)))
         kmem = KnowledgeMemory(rows=rows, mask=np.ones((batch.size, 3), dtype=bool),
                                proj=T.matmul(rows, params["know.Wq"]))
-        steps = M.teacher_forced_steps(
-            params, "dec", enc, kmem, batch.question_ids,
-            batch.question_lengths, batch.copy_ids, batch.extended_size,
-            init_source=enc.bw_final)
+        memory = M.DecodeMemory(enc, kmem, batch.copy_ids, batch.extended_size,
+                                enc.bw_final)
+        steps = M.teacher_forced_steps(params, "dec", memory, batch.question_ids,
+                                       batch.question_lengths)
         got = M.sequence_nll(steps, batch.question_ids, batch.question_lengths)
         assert abs(float(got.data) - float(want.l_q.data)) < 1e-12
 
@@ -794,7 +793,7 @@ def numbered_samples(source):
 
 def sample_numbers(memories) -> tuple[int, ...]:
     """The numbered_samples indices of a group's decode memories."""
-    return tuple(mem.mask.shape[1] - 3 for mem in memories)
+    return tuple(mem.enc.mask.shape[1] - 3 for mem in memories)
 
 
 class TestLanes:
