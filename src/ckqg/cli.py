@@ -19,10 +19,10 @@ import numpy as np
 from . import kb_extract as kb
 from . import aux_tasks, metrics, qg_model, trainer
 from .assets import KB_CONCEPTNET, KB_WORDNET, MINI_CORPUS, STOPWORDS, asset_path
-from .config import Config, ConfigError, env_settings, load_config, parse_config_file
-from .corpus import (BIO_TAGS, TagVocab, TrainingSample, ValidationError,
-                     Vocabulary, build_tag_vocabs, build_vocab, check_tags,
-                     encode_batch, is_str_list, load_dataset, save_dataset)
+from .config import Config, ConfigError, load_config
+from .corpus import (BIO_TAGS, TagVocab, ValidationError, Vocabulary,
+                     build_tag_vocabs, build_vocab, check_tags, encode_batch,
+                     is_str_list, load_dataset, sample_key, save_dataset)
 from .nn import tensor as T
 from .nn.checkpoint import load_checkpoint
 from .nn.gradcheck import grad_check
@@ -37,21 +37,17 @@ EXIT_NUMERIC = 3
 GRADCHECK_TOLERANCE = 1e-4
 
 
-def _load_cfg(args) -> Config:
+def _load_cfg(args, base: dict | None = None) -> Config:
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = str(args.seed)
-    return load_config(args.config, overrides=overrides)
+    return load_config(args.config, overrides=overrides, base=base)
 
 
 def _require_out(args, parser_hint: str) -> Path:
     if not args.out:
         raise ConfigError(f"{parser_hint} needs --out")
     return Path(args.out)
-
-
-def _sample_key(sample: TrainingSample, index: int) -> str:
-    return sample.sample_id if sample.sample_id is not None else f"index:{index}"
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -74,8 +70,8 @@ def cmd_extract(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(out / "annotated.jsonl", samples)
     manifest = {
-        "equipped": [_sample_key(s, i) for i, s in enumerate(samples) if s.triples],
-        "pure": [_sample_key(s, i) for i, s in enumerate(samples) if not s.triples],
+        "equipped": [sample_key(s, i) for i, s in enumerate(samples) if s.triples],
+        "pure": [sample_key(s, i) for i, s in enumerate(samples) if not s.triples],
     }
     (out / "partition.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
@@ -168,7 +164,7 @@ def cmd_generate(args) -> int:
     beam = args.beam if args.beam is not None else cfg.beam
     samples = load_dataset(args.corpus)
     try:   # name the sample and the tag list
-        check_tags(samples, tags, lambda s, i: f"{args.corpus}: sample {_sample_key(s, i)}")
+        check_tags(samples, tags, f"{args.corpus}: sample")
     except ValidationError as exc:
         raise ValidationError(f"{exc}; the model's tags are in "
                               f"{model_dir / 'tags.json'}") from None
@@ -176,7 +172,7 @@ def cmd_generate(args) -> int:
         decoded = trainer.generate(params, samples, vocab, tags, cfg, beam)
     except T.NumericsError as exc:
         raise T.NumericsError(f"decoding with {model_dir / 'model.bin'}: {exc}") from exc
-    lines = [json.dumps({"id": _sample_key(s, i), "question": tokens, "score": score})
+    lines = [json.dumps({"id": sample_key(s, i), "question": tokens, "score": score})
              for i, (s, (tokens, score)) in enumerate(zip(samples, decoded))]
     text = "\n".join(lines) + "\n" if lines else ""
     if args.out:
@@ -264,14 +260,7 @@ _TOY = {"hidden_size": 3, "layers": 1, "emb_dim": 4, "feat_dim": 2,
 
 
 def _gradcheck_config(args) -> Config:
-    given = set(parse_config_file(args.config)) if args.config else set()
-    given |= set(env_settings())
-    cfg = _load_cfg(args)
-    for key, value in _TOY.items():
-        if key not in given:
-            setattr(cfg, key, value)
-    cfg.validate()
-    return cfg
+    return _load_cfg(args, base=_TOY)
 
 
 def _gradcheck_batch(cfg: Config):

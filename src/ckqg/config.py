@@ -1,8 +1,8 @@
 """Flat key=value runtime configuration.
 
-Precedence: built-in defaults, then the config file, then CKQG_* environment
-variables, then explicit command-line overrides. Unknown keys are rejected at
-every layer so typos fail loudly.
+Precedence: built-in defaults, then a caller's base settings, then the config
+file, then CKQG_* environment variables, then explicit command-line
+overrides. Unknown keys are rejected at every layer so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -113,9 +113,9 @@ def env_settings(env: dict[str, str] | None = None) -> dict[str, str]:
 
 
 def load_config(path: str | None = None, overrides: dict[str, str] | None = None,
-                env: dict[str, str] | None = None) -> Config:
+                env: dict[str, str] | None = None, base: dict | None = None) -> Config:
     cfg = Config()
-    layers: list[dict[str, str]] = []
+    layers: list[dict] = [base or {}]
     if path is not None:
         layers.append(parse_config_file(path))
     layers.append(env_settings(env))

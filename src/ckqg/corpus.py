@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -74,6 +73,11 @@ class TrainingSample:
             raise ValidationError(f"answer span {self.answer_span} out of range for length {n}")
         if not self.question:
             raise ValidationError("empty question")
+
+
+def sample_key(sample: TrainingSample, index: int) -> str:
+    """A sample's name in output and messages: its id, else its index."""
+    return sample.sample_id if sample.sample_id is not None else f"index:{index}"
 
 
 def bio_from_span(passage_len: int, span: tuple[int, int]) -> list[str]:
@@ -138,9 +142,9 @@ BIO_TAGS = ("O", "B", "I")
 
 
 def check_tags(samples: list[TrainingSample], tag_vocabs: dict[str, TagVocab],
-               name: Callable[[TrainingSample, int], str]) -> None:
-    """Raise a ValidationError, headed by ``name(sample, index)``, for the
-    first POS or NER tag of ``samples`` that ``tag_vocabs`` lacks. For a
+               what: str) -> None:
+    """Raise a ValidationError, headed by ``what`` and the sample_key, for
+    the first POS or NER tag of ``samples`` that ``tag_vocabs`` lacks. For a
     sample that load_dataset accepted, this is the one way encode_batch can
     fail: the sample is valid, its answer tags are ``BIO_TAGS``, and it
     forms a batch alone."""
@@ -148,7 +152,8 @@ def check_tags(samples: list[TrainingSample], tag_vocabs: dict[str, TagVocab],
         for kind, seq in (("pos", sample.pos_tags), ("ner", sample.ner_tags)):
             unknown = [t for t in seq if t not in tag_vocabs[kind].tag_to_id]
             if unknown:
-                raise ValidationError(f"{name(sample, i)}: unknown tag '{unknown[0]}'")
+                raise ValidationError(f"{what} {sample_key(sample, i)}: "
+                                      f"unknown tag '{unknown[0]}'")
 
 
 def build_vocab(samples: list[TrainingSample], max_size: int = 5000,

@@ -16,6 +16,7 @@ import math
 import os
 import threading
 from collections.abc import Iterable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -328,25 +329,23 @@ def generate(params: ParameterSet, samples: list[TrainingSample],
 
     The one decode path behind ``ckqg generate`` and dev BLEU. The samples
     split into groups of consecutive samples, as many per group as spreads
-    them evenly over the ``decode_lanes`` lanes but at most MAX_GROUP. The
-    calling thread and one more thread per further lane each take the next
-    group, encode its samples one at a time and beam-search them as one
+    them evenly over the ``decode_lanes`` lanes but at most MAX_GROUP. Each
+    group's samples are encoded one at a time and beam-searched as one
     decoder batch (qg_model.beam_search_group), keeping of each encoding
-    only what decoding reads. Every result is bit for bit what the sample
-    gives decoded alone, on any lane: the lane count sets no BLAS thread
-    count. A group that raises an error is decoded again one sample at a
-    time, to find the sample that fails. Once a sample fails no new group
-    starts, and the failure of the lowest-index sample is raised, as a
-    sequential loop would raise it.
+    only what decoding reads. One lane decodes the groups in order on the
+    calling thread; more lanes are the workers of a thread pool, and the
+    caller reads their results in group order. Every result is bit for bit
+    what the sample gives decoded alone, on any lane: the lane count sets no
+    BLAS thread count. A group that raises an error is decoded again one
+    sample at a time, to find the sample that fails. Once a group fails, or
+    the caller is interrupted, no group that has not started begins, and the
+    caller raises the first failure in group order once the running groups
+    end.
     """
-    decoded: list[tuple[list[str], float] | None] = [None] * len(samples)
-    failures: dict[int, BaseException] = {}
-    lock = threading.Lock()
     lanes = decode_lanes(len(samples), decode_step_work(params, beam))
     size = max(1, min(MAX_GROUP, -(-len(samples) // lanes)))
-    groups = [range(lo, min(lo + size, len(samples)))
-              for lo in range(0, len(samples), size)]
-    taken = 0
+    groups = [samples[lo:lo + size] for lo in range(0, len(samples), size)]
+    stop = threading.Event()
 
     def encode(sample: TrainingSample) -> tuple[qg_model.DecodeMemory, list[str]]:
         batch = encode_batch([sample], vocab, tag_vocabs)
@@ -362,52 +361,31 @@ def generate(params: ParameterSet, samples: list[TrainingSample],
                                           max_len=config.max_len,
                                           length_penalty=config.length_penalty)
 
-    def lane() -> None:
-        nonlocal taken
-        with T.no_grad():   # tape modes are per thread
-            while True:
-                with lock:
-                    if failures or taken == len(groups):
-                        return
-                    group, taken = groups[taken], taken + 1
-                at = group.start   # the sample a failure is charged to
+    def decode(group: list[TrainingSample]) -> list[tuple[list[str], float]]:
+        if stop.is_set():   # the caller raises the error that set it
+            return []
+        try:
+            with T.no_grad():   # tape modes are per thread
+                memories, oovs = zip(*map(encode, group))
                 try:
-                    memories, oovs = [], []
-                    for at in group:
-                        memory, oov = encode(samples[at])
-                        memories.append(memory)
-                        oovs.append(oov)
-                    at = group.start
-                    try:
-                        hyps = search(memories)
-                    except Exception:   # not an interrupt: find the sample that fails
-                        hyps = []
-                        for at, memory in zip(group, memories):
-                            hyps += search([memory])
-                    for at, hyp, oov in zip(group, hyps, oovs):
-                        decoded[at] = vocab.decode_ids(hyp.ids, oov), hyp.score
-                except BaseException as e:   # an interrupt too; re-raised below
-                    with lock:
-                        failures[at] = e
-                    return
+                    hyps = search(list(memories))
+                except Exception:   # not an interrupt: find the sample that fails
+                    hyps = [hyp for memory in memories for hyp in search([memory])]
+            return [(vocab.decode_ids(hyp.ids, oov), hyp.score)
+                    for hyp, oov in zip(hyps, oovs)]
+        except BaseException:
+            stop.set()
+            raise
 
-    workers: list[threading.Thread] = []
-    try:
-        for _ in range(lanes - 1):
-            workers.append(threading.Thread(target=lane))
-            workers[-1].start()
-        lane()
-    except BaseException as e:   # an interrupt outside a group: stop the other lanes
-        with lock:
-            failures[-1] = e
-        raise
-    finally:
-        for worker in workers:
-            if worker.is_alive():
-                worker.join()
-    if failures:
-        raise failures[min(failures)]
-    return decoded
+    if lanes == 1:
+        return [row for group in groups for row in decode(group)]
+    with ThreadPoolExecutor(lanes) as pool:
+        try:
+            futures = [pool.submit(decode, group) for group in groups]
+            return [row for future in futures for row in future.result()]
+        except BaseException:   # an interrupt while submitting or waiting too
+            stop.set()
+            raise
 
 
 def evaluate_dev(params: ParameterSet, dev: list[TrainingSample],
@@ -495,8 +473,7 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
                             min_freq=config.min_freq)
     if tag_vocabs is None:
         tag_vocabs = build_tag_vocabs(all_samples)
-    check_tags(dev, tag_vocabs,   # fail now, not at the first dev eval
-               lambda s, i: f"dev sample {s.sample_id if s.sample_id is not None else f'#{i}'}")
+    check_tags(dev, tag_vocabs, "dev sample")   # fail now, not at the first dev eval
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _save_world(out_dir, config, vocab, tag_vocabs)

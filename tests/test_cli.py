@@ -328,8 +328,9 @@ class TestGenerate:
         ("vocab.json", b"\xff", 2, "not UTF-8 text"),
         ("tags.json", b'{"pos": ', 2, "not valid JSON"),
         ("tags.json", b'{"pos": ["caf\xff"]}', 2, "not UTF-8 text"),
+        ("vocab.json", b'{"tokens": ["a", "b", "a"]}', 2, "duplicate tokens"),
     ], ids=["config-syntax", "config-utf8", "config-key", "config-value",
-            "vocab-syntax", "vocab-utf8", "tags-syntax", "tags-utf8"])
+            "vocab-syntax", "vocab-utf8", "tags-syntax", "tags-utf8", "vocab-twice"])
     def test_unreadable_saved_file_names_itself(self, trained, split_corpora, tmp_path,
                                                  capsys, name, raw, code, message):
         model = tmp_path / "model"
@@ -578,6 +579,9 @@ class TestEvaluate:
         ("tg", {"tail": 5}, "'tail' must be a string or a list of strings"),
         ("qg", 5, "expected a JSON object"),
         ("rc", ["x"], "expected a JSON object"),
+        ("qg", {"q": "x"}, "missing 'question' field"),
+        ("rc", {"triples": []}, "no relation on row or its first triple"),
+        ("tg", {"triples": [{"relation": "IsA"}]}, "no tail on row or its first triple"),
     ])
     def test_wrong_typed_row_is_data_error(self, tmp_path, capsys, task, row, message):
         good = {"question": "x", "relation": "RelatedTo", "tail": "x"}
@@ -618,10 +622,30 @@ class TestGradcheck:
             assert entry["checked"] > 0 and entry["worst_param"]
 
 
+def fails_naming_the_file(tmp_path, capsys, raw: bytes, argv, code, message):
+    """Run ``argv`` with ``{bad}`` a file holding ``raw``: exit ``code``, and
+    stderr names the file followed by ``message``."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(raw)
+    fill = {"bad": str(bad), "out": str(tmp_path / "out")}
+    assert main([a.format(**fill) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error" if code == 1 else "data error")
+    assert f"{bad}{message}" in err
+
+
+TRAIN = ["--config", "{bad}", "--out", "{out}", "train", "--equipped", MINI]
+GOOD_ROW = {"passage": ["a", "b"], "answer_span": [0, 0], "pos": ["noun", "noun"],
+            "ner": ["o", "o"], "question": ["what"]}
+
+
+def jsonl(*rows) -> bytes:
+    return "".join(json.dumps(r) + "\n" for r in rows).encode()
+
+
 class TestTextInputs:
     @pytest.mark.parametrize("raw, argv, code", [
-        (b"seed = 3\n# caf\xff\n",
-         ["--config", "{bad}", "--out", "{out}", "train", "--equipped", MINI], 1),
+        (b"seed = 3\n# caf\xff\n", TRAIN, 1),
         (b'{"passage": "caf\xff"}\n', ["stats", "--corpus", "{bad}"], 2),
         (b"cafe\tIsA\tplace\n\xff\tIsA\tthing\n",
          ["--out", "{out}", "extract", "--corpus", MINI, "--conceptnet", "{bad}"], 2),
@@ -630,10 +654,17 @@ class TestTextInputs:
         (b'{"question": "caf\xff"}\n', ["evaluate", "--hyp", "{bad}", "--ref", MINI], 2),
     ], ids=["config", "corpus", "kb_dump", "stopwords", "jsonl"])
     def test_non_utf8_input_names_its_file(self, tmp_path, capsys, raw, argv, code):
-        bad = tmp_path / "bad.txt"
-        bad.write_bytes(raw)
-        fill = {"bad": str(bad), "out": str(tmp_path / "out")}
-        assert main([a.format(**fill) for a in argv]) == code
-        err = capsys.readouterr().err
-        assert err.startswith("config error" if code == 1 else "data error")
-        assert f"{bad}: not UTF-8 text" in err
+        fails_naming_the_file(tmp_path, capsys, raw, argv, code, ": not UTF-8 text")
+
+    @pytest.mark.parametrize("raw, argv, code, message", [
+        (b"lr =\n", TRAIN, 1, ":1: expected key = value"),
+        (b"seed = 3\n= 4\n", TRAIN, 1, ":2: expected key = value"),
+        (jsonl({**GOOD_ROW, "passage": [], "pos": [], "ner": []}),
+         ["stats", "--corpus", "{bad}"], 2, ":1: empty passage"),
+        (jsonl(GOOD_ROW, {**GOOD_ROW, "question": []}),
+         ["stats", "--corpus", "{bad}"], 2, ":2: empty question"),
+    ], ids=["config-empty-value", "config-empty-key", "corpus-empty-passage",
+            "corpus-empty-question"])
+    def test_invalid_input_names_its_file(self, tmp_path, capsys, raw, argv, code,
+                                          message):
+        fails_naming_the_file(tmp_path, capsys, raw, argv, code, message)

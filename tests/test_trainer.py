@@ -722,7 +722,7 @@ class TestTrainLoop:
         assert result.best_step == stop
 
     @pytest.mark.parametrize("sid, kind, name", [
-        ("d1", "pos_tags", "d1"), (None, "ner_tags", "#1")])
+        ("d1", "pos_tags", "d1"), (None, "ner_tags", "index:1")])
     def test_unknown_dev_tag_fails_before_the_first_step(self, tmp_path, monkeypatch,
                                                          sid, kind, name):
         steps = []
@@ -867,7 +867,7 @@ class TestLanes:
 
     def test_every_sample_is_decoded_once_under_contention(self, monkeypatch):
         # more lanes than cores and a short switch interval, so lanes race
-        # for the sample counter; a lost update would decode a sample twice
+        # for the pool's queue; a group taken twice would decode twice
         cfg, params, vocab, tags, eq, pu = build_world()
         short = tiny_config(max_len=3)
         samples = (eq + pu) * 8
@@ -926,6 +926,17 @@ class TestLanes:
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         assert len(TR.generate(params, eq + pu, vocab, tags, cfg, beam)) == 4
 
+    def test_no_samples_decode_to_nothing_on_no_thread(self, monkeypatch):
+        # an empty corpus on a host that would give beam 10 two lanes
+        cfg, params, vocab, tags, eq, pu = build_world()
+        force_lanes(monkeypatch, 2)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("an empty corpus started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert TR.generate(params, [], vocab, tags, cfg, 10) == []
+
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_lowest_index_failure_is_raised(self, monkeypatch, lanes):
         # groups of two; sample 1 fails only after sample 3 has: each failing
@@ -978,8 +989,8 @@ class TestLanes:
 
     def test_no_sample_starts_after_a_failure(self, monkeypatch):
         # groups of two; group (0, 1) ends only after sample 2 has failed on
-        # the other lane; its lane must then stop rather than take (4, 5),
-        # and the failing group stops at its failing sample
+        # the other lane; no lane may then decode (4, 5), and the failing
+        # group stops at its failing sample
         cfg, params, vocab, tags, eq, pu = build_world()
         started, failed_2 = [], threading.Event()
         beam_search_group = M.beam_search_group
@@ -1002,8 +1013,9 @@ class TestLanes:
         assert sorted(started) == [(0, 1), (2,), (2, 3)]
 
     def test_an_interrupt_outside_a_sample_stops_the_other_lanes(self, monkeypatch):
-        # the caller is interrupted while it starts the third lane; the second
-        # ends its group, takes no other, and is joined before generate raises
+        # the caller is interrupted while the pool starts its second worker;
+        # the first ends its group, decodes no other, and is joined before
+        # generate raises
         cfg, params, vocab, tags, eq, pu = build_world()
         decoding, workers, joining = [], [], threading.Event()
         beam_search_group = M.beam_search_group
