@@ -20,7 +20,9 @@ The commands run on ``--blas-threads`` BLAS threads, one by default as in
 ``perfbench/run.py``; with as many threads as CPUs, ``ckqg generate``
 decodes on one lane, so that setting checks the one-lane path. It prints
 one JSON line per workload, seed and beam, and exits 1 when a command fails or
-any output differs.
+any output differs. Where a generate ``hyp.jsonl`` differs, its line also
+says what moved (``hyp_moves``): the rows whose ``question`` differs and the
+largest |Δscore|.
 """
 
 from __future__ import annotations
@@ -61,6 +63,18 @@ def command(workload: str, inputs: Path, out: Path, beam: int) -> list[str]:
             "--corpus", m["test"], "--beam", str(beam)]
 
 
+def hyp_moves(base: bytes, here: bytes) -> dict:
+    """What moved between two generate ``hyp.jsonl`` files, row by row: the
+    number of rows whose ``question`` differs, a row that only one file has
+    counting too, and the largest |Δscore| over the rows both have."""
+    old, new = ([json.loads(line) for line in data.splitlines()] for data in (base, here))
+    pairs = list(zip(old, new))
+    return {"questions_differ": sum(a["question"] != b["question"] for a, b in pairs)
+            + abs(len(old) - len(new)),
+            "max_abs_dscore": max((abs(a["score"] - b["score"]) for a, b in pairs),
+                                  default=0.0)}
+
+
 def run_ckqg(checkout: Path, argv: list[str]) -> str | None:
     """None on success, else the failed command's exit code and last error line."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
@@ -91,7 +105,10 @@ def compare_seed(base: Path, workload: str, seed: int,
             for name in OUTPUTS[workload]:
                 here = (tmp / "here" / name).read_bytes()
                 counts[f"{name}_sha256_16"] = hashlib.sha256(here).hexdigest()[:16]
-                if (tmp / "base" / name).read_bytes() != here:
+                base_bytes = (tmp / "base" / name).read_bytes()
+                if base_bytes != here:
+                    if name == "hyp.jsonl":
+                        counts.update(hyp_moves(base_bytes, here))
                     problems.append(f"{workload} seed {seed}: {name} differs"
                                     + (f" at beam {beam}" if workload == "generate" else ""))
     counts["equal"] = not problems

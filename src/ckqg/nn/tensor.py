@@ -54,7 +54,7 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 
 class _Mode(threading.local):
     grad = True          # ops record parents and backward closures
-    row_by_row = False   # 2-D matmuls run as one vector-matrix product per row
+    batch_invariant = False   # 2-D matmuls run in fixed-height row chunks
     dropout = None       # (rate, rng) inside training(): dropout masks units
 
 
@@ -78,14 +78,11 @@ def no_grad():
     return _set_mode("grad", False)
 
 
-def row_by_row():
+def batch_invariant():
     """Within the block (in this thread) a 2-D matmul computes each row of
-    its output as a one-row product would, bit for bit, whatever other rows
-    share the batch. BLAS sums a multi-row product in another order than a
-    one-row product, so the last bits would otherwise depend on the batch.
-    Wide products run in cache-sized column blocks, each the same one-row
-    BLAS call, so each row still comes out bit for bit as it would alone."""
-    return _set_mode("row_by_row", True)
+    its output from that row alone, bit for bit, whatever other rows share
+    the batch (see ``_product``). Backward products are not affected."""
+    return _set_mode("batch_invariant", True)
 
 
 def training(rate: float, rng: np.random.Generator):
@@ -238,33 +235,26 @@ def mul(a, b) -> Tensor:
     return Tensor._from_op(data, (a, b), backward, "mul")
 
 
-# Row-by-row column blocks: the widest multiple of 64 columns of ``b`` that
-# fits in this many bytes (half a 2 MiB per-core L2), never under 64 columns.
-BLOCK_BYTES = 1 << 20
+# Rows of every product that a 2-D matmul runs inside batch_invariant().
+CHUNK_ROWS = 16
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``; inside ``row_by_row()`` a 2-D product runs row by row.
-
-    The rows run block by block over ``b``'s columns, so each block stays in
-    cache while every row reads it; a ``b`` narrower than two blocks is one
-    block. A row's block is the same one-row BLAS call over the same columns,
-    so under one BLAS thread each row equals ``a[i:i+1] @ b`` bit for bit:
-    blocks start at multiples of 64 columns and the last one takes the
-    remainder, so no block is one column wide (numpy runs that as another
-    BLAS call) and none starts off a multiple of 4 columns (the kernel's
-    column grouping). With more threads OpenBLAS splits a wide unblocked
-    product between them, and its last bits then depend on the thread count;
-    the rows still all run the same calls, so none depends on the others."""
-    if not (_mode.row_by_row and a.ndim == 2 and b.ndim == 2):
+    """``a @ b``; inside ``batch_invariant()`` a 2-D product runs as one
+    BLAS product per CHUNK_ROWS rows of ``a``, a last partial chunk padded
+    with zero rows. BLAS picks its summation order from a product's shape,
+    so a row's last bits would otherwise depend on how many rows share it;
+    every chunk has one shape, and within a chunk a row's bits depend on
+    neither the other rows nor its place. So each row equals that row padded
+    alone to one chunk. At more than one BLAS thread OpenBLAS may split a
+    wide chunk between them, and the bits can then depend on the thread count."""
+    if not (_mode.batch_invariant and a.ndim == 2 and b.ndim == 2):
         return np.matmul(a, b)
-    rows, n = a[:, None, :], b.shape[1]
-    width = max(1, BLOCK_BYTES // (64 * max(b.shape[0], 1) * b.itemsize)) * 64
-    out = np.empty((a.shape[0], n), np.result_type(a, b))
-    starts = range(0, max(n - width, 0) + 1, width)
-    for j, hi in zip(starts, [*starts[1:], n]):
-        np.matmul(rows, b[:, j:hi], out=out[:, None, j:hi])
-    return out
+    (rows, k), pad = a.shape, -a.shape[0] % CHUNK_ROWS
+    if pad:
+        a = np.concatenate([a, np.zeros((pad, k), a.dtype)])
+    out = np.matmul(a.reshape(-1, CHUNK_ROWS, k), b)
+    return out.reshape(-1, b.shape[1])[:rows]
 
 
 def matmul(a, b) -> Tensor:

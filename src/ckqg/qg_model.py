@@ -196,14 +196,15 @@ def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
     the word vocabulary, with the copy distribution by the gate ``p_g``,
     and the new state.
 
-    Run it under ``T.no_grad()`` and ``T.row_by_row()``, as
+    Run it under ``T.no_grad()`` and ``T.batch_invariant()``, as
     beam_search_group does. Row-wise work runs once over every row of the
-    group: its products are one-row products. Attention, the knowledge
-    term and the copy mass run per sample over its own widths, and the
-    copy term is added only at the ids the sample's passage holds, where
-    the full mixture differs from ``p_vocab * p_g``. So every row's values
-    equal, bit for bit, those of the full mixture (tests/oracles.py,
-    ``reference_decode_step``) over that row alone.
+    group: its products run in fixed row chunks, where a row's bits do not
+    depend on the other rows. Attention, the knowledge term and the copy
+    mass run per sample over its own widths, and the copy term is added
+    only at the ids the sample's passage holds, where the full mixture
+    differs from ``p_vocab * p_g``. So every row's values equal, bit for
+    bit, those of the full mixture (tests/oracles.py,
+    ``reference_decode_step``) over that row alone under the same mode.
     """
     emb, s, new_states = _cell_step(params, prefix, y_prev, state)
     contexts, knowledge, k_rows, alphas = [], [], [], []
@@ -363,7 +364,7 @@ def beam_search_group(params: ParameterSet, prefix: str, memories: list[DecodeMe
     # (score, logp, ids) triples
     live: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in memories]
     done: list[list[tuple[float, float, tuple[int, ...]]]] = [[] for _ in memories]
-    with T.no_grad(), T.row_by_row():
+    with T.no_grad(), T.batch_invariant():
         state = init_decoder_state(params, prefix,
                                    T.concat([m.init_source for m in memories], axis=0))
         for _ in range(max_len):

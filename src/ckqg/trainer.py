@@ -272,13 +272,13 @@ def _group_hashes(params: ParameterSet) -> dict[str, str]:
 # was never measured.
 MAX_LANES = 2
 # One sample's multiply-adds per beam step (decode_step_work) below which a
-# second lane gained little or lost, timed on two CPUs at one BLAS thread
-# when a step still carried one sample: beams 1, 3 and 4 at hidden size 128
-# (1.1-4.6 M) read 0.85-1.08x one lane; beam 5 there (5.7 M) 0.98-1.21x;
-# 6.1-13 M (greedy at hidden 384 and 600, beams 6-10 at 128, beams 2-3 at
-# 256) 1.17-1.45x. A step now carries a group, but counting the group's rows
-# would put greedy decoding (dev BLEU) on two lanes, measured slower: 0.324 s
-# against 0.270 s on one, for 8 samples at hidden 128.
+# second lane gained little or lost. Timed on two CPUs at one BLAS thread,
+# 8 samples at hidden size 128, medians of 9 alternating runs, one lane
+# against two: beam 1 (1.1 M) 0.380 against 0.489 s, greedy dev decoding of
+# a trained model 0.338 against 0.505 s, beam 3 (3.4 M) 0.476 against
+# 0.540 s, beam 10 (11.4 M) 0.807 against 0.762 s. Counting a group's rows
+# instead would put beams 1 and 3 on two lanes. With one sample per step,
+# beam 5 (5.7 M) read 0.98-1.21x one lane and 6.1-13 M 1.17-1.45x.
 LANE_MIN_STEP_WORK = 5_000_000
 
 

@@ -209,44 +209,48 @@ def reference_decode_step(params, prefix, y_prev, state, memory):
 
 def reference_greedy_decode(params, prefix, memory, *, max_len):
     """Argmax decoding for a single sample, one batch-1
-    reference_decode_step per token; stops at EOS or max_len tokens."""
-    state = init_decoder_state(params, prefix, memory.init_source)
-    y = np.array([BOS])
+    reference_decode_step per token; stops at EOS or max_len tokens. Its
+    products run under ``T.batch_invariant()``, as decoding's do."""
     ids = []
-    for _ in range(max_len):
-        out, state = reference_decode_step(params, prefix, y, state, memory)
-        tok = int(np.argmax(out.p.data[0]))
-        if tok == EOS:
-            break
-        ids.append(tok)
-        y = np.array([tok])
+    with T.batch_invariant():
+        state = init_decoder_state(params, prefix, memory.init_source)
+        y = np.array([BOS])
+        for _ in range(max_len):
+            out, state = reference_decode_step(params, prefix, y, state, memory)
+            tok = int(np.argmax(out.p.data[0]))
+            if tok == EOS:
+                break
+            ids.append(tok)
+            y = np.array([tok])
     return ids
 
 
 def reference_beam_search(params, prefix, memory, *, beam, max_len, length_penalty=0.7):
     """Beam search one hypothesis at a time: a batch-1 reference_decode_step
     per live hypothesis and a full stable argsort of its extended-vocabulary
-    row."""
-    live = [((), 0.0, init_decoder_state(params, prefix, memory.init_source))]
+    row. Its products run under ``T.batch_invariant()``, as decoding's do, so
+    each hypothesis is computed as one row padded alone to one chunk."""
     done = []
-    for _ in range(max_len):
-        if not live:
-            break
-        cands = []
-        for ids, logp, state in live:
-            y = np.array([ids[-1] if ids else BOS])
-            out, nstate = reference_decode_step(params, prefix, y, state, memory)
-            lp = np.log(np.maximum(out.p.data[0], PROB_FLOOR))
-            for tok in np.argsort(-lp, kind="stable")[:beam]:
-                cands.append((logp + float(lp[tok]), ids, int(tok), nstate))
-        cands.sort(key=lambda cand: (-cand[0], cand[1] + (cand[2],)))
-        live = []
-        for total, ids, tok, nstate in cands[:beam]:
-            if tok == EOS:
-                norm = total / (len(ids) + 1) ** length_penalty
-                done.append((norm, total, ids))
-            else:
-                live.append((ids + (tok,), total, nstate))
+    with T.batch_invariant():
+        live = [((), 0.0, init_decoder_state(params, prefix, memory.init_source))]
+        for _ in range(max_len):
+            if not live:
+                break
+            cands = []
+            for ids, logp, state in live:
+                y = np.array([ids[-1] if ids else BOS])
+                out, nstate = reference_decode_step(params, prefix, y, state, memory)
+                lp = np.log(np.maximum(out.p.data[0], PROB_FLOOR))
+                for tok in np.argsort(-lp, kind="stable")[:beam]:
+                    cands.append((logp + float(lp[tok]), ids, int(tok), nstate))
+            cands.sort(key=lambda cand: (-cand[0], cand[1] + (cand[2],)))
+            live = []
+            for total, ids, tok, nstate in cands[:beam]:
+                if tok == EOS:
+                    norm = total / (len(ids) + 1) ** length_penalty
+                    done.append((norm, total, ids))
+                else:
+                    live.append((ids + (tok,), total, nstate))
     for ids, logp, _ in live:
         done.append((logp / max(len(ids), 1) ** length_penalty, logp, ids))
     norm, raw, ids = max(done, key=lambda d: (d[0], tuple(-i for i in d[2])))

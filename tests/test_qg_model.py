@@ -540,7 +540,7 @@ def test_decode_step_broadcasts_one_sample_inputs_over_state_rows(k):
     vocab_size = params["emb.word"].shape[0]
     assert equipped.extended_size > plain.extended_size == vocab_size
     rng = np.random.default_rng(k)
-    with T.no_grad(), T.row_by_row():
+    with T.no_grad(), T.batch_invariant():
         batches = (plain, equipped, equipped)
         kmems = [None, A.unified_memory(params, A.encode_triples(params, equipped)), None]
         memories = [memory_of(M.encode_passage(params, b), b, kmem)
@@ -561,34 +561,38 @@ def test_decode_step_broadcasts_one_sample_inputs_over_state_rows(k):
 
 def split_output_world(seed: int, question: str = "what did the kraken rise from ?"):
     """A one-sample batch with a triple, and parameters at hidden 64 whose
-    ``dec.out.W`` spans two column blocks and a remainder: a block is
-    worked out from T.BLOCK_BYTES as _product does (2,048 columns at hidden
-    64). The vocabulary holds the passage's first five tokens only."""
+    ``dec.out.W`` is 4,101 columns wide, as wide as a real vocabulary's. The
+    word vocabulary holds the passage's first five tokens only."""
     s = make_sample("a kraken rose from the deep sea near the dog", question, (5, 6), "b")
     s.triples.append(AlignedTriple(
         triple=KnowledgeTriple("sea", "RelatedTo", "kraken", "ConceptNet"),
         head_positions=(6,), tail_positions=(3,)))
-    block = max(1, T.BLOCK_BYTES // (64 * 64 * 8)) * 64
-    vocab = Vocabulary([f"w{i}" for i in range(2 * block)] + s.passage[:5])
+    vocab = Vocabulary([f"w{i}" for i in range(4096)] + s.passage[:5])
     tags = build_tag_vocabs([s])
     cfg = Config(emb_dim=5, feat_dim=2, hidden_size=64, layers=2)
     params = TR.build_parameters(cfg, vocab, tags, np.random.default_rng(seed))
-    assert params["dec.out.W"].shape == (64, len(vocab)) and len(vocab) > 2 * block
+    assert params["dec.out.W"].shape == (64, len(vocab))
     return params, vocab, encode_batch([s], vocab, tags)
 
 
 @pytest.mark.parametrize("k", [3, 10])
-def test_decode_step_rows_equal_one_row_calls_when_the_output_splits(k):
+def test_decode_step_rows_equal_one_row_calls_across_chunk_boundaries(k):
+    # samples of k rows each, alternately without and with the knowledge
+    # memory, until the group passes one chunk of rows: at k = 3 six samples
+    # make rows 0-17, at k = 10 two make rows 0-19, so a sample's rows
+    # straddle row CHUNK_ROWS and the last chunk is padded
     params, _, batch = split_output_world(k)
     enc = M.encode_passage(params, batch)
+    n = T.CHUNK_ROWS // k + 1
+    assert any(i * k < T.CHUNK_ROWS < (i + 1) * k for i in range(n))
     rng = np.random.default_rng(k)
-    y = rng.integers(0, batch.extended_size, size=2 * k)
-    state = k_row_state(params, 2 * k, rng)
-    with T.no_grad(), T.row_by_row():
+    y = rng.integers(0, batch.extended_size, size=n * k)
+    state = k_row_state(params, n * k, rng)
+    with T.no_grad(), T.batch_invariant():
         full_kmem = A.unified_memory(params, A.encode_triples(params, batch))
-        memories = [memory_of(enc, batch, kmem) for kmem in (None, full_kmem)]
-        got, got_state = M.decode_step(params, "dec", y, state, memories, [k, k])
-        for i in range(2 * k):
+        memories = [memory_of(enc, batch, (None, full_kmem)[i % 2]) for i in range(n)]
+        got, got_state = M.decode_step(params, "dec", y, state, memories, [k] * n)
+        for i in range(n * k):
             mem = memories[i // k]
             one, one_state = M.decode_step(params, "dec", y[i:i + 1],
                                            rows_of(state, i, i + 1), [mem], [1])
@@ -602,7 +606,7 @@ def test_decode_step_rows_equal_one_row_calls_when_the_output_splits(k):
 def test_teacher_forcing_and_decode_step_agree_bitwise(case, seed):
     # the two production step paths over one memory, on the gold prefix:
     # teacher forcing's output product runs as one product, decode_step's
-    # in column blocks; the oov_copy target copies "deep sea" from the
+    # in 16-row chunks; the oov_copy target copies "deep sea" from the
     # passage, past the word vocabulary
     question = ("what rose from the deep sea ?" if case == "oov_copy"
                 else "what did the kraken rise from ?")
@@ -615,7 +619,7 @@ def test_teacher_forcing_and_decode_step_agree_bitwise(case, seed):
     steps = M.teacher_forced_steps(params, "dec", memory, batch.question_ids,
                                    batch.question_lengths)
     assert len(steps) == len(ids) - 1
-    with T.no_grad(), T.row_by_row():
+    with T.no_grad(), T.batch_invariant():
         state = M.init_decoder_state(params, "dec", memory.init_source)
         for t, step in enumerate(steps):
             [lp], state = M.decode_step(params, "dec", ids[t:t + 1], state, [memory], [1])

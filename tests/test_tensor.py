@@ -432,24 +432,26 @@ class TestProperties:
         assert gw1.tobytes() == gw2.tobytes()
 
 
-# Each row of a row_by_row() product against numpy's one-row product, printing
-# the rows that differ. The block width is worked out from T.BLOCK_BYTES as
-# _product does (1024 columns at K = 128 and 192 at K = 600), so the widths
-# 5000, 5003, two blocks plus one column and three blocks plus one split.
-ONE_ROW_PRODUCTS = """
+# Each row of a batch_invariant() product against that row padded with zero
+# rows alone to one chunk, printing the rows that differ. The (K, N) shapes
+# are decoding's and training's at hidden 128 and 600; the row counts put
+# rows in a lone partial chunk, a full chunk, and past one and five chunks.
+CHUNK_PRODUCTS = """
 import numpy as np
 import ckqg.nn.tensor as T
 rng = np.random.default_rng(7)
-for k in (128, 600):
-    block = max(1, T.BLOCK_BYTES // (64 * k * 8)) * 64
-    for n in (5000, 5003, 2 * block + 1, 3 * block + 1):
-        for m in (1, 3, 10):
-            a, b = rng.uniform(-1, 1, (m, k)), rng.uniform(-1, 1, (k, n))
-            with T.row_by_row():
-                rows = T.matmul(T.Tensor(a), T.Tensor(b)).data
-            for i in range(m):
-                if rows[i].tobytes() != np.matmul(a[i:i + 1], b)[0].tobytes():
-                    print(f"K={k} n={n} rows={m}: row {i} differs")
+for k, n in ((128, 512), (356, 512), (256, 128), (384, 256), (128, 5000),
+             (600, 2400), (600, 5000), (228, 512), (1800, 600)):
+    b = rng.uniform(-1, 1, (k, n))
+    for m in (1, 15, 16, 17, 40, 89):
+        a = rng.uniform(-1, 1, (m, k))
+        with T.batch_invariant():
+            rows = T.matmul(T.Tensor(a), T.Tensor(b)).data
+        for i in range(m):
+            alone = np.zeros((T.CHUNK_ROWS, k))
+            alone[0] = a[i]
+            if rows[i].tobytes() != np.matmul(alone, b)[0].tobytes():
+                print(f"K={k} N={n} rows={m}: row {i} differs")
 """
 
 
@@ -508,24 +510,25 @@ class TestNoGrad:
             with pytest.raises(NumericsError, match="'mul'"):
                 T.mul(Tensor([np.inf]), 0.0)
 
-    def test_row_by_row_matmul_equals_one_row_products(self):
-        # The reference is numpy's own one-row product, so it runs under one
-        # BLAS thread, in a child process: with more threads OpenBLAS splits
-        # a wide one-row product between them, and where the split falls
-        # moves the reference's own last bits.
+    def test_batch_invariant_rows_equal_each_row_alone_in_a_chunk(self):
+        # The reference is numpy's own product of one padded chunk, so it
+        # runs under one BLAS thread, in a child process: with more threads
+        # OpenBLAS may split a wide chunk between them, and where the split
+        # falls moves the reference's own last bits.
         env = {**os.environ, "PYTHONPATH": str(Path(T.__file__).parents[2]),
                **{v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                    "MKL_NUM_THREADS")}}
-        proc = subprocess.run([sys.executable, "-c", ONE_ROW_PRODUCTS], env=env,
+        proc = subprocess.run([sys.executable, "-c", CHUNK_PRODUCTS], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == ""
 
-    def test_row_by_row_rows_do_not_depend_on_the_batch(self):
-        # one block at 7x130 @ 130x300; four blocks at 10x128 @ 128x5003
-        for m, k, n in ((7, 130, 300), (10, 128, 5003)):
+    def test_batch_invariant_rows_do_not_depend_on_the_batch(self):
+        # one partial chunk at 7x130 @ 130x300; two full chunks and a
+        # partial one at 37x128 @ 128x5003
+        for m, k, n in ((7, 130, 300), (37, 128, 5003)):
             a, b = RNG.uniform(-1, 1, (m, k)), RNG.uniform(-1, 1, (k, n))
-            with T.row_by_row():
+            with T.batch_invariant():
                 rows = T.matmul(Tensor(a), Tensor(b)).data
                 singles = [T.matmul(Tensor(a[i:i + 1]), Tensor(b)).data[0]
                            for i in range(m)]
