@@ -97,54 +97,43 @@ def encode_triples(params: ParameterSet, batch) -> TripleEncoding:
 # -- relation classification -------------------------------------------------
 
 
-@dataclass
-class CoattentionOutput:
-    a_h: Tensor       # [B, Lp, Lr] passage positions attending over the triple
-    a_r: Tensor       # [B, Lr, Lp] triple rows attending over the passage
-    r_hat: Tensor     # [B, Lr, 4d] co-dependent triple context
-
-
 def coattend(r: Tensor, r_mask: np.ndarray, h_hat: Tensor,
-             h_mask: np.ndarray) -> CoattentionOutput:
+             h_mask: np.ndarray) -> Tensor:
     """Affinity-shared bidirectional attention between triple rows and the
-    self-matched passage; each triple row gathers [passage; triple-summary]
-    pairs weighted by its passage attention."""
+    self-matched passage; returns the co-dependent triple context r_hat
+    [B, Lr, 4d]. Each triple row gathers [passage; triple-summary] pairs
+    weighted by its passage attention."""
     aff = T.matmul(r, T.swapaxes(h_hat, -1, -2))          # [B, Lr, Lp]
     a_r = T.softmax(aff, axis=-1, mask=h_mask[:, None, :])
     a_h = T.softmax(T.swapaxes(aff, -1, -2), axis=-1, mask=r_mask[:, None, :])
     ctx = T.matmul(a_h, r)                                # [B, Lp, 2d]
     stacked = T.concat([h_hat, ctx], axis=-1)             # [B, Lp, 4d]
-    r_hat = T.matmul(a_r, stacked)                        # [B, Lr, 4d]
-    return CoattentionOutput(a_h=a_h, a_r=a_r, r_hat=r_hat)
-
-
-@dataclass
-class RelationPrediction:
-    y_r: Tensor           # [B, 6]
-    labels: np.ndarray    # [B] argmax ids
+    return T.matmul(a_r, stacked)                         # [B, Lr, 4d]
 
 
 def classify_relation(params: ParameterSet, r_hat: Tensor,
-                      r_mask: np.ndarray) -> RelationPrediction:
-    """Masked mean pool over triple rows, one affine layer, softmax."""
+                      r_mask: np.ndarray) -> Tensor:
+    """Relation probabilities y_r [B, 6]: masked mean pool over triple rows,
+    one affine layer, softmax. A relation is read as their argmax."""
     nb = r_hat.shape[0]
     counts = r_mask.sum(axis=1, keepdims=True).astype(np.float64)
     weights = (r_mask / counts)[:, None, :]               # [B, 1, Lr]
     pooled = T.reshape(T.matmul(weights, r_hat), (nb, r_hat.shape[-1]))
-    y_r = T.softmax(linear(params, "rc.out", pooled), axis=-1)
-    return RelationPrediction(y_r=y_r, labels=np.argmax(y_r.data, axis=-1))
+    return T.softmax(linear(params, "rc.out", pooled), axis=-1)
 
 
-def rc_loss(pred: RelationPrediction, gold: np.ndarray) -> Tensor:
+def rc_loss(y_r: Tensor, gold: np.ndarray) -> Tensor:
     """Negative log-probability of the gold relation label, mean over the batch."""
-    picked = T.gather_last(pred.y_r, gold)
+    picked = T.gather_last(y_r, gold)
     return T.mul(T.mean(T.log(T.clamp_min(picked, PROB_FLOOR))), -1.0)
 
 
 def rc_forward(params: ParameterSet, enc: EncoderOutput, trip: TripleEncoding
-               ) -> tuple[CoattentionOutput, RelationPrediction]:
-    co = coattend(trip.r, trip.r_mask, enc.h_hat, enc.mask)
-    return co, classify_relation(params, co.r_hat, trip.r_mask)
+               ) -> Tensor:
+    """Relation probabilities y_r [B, 6] of the triple rows co-attended
+    against the self-matched passage."""
+    r_hat = coattend(trip.r, trip.r_mask, enc.h_hat, enc.mask)
+    return classify_relation(params, r_hat, trip.r_mask)
 
 
 # -- tail generation ----------------------------------------------------------

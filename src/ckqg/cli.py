@@ -285,8 +285,8 @@ def loss_closures(params, batch) -> dict:
     def f_lr():
         enc = qg_model.encode_passage(params, batch)
         trip = aux_tasks.encode_triples(params, batch)
-        _, pred = aux_tasks.rc_forward(params, enc, trip)
-        return aux_tasks.rc_loss(pred, batch.relation_ids)
+        return aux_tasks.rc_loss(aux_tasks.rc_forward(params, enc, trip),
+                                 batch.relation_ids)
 
     def f_lt():
         enc = qg_model.encode_passage(params, batch)

@@ -339,13 +339,12 @@ def _triple_from_json(raw: dict, passage: list[str], question: list[str],
     head, relation, tail = raw["head"], raw["relation"], raw["tail"]
     if relation not in kb.RELATION_IDS:
         raise ValidationError(f"{where}: unknown relation '{relation}'")
-    hp = kb.find_span(tuple(head.split()), passage)
-    tp = kb.find_span(tuple(tail.split()), question)
-    if hp is None or tp is None:
+    if (kb.find_span(tuple(head.split()), passage) is None
+            or kb.find_span(tuple(tail.split()), question) is None):
         raise ValidationError(
             f"{where}: triple ({head!r}, {relation}, {tail!r}) does not align with its sample")
     triple = KnowledgeTriple(head, relation, tail, raw.get("source", "ConceptNet"))
-    return AlignedTriple(triple, hp, tp, raw.get("swapped", False))
+    return AlignedTriple(triple, raw.get("swapped", False))
 
 
 def load_dataset(path: str | Path) -> list[TrainingSample]:

@@ -59,14 +59,10 @@ class KnowledgeTriple:
 
 @dataclass(frozen=True)
 class AlignedTriple:
-    """A kept triple with its match locations.
-
-    head_positions index into the passage, tail_positions into the question;
-    swapped records that the stored orientation reverses the KB entry.
+    """A kept triple, stored with its head in the passage and its tail in the
+    question; swapped records that this orientation reverses the KB entry.
     """
     triple: KnowledgeTriple
-    head_positions: tuple[int, ...]
-    tail_positions: tuple[int, ...]
     swapped: bool = False
 
 
@@ -231,16 +227,13 @@ def align_filter(candidates: list[KnowledgeTriple], passage_tokens: list[str],
     for cand in candidates:
         head_toks = concept_tokens(cand.head)
         tail_toks = concept_tokens(cand.tail)
-        hp = find_span(head_toks, passage_tokens)
-        tp = find_span(tail_toks, question_tokens)
-        if hp is not None and tp is not None:
-            kept.append(AlignedTriple(cand, hp, tp, swapped=False))
-            continue
-        hp = find_span(tail_toks, passage_tokens)
-        tp = find_span(head_toks, question_tokens)
-        if hp is not None and tp is not None:
+        if (find_span(head_toks, passage_tokens) is not None
+                and find_span(tail_toks, question_tokens) is not None):
+            kept.append(AlignedTriple(cand, swapped=False))
+        elif (find_span(tail_toks, passage_tokens) is not None
+                and find_span(head_toks, question_tokens) is not None):
             flipped = KnowledgeTriple(cand.tail, cand.relation, cand.head, cand.source)
-            kept.append(AlignedTriple(flipped, hp, tp, swapped=True))
+            kept.append(AlignedTriple(flipped, swapped=True))
     return kept
 
 

@@ -453,37 +453,25 @@ def swapaxes(x: Tensor, a1: int, a2: int) -> Tensor:
 # -- reductions ---------------------------------------------------------------
 
 
-def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(x: Tensor, axis: int | None = None) -> Tensor:
     x = _coerce(x)
-    data = np.sum(x.data, axis=axis, keepdims=keepdims)
+    data = np.sum(x.data, axis=axis)
 
     def backward(g):
-        if axis is None:
-            x._accumulate(np.broadcast_to(g, x.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            x._accumulate(np.broadcast_to(gg, x.shape).copy())
+        gg = g if axis is None else np.expand_dims(g, axis)
+        x._accumulate(np.broadcast_to(gg, x.shape).copy())
 
     return Tensor._from_op(np.asarray(data), (x,), backward, "sum")
 
 
-def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def mean(x: Tensor, axis: int | None = None) -> Tensor:
     x = _coerce(x)
-    data = np.mean(x.data, axis=axis, keepdims=keepdims)
-    if axis is None:
-        count = x.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= x.shape[ax]
+    data = np.mean(x.data, axis=axis)
+    count = x.size if axis is None else x.shape[axis]
 
     def backward(g):
-        if axis is None:
-            x._accumulate(np.broadcast_to(g / count, x.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            x._accumulate(np.broadcast_to(gg / count, x.shape).copy())
+        gg = g if axis is None else np.expand_dims(g, axis)
+        x._accumulate(np.broadcast_to(gg / count, x.shape).copy())
 
     return Tensor._from_op(np.asarray(data), (x,), backward, "mean")
 
@@ -647,7 +635,7 @@ def lstm_sequence(xs: Tensor, lengths: np.ndarray, w: Tensor, b: Tensor,
         _check_finite(z, "lstm_sequence")
         a = _sigmoid(z)
         a[:, 2 * hidden:3 * hidden] = np.tanh(z[:, 2 * hidden:3 * hidden])
-        i, f, g, o = np.split(a, 4, axis=1)
+        i, f, g, o = (a[:, k * hidden:(k + 1) * hidden] for k in range(4))
         c_new = f * c + i * g
         m = valid[:, t]
         c = np.where(m, c_new, c)
@@ -664,7 +652,7 @@ def lstm_sequence(xs: Tensor, lengths: np.ndarray, w: Tensor, b: Tensor,
         return prev
 
     def backward(g_out):
-        i, f, g, o = np.split(gates, 4, axis=2)
+        i, f, g, o = (gates[:, :, k * hidden:(k + 1) * hidden] for k in range(4))
         tc = np.tanh(cells)   # equals tanh of the new cell on real steps
         # partial derivatives of c by the i, f, g pre-activations, of h by the
         # o pre-activation and of h by c; zero on pad steps, which add nothing

@@ -304,7 +304,6 @@ def sequence_nll(steps: list[Tensor], target_ids: np.ndarray,
 class BeamHypothesis:
     ids: list[int]        # generated ids, extended vocabulary, no BOS/EOS
     score: float          # length-normalized log probability
-    logprob: float        # raw summed log probability
 
 
 def _reorder_state(state: DecoderState, rows: list[int]) -> DecoderState:
@@ -353,17 +352,18 @@ def beam_search_group(params: ParameterSet, prefix: str, memories: list[DecodeMe
     shares the group.
 
     Scores are summed log probabilities normalized by length**length_penalty
-    at finishing time; candidate ordering breaks ties toward lower token ids,
-    which makes beam=1 reproduce greedy decoding exactly.
+    at finishing time; a finished hypothesis keeps only (score, ids), and a
+    sample's result is its best score, a tie going to the larger negated ids.
+    Candidate ordering breaks ties toward lower token ids, which makes
+    beam=1 reproduce greedy decoding exactly.
     """
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
     if any(m.enc.mask.shape[0] != 1 for m in memories):
         raise T.ShapeError("a decode memory holds one sample")
-    # per sample: live (ids, log probability) pairs and finished
-    # (score, logp, ids) triples
+    # per sample: live (ids, log probability) and finished (score, ids) pairs
     live: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in memories]
-    done: list[list[tuple[float, float, tuple[int, ...]]]] = [[] for _ in memories]
+    done: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in memories]
     with T.no_grad(), T.batch_invariant():
         state = init_decoder_state(params, prefix,
                                    T.concat([m.init_source for m in memories], axis=0))
@@ -386,7 +386,7 @@ def beam_search_group(params: ParameterSet, prefix: str, memories: list[DecodeMe
                                              _best_candidates(lp, logp, rank, beam))):
                     ids = hyps[row][0]
                     if tok == EOS:
-                        done[i].append((total / (len(ids) + 1) ** length_penalty, total, ids))
+                        done[i].append((total / (len(ids) + 1) ** length_penalty, ids))
                     else:
                         live[i].append((ids + (tok,), total))
                         kept.append(lo + row)
@@ -396,9 +396,9 @@ def beam_search_group(params: ParameterSet, prefix: str, memories: list[DecodeMe
     results = []
     for hyps, finished in zip(live, done):
         for ids, logp in hyps:
-            finished.append((logp / max(len(ids), 1) ** length_penalty, logp, ids))
-        norm, raw, ids = max(finished, key=lambda d: (d[0], tuple(-i for i in d[2])))
-        results.append(BeamHypothesis(ids=list(ids), score=norm, logprob=raw))
+            finished.append((logp / max(len(ids), 1) ** length_penalty, ids))
+        score, ids = max(finished, key=lambda d: (d[0], tuple(-i for i in d[1])))
+        results.append(BeamHypothesis(ids=list(ids), score=score))
     return results
 
 

@@ -26,7 +26,7 @@ from . import aux_tasks, metrics, qg_model
 from .config import Config
 from .corpus import (RESERVED, Batch, TagVocab, TrainingSample, ValidationError,
                      Vocabulary, build_tag_vocabs, build_vocab, check_tags,
-                     encode_batch)
+                     encode_batch, sample_key)
 from .nn import tensor as T
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .nn.optim import Adam
@@ -77,8 +77,8 @@ def unified_forward(params: ParameterSet, batch: Batch, *,
     if no_rc:
         l_r = _zero()
     else:
-        _, pred = aux_tasks.rc_forward(params, enc, trip)
-        l_r = aux_tasks.rc_loss(pred, batch.relation_ids)
+        y_r = aux_tasks.rc_forward(params, enc, trip)
+        l_r = aux_tasks.rc_loss(y_r, batch.relation_ids)
     if no_tg:
         l_t = _zero()
     else:
@@ -337,14 +337,15 @@ def generate(params: ParameterSet, samples: list[TrainingSample],
     caller reads their results in group order. Every result is bit for bit
     what the sample gives decoded alone, on any lane: the lane count sets no
     BLAS thread count. A group that raises an error is decoded again one
-    sample at a time, to find the sample that fails. Once a group fails, or
-    the caller is interrupted, no group that has not started begins, and the
-    caller raises the first failure in group order once the running groups
-    end.
+    sample at a time, to find the sample that fails; a NumericsError there
+    is raised again naming that sample's key and index. Once a group fails,
+    or the caller is interrupted, no group that has not started begins, and
+    the caller raises the first failure in group order once the running
+    groups end.
     """
     lanes = decode_lanes(len(samples), decode_step_work(params, beam))
     size = max(1, min(MAX_GROUP, -(-len(samples) // lanes)))
-    groups = [samples[lo:lo + size] for lo in range(0, len(samples), size)]
+    starts = range(0, len(samples), size)
     stop = threading.Event()
 
     def encode(sample: TrainingSample) -> tuple[qg_model.DecodeMemory, list[str]]:
@@ -361,16 +362,23 @@ def generate(params: ParameterSet, samples: list[TrainingSample],
                                           max_len=config.max_len,
                                           length_penalty=config.length_penalty)
 
-    def decode(group: list[TrainingSample]) -> list[tuple[list[str], float]]:
+    def alone(index: int, memory: qg_model.DecodeMemory) -> qg_model.BeamHypothesis:
+        try:
+            return search([memory])[0]
+        except T.NumericsError as e:
+            raise T.NumericsError(f"sample {sample_key(samples[index], index)} "
+                                  f"(index {index}): {e}") from e
+
+    def decode(lo: int) -> list[tuple[list[str], float]]:
         if stop.is_set():   # the caller raises the error that set it
             return []
         try:
             with T.no_grad():   # tape modes are per thread
-                memories, oovs = zip(*map(encode, group))
+                memories, oovs = zip(*map(encode, samples[lo:lo + size]))
                 try:
                     hyps = search(list(memories))
                 except Exception:   # not an interrupt: find the sample that fails
-                    hyps = [hyp for memory in memories for hyp in search([memory])]
+                    hyps = [alone(i, memory) for i, memory in enumerate(memories, lo)]
             return [(vocab.decode_ids(hyp.ids, oov), hyp.score)
                     for hyp, oov in zip(hyps, oovs)]
         except BaseException:
@@ -378,10 +386,10 @@ def generate(params: ParameterSet, samples: list[TrainingSample],
             raise
 
     if lanes == 1:
-        return [row for group in groups for row in decode(group)]
+        return [row for lo in starts for row in decode(lo)]
     with ThreadPoolExecutor(lanes) as pool:
         try:
-            futures = [pool.submit(decode, group) for group in groups]
+            futures = [pool.submit(decode, lo) for lo in starts]
             return [row for future in futures for row in future.result()]
         except BaseException:   # an interrupt while submitting or waiting too
             stop.set()
@@ -517,7 +525,11 @@ def train(equipped: list[TrainingSample], pure: list[TrainingSample],
         dev_score: float | None = None
         at_eval = step % config.eval_every == 0 or step == len(schedule)
         if at_eval and dev:
-            dev_score = evaluate_dev(params, dev, vocab, tag_vocabs, config)
+            try:
+                dev_score = evaluate_dev(params, dev, vocab, tag_vocabs, config)
+            except T.NumericsError as e:
+                raise T.NumericsError(
+                    f"dev evaluation after step {step} ({phase} phase): {e}") from e
             if dev_score > best_score:
                 best_score, best_step = dev_score, step
             _save_ring_entry(ring, best_step, params, step, out_dir, config.ckpt_keep)

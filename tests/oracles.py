@@ -29,19 +29,6 @@ def contains_contiguous(concept: str, tokens: list[str]) -> bool:
     return len(toks) > 0 and " ".join(toks) in windows(list(tokens), len(toks))
 
 
-def first_window(concept: str, tokens: list[str]) -> tuple[int, ...] | None:
-    """Positions of the first contiguous occurrence of concept, or None."""
-    toks = concept_tokens(concept)
-    if not toks:
-        return None
-    wins = windows(list(tokens), len(toks))
-    joined = " ".join(toks)
-    if joined not in wins:
-        return None
-    start = wins.index(joined)
-    return tuple(range(start, start + len(toks)))
-
-
 def brute_force_extract(passage, question, stores, stopwords=frozenset()):
     """Scan every triple in every store against both orientations.
 
@@ -248,13 +235,13 @@ def reference_beam_search(params, prefix, memory, *, beam, max_len, length_penal
             for total, ids, tok, nstate in cands[:beam]:
                 if tok == EOS:
                     norm = total / (len(ids) + 1) ** length_penalty
-                    done.append((norm, total, ids))
+                    done.append((norm, ids))
                 else:
                     live.append((ids + (tok,), total, nstate))
     for ids, logp, _ in live:
-        done.append((logp / max(len(ids), 1) ** length_penalty, logp, ids))
-    norm, raw, ids = max(done, key=lambda d: (d[0], tuple(-i for i in d[2])))
-    return BeamHypothesis(ids=list(ids), score=norm, logprob=raw)
+        done.append((logp / max(len(ids), 1) ** length_penalty, ids))
+    norm, ids = max(done, key=lambda d: (d[0], tuple(-i for i in d[1])))
+    return BeamHypothesis(ids=list(ids), score=norm)
 
 
 def reference_teacher_forced_steps(params, prefix, memory, target_ids, target_lengths):

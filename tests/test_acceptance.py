@@ -68,10 +68,8 @@ def make_sample(text, question, span, sid, head, rel, tail):
     toks = text.split()
     q = question.split()
     pos, ner = coarse_tags(toks)
-    hp = tuple(i for i, t in enumerate(toks) if t == head)[:1]
-    tp = tuple(i for i, t in enumerate(q) if t == tail)[:1]
-    assert hp and tp, (sid, head, tail)
-    trip = AlignedTriple(KnowledgeTriple(head, rel, tail, "ConceptNet"), hp, tp)
+    assert head in toks and tail in q, (sid, head, tail)
+    trip = AlignedTriple(KnowledgeTriple(head, rel, tail, "ConceptNet"))
     return TrainingSample(passage=toks, answer_span=span, pos_tags=pos,
                           ner_tags=ner, question=q, triples=[trip],
                           sample_id=sid)
@@ -127,9 +125,7 @@ def random_equipped_sample(rng, sid):
     hi = int(rng.integers(plen))
     ti = int(rng.integers(qlen))
     rel = RELATIONS[int(rng.integers(len(RELATIONS)))]
-    trip = AlignedTriple(
-        KnowledgeTriple(passage[hi], rel, question[ti], "ConceptNet"),
-        (hi,), (ti,))
+    trip = AlignedTriple(KnowledgeTriple(passage[hi], rel, question[ti], "ConceptNet"))
     lo = int(rng.integers(plen))
     hi2 = int(rng.integers(lo, plen))
     pos, ner = coarse_tags(passage)
@@ -473,8 +469,7 @@ def rc_sample(head, rel, tail, sid):
     toks = ["the", head, "sits", "near", "the", "gate"]
     q = ["what", "sits", "near", "the", tail, "?"]
     pos, ner = coarse_tags(toks)
-    trip = AlignedTriple(KnowledgeTriple(head, rel, tail, "ConceptNet"),
-                         (1,), (4,))
+    trip = AlignedTriple(KnowledgeTriple(head, rel, tail, "ConceptNet"))
     return TrainingSample(passage=toks, answer_span=(1, 1), pos_tags=pos,
                           ner_tags=ner, question=q, triples=[trip],
                           sample_id=sid)
@@ -507,15 +502,14 @@ def test_10_relation_classification_separability():
         def accuracy(batch):
             enc = QG.encode_passage(params, batch)
             trip = AX.encode_triples(params, batch)
-            _, pred = AX.rc_forward(params, enc, trip)
-            return ME.rc_accuracy(list(pred.labels), list(batch.relation_ids))
+            y_r = AX.rc_forward(params, enc, trip)
+            return ME.rc_accuracy(list(np.argmax(y_r.data, -1)), list(batch.relation_ids))
 
         train_acc = 0.0
         for step in range(1, 1001):
             enc = QG.encode_passage(params, tb)
             trip = AX.encode_triples(params, tb)
-            _, pred = AX.rc_forward(params, enc, trip)
-            loss = AX.rc_loss(pred, tb.relation_ids)
+            loss = AX.rc_loss(AX.rc_forward(params, enc, trip), tb.relation_ids)
             params.zero_grads()
             loss.backward()
             opt.step()

@@ -32,11 +32,8 @@ def make_sample(text, question, span, sid, triple=None):
 
 def build_setup(seed: int = 0, hidden: int = 3, layers: int = 2):
     t1 = AlignedTriple(
-        triple=KnowledgeTriple("council", "RelatedTo", "governing bodies", "ConceptNet"),
-        head_positions=(1,), tail_positions=(1, 2))
-    t2 = AlignedTriple(
-        triple=KnowledgeTriple("harbor", "Synonymy", "port", "ConceptNet"),
-        head_positions=(1,), tail_positions=(4,))
+        triple=KnowledgeTriple("council", "RelatedTo", "governing bodies", "ConceptNet"))
+    t2 = AlignedTriple(triple=KnowledgeTriple("harbor", "Synonymy", "port", "ConceptNet"))
     s1 = make_sample("the council of the union has veto power",
                      "which governing bodies hold veto power ?", (6, 7), "a", t1)
     s2 = make_sample("the harbor was busy at dawn",
@@ -123,11 +120,6 @@ def test_encode_triples_requires_triples():
 # Frozen from a scalar-loop recomputation on fixed 2-row/3-row inputs.
 CO_R = [[1.0, 0.0], [0.5, -0.5]]
 CO_H = [[0.2, 0.4], [-0.3, 0.1], [0.6, -0.2]]
-CO_A_R = [[0.3227518746765162, 0.1957589074710366, 0.481489217852447],
-          [0.2814080440460307, 0.25462852798915997, 0.4639634279648094]]
-CO_A_H = [[0.574442516811659, 0.425557483188341],
-          [0.47502081252106, 0.5249791874789399],
-          [0.5498339973124778, 0.4501660026875221]]
 CO_R_HAT = [[0.2947162334054605, 0.052378797047220746,
              0.7715655478973276, -0.22843445210267221],
             [0.2582711071913438, 0.045233384824366396,
@@ -135,45 +127,42 @@ CO_R_HAT = [[0.2947162334054605, 0.052378797047220746,
 
 
 def test_coattend_hand_case():
-    co = A.coattend(Tensor(np.array([CO_R])), np.ones((1, 2), dtype=bool),
-                    Tensor(np.array([CO_H])), np.ones((1, 3), dtype=bool))
-    assert np.allclose(co.a_r.data[0], CO_A_R, atol=1e-12)
-    assert np.allclose(co.a_h.data[0], CO_A_H, atol=1e-12)
-    assert np.allclose(co.r_hat.data[0], CO_R_HAT, atol=1e-12)
+    r_hat = A.coattend(Tensor(np.array([CO_R])), np.ones((1, 2), dtype=bool),
+                       Tensor(np.array([CO_H])), np.ones((1, 3), dtype=bool))
+    assert np.allclose(r_hat.data[0], CO_R_HAT, atol=1e-12)
 
 
 def test_coattend_single_cell():
     r = Tensor(np.array([[[0.4, -0.7]]]))
     h = Tensor(np.array([[[1.5, 0.2]]]))
     ones = np.ones((1, 1), dtype=bool)
-    co = A.coattend(r, ones, h, ones)
-    assert np.array_equal(co.a_r.data, [[[1.0]]])
-    assert np.array_equal(co.a_h.data, [[[1.0]]])
-    assert np.array_equal(co.r_hat.data[0, 0], [1.5, 0.2, 0.4, -0.7])
+    r_hat = A.coattend(r, ones, h, ones)
+    assert np.array_equal(r_hat.data[0, 0], [1.5, 0.2, 0.4, -0.7])
 
 
 def test_coattend_zero_affinity_gives_mean_blend():
     h = Tensor(np.array([CO_H]))
     r = Tensor(np.zeros((1, 2, 2)))
-    co = A.coattend(r, np.ones((1, 2), dtype=bool), h, np.ones((1, 3), dtype=bool))
+    r_hat = A.coattend(r, np.ones((1, 2), dtype=bool), h, np.ones((1, 3), dtype=bool))
     want = np.concatenate([np.mean(CO_H, axis=0), [0.0, 0.0]])
     for i in range(2):
-        assert np.allclose(co.r_hat.data[0, i], want, atol=1e-15)
+        assert np.allclose(r_hat.data[0, i], want, atol=1e-15)
 
 
-def test_coattend_masks_and_normalization():
+def test_coattend_ignores_pad_rows():
+    # pad passage rows and pad triple rows carry exactly no attention mass:
+    # poisoning them leaves every real row of r_hat unchanged, bit for bit
     params, _, _, batch = build_setup()
     enc = M.encode_passage(params, batch)
     trip = A.encode_triples(params, batch)
-    co = A.coattend(trip.r, trip.r_mask, enc.h_hat, enc.mask)
-    assert co.r_hat.shape == (2, trip.r.shape[1], 12)
-    assert np.allclose(co.a_r.data.sum(axis=-1), 1.0, atol=1e-9)
-    assert np.allclose(co.a_h.data.sum(axis=-1), 1.0, atol=1e-9)
-    # pad passage columns and pad triple columns carry exactly no mass
-    assert np.all(co.a_r.data[:, :, ~enc.mask[0]][0] == 0.0) or enc.mask[0].all()
-    for b in range(2):
-        assert np.all(co.a_r.data[b][:, ~enc.mask[b]] == 0.0)
-        assert np.all(co.a_h.data[b][:, ~trip.r_mask[b]] == 0.0)
+    assert not enc.mask.all() and not trip.r_mask.all()
+    h_hat, r = enc.h_hat.data.copy(), trip.r.data.copy()
+    h_hat[~enc.mask] = 1e6
+    r[~trip.r_mask] = 1e6
+    a = A.coattend(trip.r, trip.r_mask, enc.h_hat, enc.mask)
+    b = A.coattend(Tensor(r), trip.r_mask, Tensor(h_hat), enc.mask)
+    assert a.shape == (2, trip.r.shape[1], 12)
+    assert a.data[trip.r_mask].tobytes() == b.data[trip.r_mask].tobytes()
 
 
 # -- relation classification ---------------------------------------------------
@@ -185,9 +174,9 @@ def test_classifier_uniform_at_zero_weights():
     params["rc.out.b"].data[:] = 0.0
     enc = M.encode_passage(params, batch)
     trip = A.encode_triples(params, batch)
-    _, pred = A.rc_forward(params, enc, trip)
-    assert pred.y_r.shape == (2, 6)
-    assert np.allclose(pred.y_r.data, 1.0 / 6.0, atol=1e-15)
+    y_r = A.rc_forward(params, enc, trip)
+    assert y_r.shape == (2, 6)
+    assert np.allclose(y_r.data, 1.0 / 6.0, atol=1e-15)
 
 
 def test_classifier_pooling_ignores_pad_rows():
@@ -199,48 +188,43 @@ def test_classifier_pooling_ignores_pad_rows():
     poisoned[~mask] = 1e6
     a = A.classify_relation(params, Tensor(base), mask)
     b = A.classify_relation(params, Tensor(poisoned), mask)
-    assert np.array_equal(a.y_r.data, b.y_r.data)
+    assert np.array_equal(a.data, b.data)
 
 
 def test_prediction_argmax_labels():
     params, _, _, batch = build_setup()
     enc = M.encode_passage(params, batch)
     trip = A.encode_triples(params, batch)
-    _, pred = A.rc_forward(params, enc, trip)
-    assert pred.labels.shape == (2,)
-    assert np.array_equal(pred.labels, np.argmax(pred.y_r.data, axis=-1))
-    assert np.allclose(pred.y_r.data.sum(axis=-1), 1.0, atol=1e-9)
-
-
-def one_hot_pred(rows):
-    return A.RelationPrediction(y_r=Tensor(np.asarray(rows)),
-                                labels=np.argmax(np.asarray(rows), axis=-1))
+    y_r = A.rc_forward(params, enc, trip)
+    labels = np.argmax(y_r.data, -1)
+    assert labels.shape == (2,) and np.all((labels >= 0) & (labels < A.N_RELATIONS))
+    assert np.allclose(y_r.data.sum(axis=-1), 1.0, atol=1e-9)
 
 
 def test_rc_loss_point_mass_zero():
-    pred = one_hot_pred([[0, 0, 1.0, 0, 0, 0]])
-    assert A.rc_loss(pred, np.array([2])).item() == 0.0
+    y_r = Tensor(np.array([[0, 0, 1.0, 0, 0, 0]]))
+    assert A.rc_loss(y_r, np.array([2])).item() == 0.0
 
 
 def test_rc_loss_uniform_ln6():
-    pred = one_hot_pred([[1 / 6] * 6])
-    assert A.rc_loss(pred, np.array([4])).item() == pytest.approx(math.log(6), abs=1e-12)
+    y_r = Tensor(np.array([[1 / 6] * 6]))
+    assert A.rc_loss(y_r, np.array([4])).item() == pytest.approx(math.log(6), abs=1e-12)
 
 
 def test_rc_loss_half_probability():
-    pred = one_hot_pred([[0.5, 0.3, 0.05, 0.05, 0.05, 0.05]])
-    assert A.rc_loss(pred, np.array([0])).item() == pytest.approx(0.6931471805599453, abs=1e-12)
+    y_r = Tensor(np.array([[0.5, 0.3, 0.05, 0.05, 0.05, 0.05]]))
+    assert A.rc_loss(y_r, np.array([0])).item() == pytest.approx(0.6931471805599453, abs=1e-12)
 
 
 def test_rc_loss_batch_mean():
-    pred = one_hot_pred([[0.5, 0.5, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]])
+    y_r = Tensor(np.array([[0.5, 0.5, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]]))
     want = (-math.log(0.5) + 0.0) / 2.0
-    assert A.rc_loss(pred, np.array([0, 1])).item() == pytest.approx(want, abs=1e-12)
+    assert A.rc_loss(y_r, np.array([0, 1])).item() == pytest.approx(want, abs=1e-12)
 
 
 def test_rc_loss_gold_out_of_range():
     with pytest.raises(T.ShapeError):
-        A.rc_loss(one_hot_pred([[1 / 6] * 6]), np.array([6]))
+        A.rc_loss(Tensor(np.array([[1 / 6] * 6])), np.array([6]))
 
 
 def test_rc_loss_grad_through_softmax():
@@ -249,8 +233,7 @@ def test_rc_loss_grad_through_softmax():
 
     def loss_fn():
         y_r = T.softmax(logits, axis=-1)
-        return A.rc_loss(A.RelationPrediction(y_r=y_r, labels=np.argmax(y_r.data, axis=-1)),
-                         np.array([1, 3]))
+        return A.rc_loss(y_r, np.array([1, 3]))
 
     report = grad_check(loss_fn, [("logits", logits)], eps=1e-6, samples_per_tensor=12)
     assert report.checked == 12
@@ -263,8 +246,7 @@ def test_rc_gradients_against_finite_differences():
     def loss_fn():
         enc = M.encode_passage(params, batch)
         trip = A.encode_triples(params, batch)
-        _, pred = A.rc_forward(params, enc, trip)
-        return A.rc_loss(pred, batch.relation_ids)
+        return A.rc_loss(A.rc_forward(params, enc, trip), batch.relation_ids)
 
     report = grad_check(loss_fn, params.items("knowledge"), eps=1e-6, samples_per_tensor=2,
                         rng=np.random.default_rng(13))

@@ -444,6 +444,26 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert f"decoding with {trained / 'model.bin'}: " in err and "'matmul'" in err
 
+    def test_overflowing_output_layer_names_the_model_and_sample(self, trained,
+                                                                  split_corpora,
+                                                                  tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(trained, model)
+        state = load_checkpoint(model / "model.bin")
+        # a saturated readout makes every u exactly 1, so each output logit
+        # sums hidden_size terms of 1e308 and overflows
+        state["dec.readout.W"][:] = 0.0
+        state["dec.readout.b"][:] = 100.0
+        state["dec.out.W"][:] = 1e308
+        save_checkpoint(model / "model.bin", state)
+        with np.errstate(over="ignore"):
+            assert main(["generate", "--model", str(model),
+                         "--corpus", split_corpora["dev"]]) == 3
+        err = capsys.readouterr().err
+        first = json.loads(Path(split_corpora["dev"]).read_text().splitlines()[0])
+        key = first.get("id", "index:0")
+        assert f"decoding with {model / 'model.bin'}: sample {key} (index 0): " in err
+
     def test_model_adopts_checkpoint_arrays_without_drawing(self, trained, monkeypatch):
         state = load_checkpoint(trained / "model.bin")
 

@@ -31,7 +31,7 @@ def make_sample(passage, question, span=(0, 0), triples=()):
 
 
 def aligned(head, rel, tail):
-    return AlignedTriple(KnowledgeTriple(head, rel, tail, "ConceptNet"), (0,), (0,), False)
+    return AlignedTriple(KnowledgeTriple(head, rel, tail, "ConceptNet"), False)
 
 
 def tag_vocabs_for(*samples):
@@ -292,8 +292,7 @@ def test_readme_corpus_example_loads(tmp_path):
 
 def test_save_load_round_trip(tmp_path):
     s = make_sample("the cat sat", "which animal sat ?", span=(1, 1))
-    s.triples = [AlignedTriple(KnowledgeTriple("cat", "IsA", "animal", "WordNet"),
-                               (1,), (1,), False)]
+    s.triples = [AlignedTriple(KnowledgeTriple("cat", "IsA", "animal", "WordNet"), False)]
     s.sample_id = "t1"
     path = tmp_path / "data.jsonl"
     save_dataset(path, [s])
@@ -305,7 +304,7 @@ def test_save_load_round_trip(tmp_path):
     assert got.sample_id == "t1"
     assert len(got.triples) == 1
     assert got.triples[0].triple == s.triples[0].triple
-    assert got.triples[0].head_positions == (1,)
+    assert got.triples[0].swapped is False
 
 
 def _write_jsonl(path, rows):

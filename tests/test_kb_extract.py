@@ -11,7 +11,7 @@ from ckqg import kb_extract as kb
 from ckqg.assets import KB_CONCEPTNET, KB_WORDNET, MINI_CORPUS, STOPWORDS, asset_path
 from ckqg.corpus import load_dataset
 
-from oracles import brute_force_extract, contains_contiguous, first_window
+from oracles import brute_force_extract, contains_contiguous
 
 
 def make_store(*rows, source="ConceptNet"):
@@ -179,7 +179,7 @@ def test_reversed_match_with_head_absent_from_passage_is_kept(tmp_path):
     stops = kb.load_stopwords(asset_path(STOPWORDS))
     got = kb.extract_for_sample(["the", "cat", "sat"], ["what", "animal", "sat"], stops, [store])
     assert got == [kb.AlignedTriple(kb.KnowledgeTriple("cat", "RelatedTo", "animal", "ConceptNet"),
-                                    (1,), (1,), swapped=True)]
+                                    swapped=True)]
 
 
 def test_reversed_match_with_stopword_only_tail_is_kept():
@@ -188,8 +188,7 @@ def test_reversed_match_with_stopword_only_tail_is_kept():
     store = make_store(("sleepy", "RelatedTo", "the"))
     got = kb.extract_for_sample(["the", "cat"], ["is", "it", "sleepy"], frozenset({"the", "is", "it"}),
                                 [store])
-    assert [(a.triple.head, a.triple.tail, a.swapped, a.head_positions, a.tail_positions)
-            for a in got] == [("the", "sleepy", True, (0,), (2,))]
+    assert [(a.triple.head, a.triple.tail, a.swapped) for a in got] == [("the", "sleepy", True)]
 
 
 def test_stopword_only_head_is_never_kept():
@@ -223,8 +222,6 @@ def test_align_keeps_only_bridging_triple():
     assert len(got) == 1
     assert got[0].triple == kb.KnowledgeTriple("council", "RelatedTo", "governing", "ConceptNet")
     assert not got[0].swapped
-    assert got[0].head_positions == (5,)
-    assert got[0].tail_positions == (1,)
 
 
 def test_align_swaps_reversed_orientation():
@@ -234,8 +231,6 @@ def test_align_swaps_reversed_orientation():
     assert got[0].triple.head == "council"
     assert got[0].triple.tail == "governing"
     assert got[0].swapped
-    assert got[0].head_positions == (1,)
-    assert got[0].tail_positions == (0,)
 
 
 def test_align_empty_candidates():
@@ -248,8 +243,7 @@ def test_align_multiword_must_be_contiguous():
     assert kb.align_filter(cand, ["parliament"], q_split) == []
     q_contig = "which legislative bodies have veto power ?".split()
     got = kb.align_filter(cand, ["parliament"], q_contig)
-    assert len(got) == 1
-    assert got[0].tail_positions == (1, 2)
+    assert got == [kb.AlignedTriple(cand[0], swapped=False)]
 
 
 def test_align_prefers_unswapped_when_both_fit():
@@ -263,7 +257,7 @@ def test_align_prefers_unswapped_when_both_fit():
 
 
 def _aligned(head, rel, tail, source="ConceptNet", swapped=False):
-    return kb.AlignedTriple(kb.KnowledgeTriple(head, rel, tail, source), (0,), (0,), swapped)
+    return kb.AlignedTriple(kb.KnowledgeTriple(head, rel, tail, source), swapped)
 
 
 # extract_for_sample merges the stores' aligned triples: one sample, and a
@@ -428,11 +422,8 @@ def _candidates(draw):
 @settings(max_examples=200)
 def test_filter_soundness(cands, passage, question):
     for a in kb.align_filter(cands, passage, question):
-        hp, tp = a.head_positions, a.tail_positions
-        assert [passage[i] for i in hp] == a.triple.head.split()
-        assert [question[i] for i in tp] == a.triple.tail.split()
-        assert list(hp) == list(range(hp[0], hp[0] + len(hp)))
-        assert list(tp) == list(range(tp[0], tp[0] + len(tp)))
+        assert contains_contiguous(a.triple.head, passage)
+        assert contains_contiguous(a.triple.tail, question)
 
 
 @given(_candidates(), _TOKENS, _TOKENS)
@@ -503,16 +494,13 @@ def _two_dumps(draw):
 @settings(max_examples=300)
 def test_extraction_equals_brute_force_on_random_stores(dumps, passage, question):
     """Stores scoped to the sample's tokens extract exactly what full ones
-    do: the same triples in the same order, with source, swapped flag and
-    positions."""
+    do: the same triples in the same order, with source and swapped flag."""
     stops = frozenset({"the"})
     full = [_load_lines(lines, source) for source, lines in dumps]
     scoped = [_load_lines(lines, source, {*passage, *question}) for source, lines in dumps]
-    want = [(*t, first_window(t[0], passage), first_window(t[2], question))
-            for t in brute_force_extract(passage, question, full, stops)]
+    want = brute_force_extract(passage, question, full, stops)
     for stores in (full, scoped):
-        got = [(a.triple.head, a.triple.relation, a.triple.tail, a.triple.source, a.swapped,
-                a.head_positions, a.tail_positions)
+        got = [(a.triple.head, a.triple.relation, a.triple.tail, a.triple.source, a.swapped)
                for a in kb.extract_for_sample(passage, question, stops, stores)]
         assert got == want
 

@@ -397,7 +397,7 @@ def test_beam_output_well_formed():
     assert len(hyp.ids) <= 8
     assert all(0 <= i < batch.extended_size for i in hyp.ids)
     assert EOS not in hyp.ids
-    assert math.isfinite(hyp.score) and hyp.logprob <= 0.0
+    assert math.isfinite(hyp.score) and hyp.score <= 0.0
 
 
 def test_generation_rejects_multi_sample_batches():
@@ -427,9 +427,7 @@ def oracle_world(seed: int, hidden: int, scale: float = 1.0):
                      "what did the red fox jump over ?", (6, 7), "a")
     s2 = make_sample("a kraken rose from the deep sea near the dog",
                      "what did the kraken rise from ?", (5, 6), "b")
-    s2.triples.append(AlignedTriple(
-        triple=KnowledgeTriple("sea", "RelatedTo", "kraken", "ConceptNet"),
-        head_positions=(6,), tail_positions=(3,)))
+    s2.triples.append(AlignedTriple(KnowledgeTriple("sea", "RelatedTo", "kraken", "ConceptNet")))
     vocab = build_vocab([s1])
     tags = build_tag_vocabs([s1, s2])
     cfg = Config(emb_dim=5, feat_dim=2, hidden_size=hidden, layers=2)
@@ -445,7 +443,7 @@ def assert_beam_matches_reference(params, batch, kmem, beam, max_len=8):
     want = reference_beam_search(*args, beam=beam, max_len=max_len,
                                  length_penalty=0.9)
     assert got.ids == want.ids
-    assert got.score == want.score and got.logprob == want.logprob
+    assert got.score == want.score
     return got
 
 
@@ -564,9 +562,7 @@ def split_output_world(seed: int, question: str = "what did the kraken rise from
     ``dec.out.W`` is 4,101 columns wide, as wide as a real vocabulary's. The
     word vocabulary holds the passage's first five tokens only."""
     s = make_sample("a kraken rose from the deep sea near the dog", question, (5, 6), "b")
-    s.triples.append(AlignedTriple(
-        triple=KnowledgeTriple("sea", "RelatedTo", "kraken", "ConceptNet"),
-        head_positions=(6,), tail_positions=(3,)))
+    s.triples.append(AlignedTriple(KnowledgeTriple("sea", "RelatedTo", "kraken", "ConceptNet")))
     vocab = Vocabulary([f"w{i}" for i in range(4096)] + s.passage[:5])
     tags = build_tag_vocabs([s])
     cfg = Config(emb_dim=5, feat_dim=2, hidden_size=64, layers=2)

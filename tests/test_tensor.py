@@ -224,7 +224,7 @@ class TestGradients:
     def test_sum_mean_grad(self):
         x = rand_tensor(3, 4)
         fd_check(lambda: T.add(T.add(T.sum_(T.mul(x, x)), T.sum_(T.mean(x, axis=0))),
-                               scalarize(T.mean(x, axis=1, keepdims=False))), [x])
+                               scalarize(T.mean(x, axis=1))), [x])
 
     def test_embedding_grad_accumulates_duplicates(self):
         w = rand_tensor(5, 3)

@@ -39,12 +39,8 @@ def make_sample(text, question, span, sid, triple=None):
 
 def equipped_samples():
     t1 = AlignedTriple(
-        triple=KnowledgeTriple("council", "RelatedTo", "governing bodies",
-                               "ConceptNet"),
-        head_positions=(1,), tail_positions=(1, 2))
-    t2 = AlignedTriple(
-        triple=KnowledgeTriple("harbor", "Synonymy", "port", "ConceptNet"),
-        head_positions=(1,), tail_positions=(4,))
+        triple=KnowledgeTriple("council", "RelatedTo", "governing bodies", "ConceptNet"))
+    t2 = AlignedTriple(triple=KnowledgeTriple("harbor", "Synonymy", "port", "ConceptNet"))
     return [
         make_sample("the council of the union has veto power",
                     "which governing bodies hold veto power ?", (6, 7), "e1", t1),
@@ -136,8 +132,7 @@ class TestForward:
         steps = M.teacher_forced_steps(params, "dec", memory, batch.question_ids,
                                        batch.question_lengths)
         l_q = M.sequence_nll(steps, batch.question_ids, batch.question_lengths)
-        _, pred = A.rc_forward(params, enc, trip)
-        l_r = A.rc_loss(pred, batch.relation_ids)
+        l_r = A.rc_loss(A.rc_forward(params, enc, trip), batch.relation_ids)
         tg_steps = A.tg_teacher_steps(params, enc, trip, batch)
         l_t = M.sequence_nll(tg_steps, batch.tail_gen_ids, batch.tail_gen_lengths)
 
@@ -547,6 +542,21 @@ class TestTrainLoop:
         with pytest.raises(T.NumericsError, match=r"step 1 \(Equipped"):
             TR.train(equipped_samples(), pure_samples(), [], tiny_config(itf_n=3),
                      out_dir=tmp_path)
+
+    def test_dev_failure_names_the_step_and_phase(self, tmp_path, monkeypatch):
+        # dev decoding runs after the step's update, outside the forward and
+        # backward pass, yet its failure still names the step and phase
+        def overflowing(*args, **kwargs):
+            raise T.NumericsError("non-finite values produced by op 'matmul'")
+
+        monkeypatch.setattr(M, "beam_search_group", overflowing)
+        cfg = tiny_config(itf_n=2, itf_cycles=1, eval_every=3)
+        with pytest.raises(T.NumericsError) as info:
+            TR.train(equipped_samples(), pure_samples(), pure_samples()[:1], cfg,
+                     out_dir=tmp_path)
+        message = str(info.value)
+        assert message.startswith(f"dev evaluation after step 3 ({TR.PURE} phase): ")
+        assert message.endswith("non-finite values produced by op 'matmul'")
 
     def test_nan_gradient_stops_before_adam_and_names_the_parameter(self, tmp_path,
                                                                    monkeypatch):
