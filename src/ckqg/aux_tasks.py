@@ -144,6 +144,22 @@ def unified_memory(params: ParameterSet, trip: TripleEncoding) -> KnowledgeMemor
     return make_memory(params, "know.Wq", trip.k, trip.k_mask)
 
 
+def unified_memories(params: ParameterSet, batch) -> list[KnowledgeMemory]:
+    """Each sample's unified_memory at its own width, from one encode_triples
+    pass over the batch: sample i's rows are ``[t_i[:lh+1]; r_i[:lh+1+lt]]``
+    for its head and tail lengths lh and lt. Inside ``T.batch_invariant()``
+    every value equals, bit for bit, that of unified_memory over a batch of
+    the sample alone. The slices start no tape: this serves decoding."""
+    trip = encode_triples(params, batch)
+    memories = []
+    for i, (lh, lt) in enumerate(zip(batch.head_lengths.tolist(),
+                                     batch.tail_lengths.tolist())):
+        k = np.concatenate([trip.t.data[i, :lh + 1], trip.r.data[i, :lh + 1 + lt]])
+        memories.append(make_memory(params, "know.Wq", Tensor(k[None]),
+                                    np.ones((1, len(k)), bool)))
+    return memories
+
+
 def tg_memory(params: ParameterSet, trip: TripleEncoding) -> KnowledgeMemory:
     """Head-relation memory for the tail decoder."""
     return make_memory(params, "tg.Wk", trip.t, trip.t_mask)

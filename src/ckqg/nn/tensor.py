@@ -81,7 +81,9 @@ def no_grad():
 def batch_invariant():
     """Within the block (in this thread) a 2-D matmul computes each row of
     its output from that row alone, bit for bit, whatever other rows share
-    the batch (see ``_product``). Backward products are not affected."""
+    the batch (see ``_product``). So does ``lstm_sequence``: a sample's
+    states do not depend on the other samples of its batch or on its
+    padding. Backward products are not affected."""
     return _set_mode("batch_invariant", True)
 
 
@@ -236,7 +238,10 @@ def mul(a, b) -> Tensor:
 
 
 # Rows of every product that a 2-D matmul runs inside batch_invariant().
-CHUNK_ROWS = 16
+# At 16 rows, one BLAS thread gave rows 12-15 of a chunk other bits than the
+# same row alone in the last N % 8 columns (N = 300 at K >= 228, 4101,
+# 5003); at 8 rows no row differed, at one or two threads.
+CHUNK_ROWS = 8
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -246,8 +251,10 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     so a row's last bits would otherwise depend on how many rows share it;
     every chunk has one shape, and within a chunk a row's bits depend on
     neither the other rows nor its place. So each row equals that row padded
-    alone to one chunk. At more than one BLAS thread OpenBLAS may split a
-    wide chunk between them, and the bits can then depend on the thread count."""
+    alone to one chunk. Matmul, the fused output layer of gold_mixture_prob
+    and both products of lstm_sequence run through it. At more than one BLAS
+    thread OpenBLAS may split a wide chunk between them, and the bits can
+    then depend on the thread count. Outside the mode it is ``np.matmul``."""
     if not (_mode.batch_invariant and a.ndim == 2 and b.ndim == 2):
         return np.matmul(a, b)
     (rows, k), pad = a.shape, -a.shape[0] % CHUNK_ROWS
@@ -606,7 +613,10 @@ def lstm_sequence(xs: Tensor, lengths: np.ndarray, w: Tensor, b: Tensor,
     i, f, g, o, and ``b`` is [4h]. The input projection of every step is one
     product; only ``h @ W_h`` and the gates run per step. A pad step
     (position >= length) carries the previous state, so H at the last step
-    (forward) or the first (reverse) is each sample's final state. The
+    (forward) or the first (reverse) is each sample's final state, and the
+    reverse direction runs from zeros across the pads. Both products run
+    through ``_product``, so inside ``batch_invariant()`` a sample's rows of
+    H equal those of the sample encoded alone at its own length. The
     backward pass is masked backpropagation through time: it collects the
     gate gradients of all steps, then forms the weight, bias and input
     gradients with one product or sum each.
@@ -623,14 +633,14 @@ def lstm_sequence(xs: Tensor, lengths: np.ndarray, w: Tensor, b: Tensor,
     valid = length_mask(lengths, nl)[:, :, None]
     steps = range(nl - 1, -1, -1) if reverse else range(nl)
     x2d = xs.data.reshape(nb * nl, dim)
-    zx = (x2d @ w_x).reshape(nb, nl, 4 * hidden) + b.data
+    zx = _product(x2d, w_x).reshape(nb, nl, 4 * hidden) + b.data
     gates = np.empty((nb, nl, 4 * hidden))   # activated i, f, g, o
     cells = np.empty((nb, nl, hidden))
     out = np.empty((nb, nl, hidden))
     h = np.zeros((nb, hidden))
     c = np.zeros((nb, hidden))
     for t in steps:
-        z = zx[:, t] + h @ w_h
+        z = zx[:, t] + _product(h, w_h)
         # finite pre-activations keep every gate, cell and state finite
         _check_finite(z, "lstm_sequence")
         a = _sigmoid(z)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,14 +67,35 @@ def self_match(params: ParameterSet, h: Tensor, mask: np.ndarray) -> tuple[Tenso
     return f, g
 
 
-def encode_passage(params: ParameterSet, batch) -> EncoderOutput:
-    e = embed_source(params, batch)
-    h, _, bw_final = bilstm(params, "enc", e, batch.passage_lengths)
-    mask = length_mask(batch.passage_lengths, h.shape[1])
+def _matched(params: ParameterSet, h: Tensor, mask: np.ndarray,
+             bw_final: Tensor) -> EncoderOutput:
+    """The encoder output over biLSTM states ``h``: self-matching, the gated
+    blend h_hat and its attention projection."""
     f, g = self_match(params, h, mask)
     h_hat = T.add(T.mul(g, f), T.mul(T.add(T.mul(g, -1.0), 1.0), h))
     proj = T.matmul(h_hat, params["attn.Wh"])
     return EncoderOutput(h_hat=h_hat, mask=mask, proj=proj, bw_final=bw_final)
+
+
+def encode_passage(params: ParameterSet, batch) -> EncoderOutput:
+    h, _, bw_final = bilstm(params, "enc", embed_source(params, batch),
+                            batch.passage_lengths)
+    return _matched(params, h, length_mask(batch.passage_lengths, h.shape[1]), bw_final)
+
+
+def encode_passages(params: ParameterSet, batch) -> list[EncoderOutput]:
+    """Each sample's encoding at its own width: one embedding and biLSTM
+    pass over the batch, then each sample's rows ``h[i, :len_i]`` and
+    ``bw_final[i]`` self-matched alone. Inside ``T.batch_invariant()`` the
+    biLSTM's rows do not depend on the batch, and each softmax sums over the
+    sample's own positions, so every value equals, bit for bit, that of
+    encode_passage over a batch of the sample alone. The slices start no
+    tape: this serves decoding, not training."""
+    h, _, bw_final = bilstm(params, "enc", embed_source(params, batch),
+                            batch.passage_lengths)
+    return [_matched(params, Tensor(h.data[i:i + 1, :n].copy()), np.ones((1, n), bool),
+                     Tensor(bw_final.data[i:i + 1]))
+            for i, n in enumerate(batch.passage_lengths.tolist())]
 
 
 # -- decoder ----------------------------------------------------------------
@@ -103,6 +125,14 @@ class DecodeMemory:
     copy_ids: np.ndarray          # [B, Lp] extended-vocabulary ids
     extended_size: int
     init_source: Tensor           # [B, d] seeds the decoder state
+
+    @cached_property
+    def copy_buckets(self) -> tuple[np.ndarray, np.ndarray]:
+        """A one-sample memory's distinct copy ids, ascending, and each
+        passage position's index among them; computed on first use, so
+        decode_step buckets a sample's copy mass the same way every step."""
+        ids, bucket = np.unique(self.copy_ids, return_inverse=True)
+        return ids, bucket.reshape(1, -1)
 
 
 @dataclass
@@ -198,12 +228,14 @@ def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
 
     Run it under ``T.no_grad()`` and ``T.batch_invariant()``, as
     beam_search_group does. Row-wise work runs once over every row of the
-    group: its products run in fixed row chunks, where a row's bits do not
-    depend on the other rows. Attention, the knowledge term and the copy
-    mass run per sample over its own widths, and the copy term is added
-    only at the ids the sample's passage holds, where the full mixture
-    differs from ``p_vocab * p_g``. So every row's values equal, bit for
-    bit, those of the full mixture (tests/oracles.py,
+    group: its products run in fixed chunks of ``T.CHUNK_ROWS`` rows, where
+    a row's bits do not depend on the other rows. Attention, the knowledge
+    term and the copy mass run per sample over its own widths, and the copy
+    term is added only at the ids the sample's passage holds, where the
+    full mixture differs from ``p_vocab * p_g``; those ids and each
+    position's place among them are found once per memory
+    (``DecodeMemory.copy_buckets``), not at every step. So every row's
+    values equal, bit for bit, those of the full mixture (tests/oracles.py,
     ``reference_decode_step``) over that row alone under the same mode.
     """
     emb, s, new_states = _cell_step(params, prefix, y_prev, state)
@@ -233,9 +265,9 @@ def decode_step(params: ParameterSet, prefix: str, y_prev: np.ndarray,
     for mem, alpha, n in zip(memories, alphas, rows):
         g = generate[lo:lo + n]
         # copy mass per distinct id, summed in passage order from 0.0
-        ids, bucket = np.unique(mem.copy_ids, return_inverse=True)
+        ids, bucket = mem.copy_buckets
         mass = np.zeros((n, ids.size))
-        np.add.at(mass, (np.arange(n)[:, None], bucket.reshape(1, -1)), alpha)
+        np.add.at(mass, (np.arange(n)[:, None], bucket), alpha)
         p = mass * keep[lo:lo + n]
         in_vocab = ids < vocab_size
         p[:, in_vocab] += g[:, ids[in_vocab]]

@@ -17,7 +17,7 @@ import os
 import threading
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -273,10 +273,11 @@ def _group_hashes(params: ParameterSet) -> dict[str, str]:
 MAX_LANES = 2
 # One sample's multiply-adds per beam step (decode_step_work) below which a
 # second lane gained little or lost. Timed on two CPUs at one BLAS thread,
-# 8 samples at hidden size 128, medians of 9 alternating runs, one lane
-# against two: beam 1 (1.1 M) 0.380 against 0.489 s, greedy dev decoding of
-# a trained model 0.338 against 0.505 s, beam 3 (3.4 M) 0.476 against
-# 0.540 s, beam 10 (11.4 M) 0.807 against 0.762 s. Counting a group's rows
+# with groups encoded as one batch: the 8 samples of the benchmark's
+# generate inputs (seed 7) at hidden size 128, medians of 6 alternating
+# runs of 5 calls, one lane against two: beam 1 (1.1 M) 0.321 against
+# 0.465 s, beam 3 (3.4 M) 0.470 against 0.558 s, beam 10 (11.4 M) 0.909
+# against 0.712 s (two lanes faster in 6 of 6). Counting a group's rows
 # instead would put beams 1 and 3 on two lanes. With one sample per step,
 # beam 5 (5.7 M) read 0.98-1.21x one lane and 6.1-13 M 1.17-1.45x.
 LANE_MIN_STEP_WORK = 5_000_000
@@ -321,6 +322,29 @@ def decode_lanes(n_samples: int, step_work: int) -> int:
 MAX_GROUP = 8
 
 
+def decode_memories(params: ParameterSet, samples: list[TrainingSample],
+                    vocab: Vocabulary, tag_vocabs: dict[str, TagVocab]
+                    ) -> list[tuple[qg_model.DecodeMemory, list[str]]]:
+    """Each sample's decode memory and OOV tokens, for a group of samples
+    encoded together: the passages, padded, in one embedding and biLSTM pass
+    (qg_model.encode_passages), the equipped samples' triples in one
+    encode_triples pass (aux_tasks.unified_memories), and every result cut
+    back to its sample's own widths. Run it under ``T.no_grad()`` and
+    ``T.batch_invariant()``: each memory then equals, bit for bit, the one
+    the sample gives encoded alone."""
+    batch = encode_batch([replace(s, triples=[]) for s in samples], vocab, tag_vocabs)
+    equipped = [i for i, s in enumerate(samples) if s.triples]
+    kmems = {}
+    if equipped:
+        triples = encode_batch([samples[i] for i in equipped], vocab, tag_vocabs)
+        kmems = dict(zip(equipped, aux_tasks.unified_memories(params, triples)))
+    encs = qg_model.encode_passages(params, batch)
+    return [(qg_model.DecodeMemory(enc, kmems.get(i), batch.copy_ids[i:i + 1, :n],
+                                   len(vocab) + len(oov), enc.bw_final), oov)
+            for i, (enc, n, oov) in enumerate(zip(encs, batch.passage_lengths.tolist(),
+                                                  batch.oov_tokens))]
+
+
 def generate(params: ParameterSet, samples: list[TrainingSample],
              vocab: Vocabulary, tag_vocabs: dict[str, TagVocab],
              config: Config, beam: int) -> list[tuple[list[str], float]]:
@@ -330,57 +354,50 @@ def generate(params: ParameterSet, samples: list[TrainingSample],
     The one decode path behind ``ckqg generate`` and dev BLEU. The samples
     split into groups of consecutive samples, as many per group as spreads
     them evenly over the ``decode_lanes`` lanes but at most MAX_GROUP. Each
-    group's samples are encoded one at a time and beam-searched as one
-    decoder batch (qg_model.beam_search_group), keeping of each encoding
-    only what decoding reads. One lane decodes the groups in order on the
+    group is encoded as one batch (decode_memories) and beam-searched as one
+    decoder batch (qg_model.beam_search_group), both under
+    ``T.batch_invariant()``. One lane decodes the groups in order on the
     calling thread; more lanes are the workers of a thread pool, and the
     caller reads their results in group order. Every result is bit for bit
-    what the sample gives decoded alone, on any lane: the lane count sets no
-    BLAS thread count. A group that raises an error is decoded again one
-    sample at a time, to find the sample that fails; a NumericsError there
-    is raised again naming that sample's key and index. Once a group fails,
-    or the caller is interrupted, no group that has not started begins, and
-    the caller raises the first failure in group order once the running
-    groups end.
+    what the sample gives encoded and decoded alone, on any lane: the lane
+    count sets no BLAS thread count. A group that raises an error in
+    encoding or search is decoded again one sample at a time, as a group of
+    one, to find the sample that fails; a NumericsError there is raised
+    again naming that sample's key and index. Once a group fails, or the
+    caller is interrupted, no group that has not started begins, and the
+    caller raises the first failure in group order once the running groups
+    end.
     """
     lanes = decode_lanes(len(samples), decode_step_work(params, beam))
     size = max(1, min(MAX_GROUP, -(-len(samples) // lanes)))
     starts = range(0, len(samples), size)
     stop = threading.Event()
 
-    def encode(sample: TrainingSample) -> tuple[qg_model.DecodeMemory, list[str]]:
-        batch = encode_batch([sample], vocab, tag_vocabs)
-        enc = qg_model.encode_passage(params, batch)
-        kmem = None
-        if batch.has_triples:
-            kmem = aux_tasks.unified_memory(params, aux_tasks.encode_triples(params, batch))
-        return (qg_model.DecodeMemory(enc, kmem, batch.copy_ids, batch.extended_size,
-                                      enc.bw_final), batch.oov_tokens[0])
-
-    def search(memories: list[qg_model.DecodeMemory]) -> list[qg_model.BeamHypothesis]:
-        return qg_model.beam_search_group(params, "dec", memories, beam=beam,
+    def decode_group(group: list[TrainingSample]) -> list[tuple[list[str], float]]:
+        memories, oovs = zip(*decode_memories(params, group, vocab, tag_vocabs))
+        hyps = qg_model.beam_search_group(params, "dec", list(memories), beam=beam,
                                           max_len=config.max_len,
                                           length_penalty=config.length_penalty)
+        return [(vocab.decode_ids(hyp.ids, oov), hyp.score)
+                for hyp, oov in zip(hyps, oovs)]
 
-    def alone(index: int, memory: qg_model.DecodeMemory) -> qg_model.BeamHypothesis:
+    def alone(index: int, sample: TrainingSample) -> tuple[list[str], float]:
         try:
-            return search([memory])[0]
+            return decode_group([sample])[0]
         except T.NumericsError as e:
-            raise T.NumericsError(f"sample {sample_key(samples[index], index)} "
+            raise T.NumericsError(f"sample {sample_key(sample, index)} "
                                   f"(index {index}): {e}") from e
 
     def decode(lo: int) -> list[tuple[list[str], float]]:
         if stop.is_set():   # the caller raises the error that set it
             return []
+        group = samples[lo:lo + size]
         try:
-            with T.no_grad():   # tape modes are per thread
-                memories, oovs = zip(*map(encode, samples[lo:lo + size]))
+            with T.no_grad(), T.batch_invariant():   # tape modes are per thread
                 try:
-                    hyps = search(list(memories))
+                    return decode_group(group)
                 except Exception:   # not an interrupt: find the sample that fails
-                    hyps = [alone(i, memory) for i, memory in enumerate(memories, lo)]
-            return [(vocab.decode_ids(hyp.ids, oov), hyp.score)
-                    for hyp, oov in zip(hyps, oovs)]
+                    return [alone(i, sample) for i, sample in enumerate(group, lo)]
         except BaseException:
             stop.set()
             raise

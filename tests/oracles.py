@@ -6,8 +6,12 @@ arithmetic instead of floats) so agreement is meaningful.
 """
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +22,19 @@ from ckqg.nn.layers import linear, lstm_cell
 from ckqg.nn.tensor import Tensor, length_mask
 from ckqg.qg_model import (PROB_FLOOR, BeamHypothesis, decoder_state_step,
                            init_decoder_state)
+
+
+def run_one_thread(script: str) -> subprocess.CompletedProcess:
+    """Run the Python source ``script`` in a child process at one BLAS
+    thread, where a product's bits do not depend on how OpenBLAS splits it
+    between threads; the package and these oracles import there."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")]),
+           **{v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                               "MKL_NUM_THREADS")}}
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def windows(tokens, n):

@@ -28,6 +28,7 @@ from ckqg.corpus import (TrainingSample, Vocabulary, build_tag_vocabs,
                          build_vocab, coarse_tags, encode_batch, load_dataset,
                          save_dataset)
 from ckqg.kb_extract import RELATIONS, AlignedTriple, KnowledgeTriple
+from ckqg.nn import tensor as T
 from ckqg.nn.gradcheck import grad_check
 
 from oracles import (brute_force_extract, reference_bleu, reference_decode_step,
@@ -335,9 +336,10 @@ def test_generate_groups_equal_samples_decoded_alone(overfit_run, monkeypatch, b
     assert len({len(toks) for toks, _ in decoded[:8]}) > 1
     for sample, (toks, score) in zip(samples, decoded):
         batch = encode_batch([sample], vocab, tags)
-        enc = QG.encode_passage(params, batch)
-        kmem = (AX.unified_memory(params, AX.encode_triples(params, batch))
-                if sample.triples else None)
+        with T.batch_invariant():   # as generate encodes
+            enc = QG.encode_passage(params, batch)
+            kmem = (AX.unified_memory(params, AX.encode_triples(params, batch))
+                    if sample.triples else None)
         memory = QG.DecodeMemory(enc, kmem, batch.copy_ids, batch.extended_size,
                                  enc.bw_final)
         hyp = QG.beam_search(params, "dec", memory, beam=beam, max_len=cfg.max_len,

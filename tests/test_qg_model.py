@@ -602,7 +602,7 @@ def test_decode_step_rows_equal_one_row_calls_across_chunk_boundaries(k):
 def test_teacher_forcing_and_decode_step_agree_bitwise(case, seed):
     # the two production step paths over one memory, on the gold prefix:
     # teacher forcing's output product runs as one product, decode_step's
-    # in 16-row chunks; the oov_copy target copies "deep sea" from the
+    # in 8-row chunks; the oov_copy target copies "deep sea" from the
     # passage, past the word vocabulary
     question = ("what rose from the deep sea ?" if case == "oov_copy"
                 else "what did the kraken rise from ?")
@@ -636,10 +636,20 @@ def test_beam_passes_the_callers_own_inputs_to_every_step(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(M, "decode_step", spy)
+    unique, uniques = np.unique, []
+
+    def counted_unique(*args, **kwargs):
+        uniques.append(args[0])
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted_unique)
     for kmem in (None, full_kmem):
         calls.clear()
+        uniques.clear()
         M.beam_search(params, "dec", memory_of(enc, equipped, kmem), beam=10, max_len=6)
         assert max(c["rows"][0] for c in calls) > 1
+        # the memory's copy ids are bucketed once, not at every step
+        assert len(calls) > 1 and len(uniques) == 1
         for c in calls:
             [mem] = c["memories"]
             assert mem.enc.h_hat is enc.h_hat and mem.enc.proj is enc.proj

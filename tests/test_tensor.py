@@ -7,19 +7,15 @@ softmax, closed forms elsewhere.
 
 import itertools
 import math
-import os
-import subprocess
-import sys
 import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scatter_sum
+from oracles import run_one_thread, scatter_sum
 
 import ckqg.nn.tensor as T
 from ckqg.nn.tensor import GraphReleasedError, NumericsError, ShapeError, Tensor
@@ -433,25 +429,32 @@ class TestProperties:
 
 
 # Each row of a batch_invariant() product against that row padded with zero
-# rows alone to one chunk, printing the rows that differ. The (K, N) shapes
-# are decoding's and training's at hidden 128 and 600; the row counts put
-# rows in a lone partial chunk, a full chunk, and past one and five chunks.
+# rows alone to one chunk, and against the product of that row alone under
+# the mode, printing the rows that differ. The (K, N) shapes are decoding's
+# and training's at hidden 128 and 600, and odd column counts, where 16-row
+# chunks gave rows 12-15 other last bits at one BLAS thread. The row counts
+# fill one chunk partly or fully, and span two, five and twelve chunks.
 CHUNK_PRODUCTS = """
 import numpy as np
 import ckqg.nn.tensor as T
 rng = np.random.default_rng(7)
 for k, n in ((128, 512), (356, 512), (256, 128), (384, 256), (128, 5000),
-             (600, 2400), (600, 5000), (228, 512), (1800, 600)):
+             (600, 2400), (600, 5000), (228, 512), (1800, 600), (130, 300),
+             (228, 300), (600, 301), (128, 4101), (128, 5003), (2, 1)):
     b = rng.uniform(-1, 1, (k, n))
-    for m in (1, 15, 16, 17, 40, 89):
+    for m in (1, 7, 8, 9, 15, 16, 37, 89):
         a = rng.uniform(-1, 1, (m, k))
         with T.batch_invariant():
             rows = T.matmul(T.Tensor(a), T.Tensor(b)).data
+            singles = [T.matmul(T.Tensor(a[i:i + 1]), T.Tensor(b)).data[0]
+                       for i in range(m)]
         for i in range(m):
             alone = np.zeros((T.CHUNK_ROWS, k))
             alone[0] = a[i]
             if rows[i].tobytes() != np.matmul(alone, b)[0].tobytes():
-                print(f"K={k} N={n} rows={m}: row {i} differs")
+                print(f"K={k} N={n} rows={m}: row {i} differs from it alone in a chunk")
+            if rows[i].tobytes() != singles[i].tobytes():
+                print(f"K={k} N={n} rows={m}: row {i} depends on the batch")
 """
 
 
@@ -514,12 +517,10 @@ class TestNoGrad:
         # The reference is numpy's own product of one padded chunk, so it
         # runs under one BLAS thread, in a child process: with more threads
         # OpenBLAS may split a wide chunk between them, and where the split
-        # falls moves the reference's own last bits.
-        env = {**os.environ, "PYTHONPATH": str(Path(T.__file__).parents[2]),
-               **{v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                   "MKL_NUM_THREADS")}}
-        proc = subprocess.run([sys.executable, "-c", CHUNK_PRODUCTS], env=env,
-                              capture_output=True, text=True, timeout=300)
+        # falls moves the reference's own last bits. The child also checks
+        # that no row depends on the batch, as the next test does in this
+        # process at the default thread count.
+        proc = run_one_thread(CHUNK_PRODUCTS)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == ""
 

@@ -9,12 +9,13 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import reference_teacher_forced_steps
+from oracles import reference_teacher_forced_steps, run_one_thread
 
 from ckqg import aux_tasks as A
 from ckqg import cli
@@ -22,7 +23,7 @@ from ckqg import qg_model as M
 from ckqg import trainer as TR
 from ckqg.config import Config
 from ckqg.corpus import (TrainingSample, ValidationError, build_tag_vocabs,
-                         build_vocab, coarse_tags, encode_batch)
+                         Vocabulary, build_vocab, coarse_tags, encode_batch)
 from ckqg.kb_extract import AlignedTriple, KnowledgeTriple
 from ckqg.nn import tensor as T
 from ckqg.nn.checkpoint import CheckpointError, load_checkpoint
@@ -1054,3 +1055,100 @@ class TestLanes:
             TR.generate(params, numbered_samples(pu[0]), vocab, tags, cfg, 2)
         assert decoding == [workers[0].ident]
         assert not workers[0].is_alive()
+
+
+# -- group encoding -------------------------------------------------------------
+
+
+def group_world():
+    """Parameters at hidden 40 over two layers, and six samples that
+    alternate equipped and pure, with passages of 1, 5, 8, 9, 12 and 15
+    tokens. The vocabulary holds the first two samples' tokens and the last
+    sample's last token only, so the longer passages carry OOV tokens and
+    extended ids."""
+    words = "harbor council of the union has veto power at dawn in the quiet spring rain"
+    words = words.split()
+    heads = ["harbor", "veto power", "the quiet spring"]
+    tails = ["port", "governing bodies", "season"]
+    samples = []
+    for i, n in enumerate((1, 5, 8, 9, 12, 15)):
+        triple = None
+        if i % 2 == 0:
+            triple = AlignedTriple(KnowledgeTriple(heads[i // 2], "RelatedTo",
+                                                   tails[i // 2], "ConceptNet"))
+        samples.append(make_sample(" ".join(words[:n]), "what is near the harbor ?",
+                                   (0, 0), f"g{i}", triple))
+    vocab = Vocabulary(words[:5] + ["rain"])
+    tags = build_tag_vocabs(samples)
+    cfg = Config(emb_dim=8, feat_dim=4, hidden_size=40, layers=2)
+    params = TR.build_parameters(cfg, vocab, tags, np.random.default_rng(11))
+    return params, vocab, tags, samples
+
+
+def group_encoding_mismatches() -> list[str]:
+    """What differs between each group_world sample's decode memory encoded
+    in the group and the one it gets encoded alone by encode_passage and
+    unified_memory, both under no_grad and batch_invariant."""
+    params, vocab, tags, samples = group_world()
+    with T.no_grad(), T.batch_invariant():
+        grouped = TR.decode_memories(params, samples, vocab, tags)
+        problems = []
+        for sample, (got, oov) in zip(samples, grouped):
+            batch = encode_batch([sample], vocab, tags)
+            enc = M.encode_passage(params, batch)
+            kmem = (A.unified_memory(params, A.encode_triples(params, batch))
+                    if sample.triples else None)
+            pairs = {"h_hat": (got.enc.h_hat.data, enc.h_hat.data),
+                     "proj": (got.enc.proj.data, enc.proj.data),
+                     "mask": (got.enc.mask, enc.mask),
+                     "bw_final": (got.enc.bw_final.data, enc.bw_final.data),
+                     "init_source": (got.init_source.data, enc.bw_final.data),
+                     "copy_ids": (got.copy_ids, batch.copy_ids),
+                     "extended_size": (np.array(got.extended_size),
+                                       np.array(batch.extended_size)),
+                     "oov": (np.array(oov), np.array(batch.oov_tokens[0]))}
+            if (got.kmem is None) != (kmem is None):
+                problems.append(f"{sample.sample_id}: knowledge memory")
+            elif kmem is not None:
+                pairs.update({"k rows": (got.kmem.rows.data, kmem.rows.data),
+                              "k proj": (got.kmem.proj.data, kmem.proj.data),
+                              "k mask": (got.kmem.mask, kmem.mask)})
+            problems += [f"{sample.sample_id}: {name}" for name, (a, b) in pairs.items()
+                         if a.shape != b.shape or a.dtype != b.dtype
+                         or a.tobytes() != b.tobytes()]
+    return problems
+
+
+class TestGroupEncoding:
+    def test_group_world_spans_what_a_group_may_mix(self):
+        params, vocab, tags, samples = group_world()
+        lengths = [len(s.passage) for s in samples]
+        assert min(lengths) == 1 and min(lengths) < 8 < max(lengths)
+        assert {bool(s.triples) for s in samples} == {True, False}
+        batch = encode_batch([replace(s, triples=[]) for s in samples], vocab, tags)
+        assert len({len(oov) for oov in batch.oov_tokens}) > 1
+
+    def test_group_encoding_equals_each_sample_encoded_alone(self):
+        assert group_encoding_mismatches() == []
+
+    def test_group_encoding_equals_each_sample_encoded_alone_at_one_thread(self):
+        proc = run_one_thread("import test_trainer\n"
+                              "print(test_trainer.group_encoding_mismatches())")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_an_encoding_failure_names_its_sample(self, monkeypatch):
+        # the passage biLSTM's word-embedding input weights saturated at 1,
+        # and a huge embedding row for a token only sample g5 holds, overflow
+        # that sample's input projection alone: the group fails in encoding,
+        # and decoding its samples one at a time names g5
+        params, vocab, tags, samples = group_world()
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)   # one lane
+        params["enc.l0.fw.W"].data[:params["emb.word"].shape[1]] = 1.0
+        params["emb.word"].data[vocab.encode("rain")] = 1e308
+        assert ["rain" in s.passage for s in samples] == [False] * 5 + [True]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                T.NumericsError, match=r"^sample g5 \(index 5\): non-finite values "
+                                       r"produced by op 'lstm_sequence'$"):
+            TR.generate(params, samples, vocab, tags, Config(max_len=4), 2)
